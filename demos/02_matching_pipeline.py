@@ -19,6 +19,7 @@ from swati import (
     load_builtin_ontology,
     quality,
     run_epoch,
+    similarity_components,
     utility_matrix_from_components,
 )
 from swati.extraction import build_market
@@ -36,14 +37,20 @@ print("sample volunteer text:\n ", corpus.volunteers[0].text, "\n")
 market = build_market(corpus, ontology)
 caps = CapacityMap()  # one task per volunteer unless configured otherwise
 
+# Skill and content similarity depend only on the market; willingness is
+# smoothed against a state that lives across decision epochs.
+skill, content = similarity_components(market.profiles, market.taskspecs)
+state = WillingnessState([p.id for p in market.profiles], [t.id for t in market.taskspecs])
 result = run_epoch(
     market.profiles,
     market.taskspecs,
+    skill,
+    content,
     histories,
     caps,
     UtilityParams(),
     WillingnessParams(),
-    WillingnessState(),
+    state,
 )
 matrix = result.matrix
 

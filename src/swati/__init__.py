@@ -20,9 +20,8 @@ from .assignment import (
     assign_random,
     assign_skill_only,
     assign_swati,
-    build_utility_matrix,
-    compute_utility,
     run_epoch,
+    similarity_components,
     utility_matrix_from_components,
     validate_assignment,
 )
@@ -61,9 +60,9 @@ from .similarity import (
     SparseVector,
     VectorizerModel,
     VectorizerSettings,
-    content_sim,
+    cosine_matrix,
     fit_vectorizer,
-    skill_sim,
+    jaccard_matrix,
     vectorize,
 )
 from .willingness import (
@@ -71,12 +70,10 @@ from .willingness import (
     HistoryRecord,
     WillingnessParams,
     WillingnessState,
-    cue_vector,
+    cue_score_matrix,
     histories_from_records,
-    history_tendency,
     load_history,
-    pair_willingness,
-    profile_score,
     raw_willingness,
-    smooth_willingness,
+    tendency_matrix,
+    willingness_matrix,
 )

@@ -21,19 +21,15 @@ import hashlib
 import json
 import random
 from dataclasses import dataclass
-from typing import Callable, Mapping, Optional, Sequence
+from functools import cached_property
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
 from .errors import ConfigError, DimensionError, InstanceTooLargeError
 from .extraction import Profile, TaskSpec
-from .similarity import skill_sim
-from .willingness import (
-    History,
-    WillingnessParams,
-    WillingnessState,
-    pair_willingness,
-)
+from .similarity import cosine_matrix, jaccard_matrix
+from .willingness import History, WillingnessParams, WillingnessState, willingness_matrix
 
 
 class UtilityForm(enum.Enum):
@@ -54,16 +50,20 @@ class UtilityParams:
             raise ConfigError("skill_weight + content_weight must equal 1")
 
 
+def _is_count(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
+
+
 class CapacityMap:
     """Volunteer capacities; ids not listed default to one task."""
 
     def __init__(self, capacities: Optional[Mapping[str, int]] = None, default: int = 1):
         capacities = dict(capacities or {})
-        if default < 1:
-            raise ConfigError("default capacity must be >= 1")
+        if not _is_count(default):
+            raise ConfigError(f"default capacity must be an integer >= 1, got {default!r}")
         for vid, cap in capacities.items():
-            if cap < 1:
-                raise ConfigError(f"capacity for {vid!r} must be >= 1")
+            if not _is_count(cap):
+                raise ConfigError(f"capacity for {vid!r} must be an integer >= 1, got {cap!r}")
         self._caps = capacities
         self.default = default
 
@@ -108,18 +108,20 @@ class UtilityMatrix:
             if arr.size and (arr.min() < 0.0 or arr.max() > 1.0):
                 raise ValueError(f"{name} entries must lie in [0, 1]")
 
+    @cached_property
+    def _positions(self) -> tuple[dict[str, int], dict[str, int]]:
+        return (
+            {v: i for i, v in enumerate(self.volunteers)},
+            {t: j for j, t in enumerate(self.tasks)},
+        )
+
+    def position(self, volunteer_id: str, task_id: str) -> tuple[int, int]:
+        """Row and column of a (volunteer, task) pair."""
+        rows, cols = self._positions
+        return rows[volunteer_id], cols[task_id]
+
     def cell(self, volunteer_id: str, task_id: str) -> float:
-        i = self.volunteers.index(volunteer_id)
-        j = self.tasks.index(task_id)
-        return float(self.utilities[i, j])
-
-
-def compute_utility(s: float, c: float, w: float, params: UtilityParams) -> float:
-    """Blend skill and content similarity, discounted by willingness."""
-    a, b = params.skill_weight, params.content_weight
-    if params.form is UtilityForm.PRODUCT:
-        return (a * s + b * c) * w
-    return a * s + b * c * w
+        return float(self.utilities[self.position(volunteer_id, task_id)])
 
 
 def utility_matrix_from_components(
@@ -151,64 +153,17 @@ def utility_matrix_from_components(
 def similarity_components(
     profiles: Sequence[Profile], taskspecs: Sequence[TaskSpec]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Pairwise skill-Jaccard and content-cosine matrices."""
+    """Pairwise skill-Jaccard and content-cosine matrices.
+
+    Both depend only on the market, so a multi-epoch run computes them once.
+    """
     if not profiles or not taskspecs:
         raise DimensionError("need at least one volunteer and one task")
-    n, m = len(profiles), len(taskspecs)
-    skill = np.empty((n, m))
-    for i, prof in enumerate(profiles):
-        for j, task in enumerate(taskspecs):
-            skill[i, j] = skill_sim(prof.skills, task.required_skills)
-
-    # content cosine via one dense matmul; rows of empty vectors stay zero,
-    # matching content_sim's empty-vector convention
-    size = 0
-    for vec in [p.content_vector for p in profiles] + [t.content_vector for t in taskspecs]:
-        if len(vec.indices):
-            size = max(size, int(vec.indices[-1]) + 1)
-    xv = np.zeros((n, size))
-    xt = np.zeros((m, size))
-    for i, prof in enumerate(profiles):
-        if len(prof.content_vector.indices):
-            xv[i, prof.content_vector.indices] = prof.content_vector.weights
-    for j, task in enumerate(taskspecs):
-        if len(task.content_vector.indices):
-            xt[j, task.content_vector.indices] = task.content_vector.weights
-    content = np.clip(xv @ xt.T, 0.0, 1.0)
-    return skill, content
-
-
-def willingness_matrix(
-    profiles: Sequence[Profile],
-    taskspecs: Sequence[TaskSpec],
-    willingness_fn: Callable[[Profile, TaskSpec], float],
-) -> np.ndarray:
-    if not profiles or not taskspecs:
-        raise DimensionError("need at least one volunteer and one task")
-    w = np.empty((len(profiles), len(taskspecs)))
-    for i, prof in enumerate(profiles):
-        for j, task in enumerate(taskspecs):
-            w[i, j] = willingness_fn(prof, task)
-    return w
-
-
-def build_utility_matrix(
-    profiles: Sequence[Profile],
-    taskspecs: Sequence[TaskSpec],
-    willingness_fn: Callable[[Profile, TaskSpec], float],
-    params: UtilityParams,
-) -> UtilityMatrix:
-    """Dense pairwise utilities with per-cell component breakdown."""
-    skill, content = similarity_components(profiles, taskspecs)
-    willingness = willingness_matrix(profiles, taskspecs, willingness_fn)
-    return utility_matrix_from_components(
-        [p.id for p in profiles],
-        [t.id for t in taskspecs],
-        skill,
-        content,
-        willingness,
-        params,
+    skill = jaccard_matrix([p.skills for p in profiles], [t.required_skills for t in taskspecs])
+    content = cosine_matrix(
+        [p.content_vector for p in profiles], [t.content_vector for t in taskspecs]
     )
+    return skill, content
 
 
 def _greedy(
@@ -374,6 +329,8 @@ class EpochResult:
 def run_epoch(
     profiles: Sequence[Profile],
     taskspecs: Sequence[TaskSpec],
+    skill: np.ndarray,
+    content: np.ndarray,
     histories: Optional[Mapping[str, History]],
     caps: CapacityMap,
     utility_params: UtilityParams,
@@ -381,14 +338,21 @@ def run_epoch(
     state: WillingnessState,
     epoch: int = 0,
 ) -> EpochResult:
-    """One decision epoch: willingness (smoothed against state) -> utilities -> greedy."""
+    """One decision epoch: willingness (smoothed against state) -> utilities -> greedy.
 
-    def willingness_fn(profile: Profile, task: TaskSpec) -> float:
-        history = None
-        if histories:
-            history = histories.get(profile.history_ref or profile.id)
-        return pair_willingness(profile, task, history, state, willingness_params)
-
-    matrix = build_utility_matrix(profiles, taskspecs, willingness_fn, utility_params)
+    ``skill`` and ``content`` are the market's ``similarity_components``.
+    """
+    # a Jaccard score is positive exactly where the pair shares a skill
+    willingness = willingness_matrix(
+        profiles, taskspecs, histories, skill > 0, state, willingness_params
+    )
+    matrix = utility_matrix_from_components(
+        [p.id for p in profiles],
+        [t.id for t in taskspecs],
+        skill,
+        content,
+        willingness,
+        utility_params,
+    )
     assignment = assign_swati(matrix, caps, epoch=epoch)
     return EpochResult(assignment=assignment, matrix=matrix, state=state)

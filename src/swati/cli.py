@@ -19,6 +19,7 @@ from .assignment import (
     assign_random,
     assign_skill_only,
     run_epoch,
+    similarity_components,
 )
 from .config import EngineConfig, input_digest, load_config
 from .corpus import (
@@ -203,12 +204,17 @@ def cmd_match(args) -> int:
     market = build_market(corpus, ontology, cfg.vectorizer, _extractor(cfg))
     histories = load_history(cfg.history_path) if cfg.history_path else None
 
-    state = WillingnessState()
+    skill, content = similarity_components(market.profiles, market.taskspecs)
+    state = WillingnessState(
+        [p.id for p in market.profiles], [t.id for t in market.taskspecs]
+    )
     result = None
     for epoch in range(args.epochs):
         result = run_epoch(
             market.profiles,
             market.taskspecs,
+            skill,
+            content,
             histories,
             cfg.capacities,
             cfg.utility,
@@ -225,11 +231,9 @@ def cmd_match(args) -> int:
         assignment = assign_random(matrix, cfg.capacities, seed, epoch=args.epochs - 1)
 
     out = _ensure_out(args.out)
-    vol_idx = {v: i for i, v in enumerate(matrix.volunteers)}
-    task_idx = {t: j for j, t in enumerate(matrix.tasks)}
     with open(os.path.join(out, "assignment.jsonl"), "w", encoding="utf-8") as fh:
         for pair in assignment.pairs:
-            i, j = vol_idx[pair.volunteer_id], task_idx[pair.task_id]
+            i, j = matrix.position(pair.volunteer_id, pair.task_id)
             fh.write(
                 json.dumps(
                     {

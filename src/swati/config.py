@@ -114,7 +114,10 @@ def build_config(raw: Optional[dict] = None) -> EngineConfig:
     mapping = {}
     if caps_raw.get("path"):
         with open(caps_raw["path"], encoding="utf-8") as fh:
-            mapping = json.load(fh)
+            try:
+                mapping = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise ConfigError(f"capacities file is not valid JSON: {exc.msg}") from exc
         if not isinstance(mapping, dict) or not all(
             isinstance(k, str) and isinstance(v, int) for k, v in mapping.items()
         ):

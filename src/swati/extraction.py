@@ -25,6 +25,7 @@ import requests
 
 from .corpus import Document
 from .errors import (
+    ConfigError,
     RemoteTimeoutError,
     SchemaViolationError,
     TransportError,
@@ -120,7 +121,6 @@ class TaskSpec:
     id: str
     required_skills: frozenset[str]
     content_vector: SparseVector
-    capacity_demand: int = 1
 
 
 def _tokens_with_spans(text: str) -> list[tuple[int, int]]:
@@ -309,8 +309,13 @@ class RemoteExtractorConfig:
     @classmethod
     def from_env(cls, base: "RemoteExtractorConfig", env: dict) -> "RemoteExtractorConfig":
         """Apply SWATI_REMOTE_{TIMEOUT,RETRIES,API_KEY} overrides."""
-        timeout = float(env.get("SWATI_REMOTE_TIMEOUT", base.timeout))
-        retries = int(env.get("SWATI_REMOTE_RETRIES", base.retries))
+        try:
+            timeout = float(env.get("SWATI_REMOTE_TIMEOUT", base.timeout))
+            retries = int(env.get("SWATI_REMOTE_RETRIES", base.retries))
+        except ValueError as exc:
+            raise ConfigError(
+                f"SWATI_REMOTE_TIMEOUT/SWATI_REMOTE_RETRIES must be numbers: {exc}"
+            ) from exc
         api_key = env.get("SWATI_REMOTE_API_KEY", base.api_key)
         return cls(
             endpoint=base.endpoint,

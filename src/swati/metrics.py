@@ -35,7 +35,7 @@ from .corpus import SyntheticConfig, generate_synthetic
 from .errors import ConfigError, InconsistentInputError
 from .extraction import build_market
 from .ontology import Ontology, load_builtin_ontology
-from .willingness import WillingnessParams, WillingnessState, pair_willingness
+from .willingness import WillingnessParams, WillingnessState
 
 METHODS = ("random", "skill", "swati")
 
@@ -164,19 +164,21 @@ def bench_scaling(
             t1 = time.perf_counter()
             skill, content = similarity_components(market.profiles, market.taskspecs)
             t2 = time.perf_counter()
-            state = WillingnessState()
+            volunteer_ids = [p.id for p in market.profiles]
+            task_ids = [t.id for t in market.taskspecs]
             will = willingness_matrix(
                 market.profiles,
                 market.taskspecs,
-                lambda v, t: pair_willingness(v, t, None, state, willingness_params),
+                None,
+                skill > 0,
+                WillingnessState(volunteer_ids, task_ids),
+                willingness_params,
             )
             t3 = time.perf_counter()
             stage_times["extraction"].append(t1 - t0)
             stage_times["similarity"].append(t2 - t1)
             stage_times["willingness"].append(t3 - t2)
 
-            volunteer_ids = [p.id for p in market.profiles]
-            task_ids = [t.id for t in market.taskspecs]
             for method in methods:
                 t4 = time.perf_counter()
                 matrix = utility_matrix_from_components(

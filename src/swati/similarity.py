@@ -13,11 +13,10 @@ and positive).
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass, field
 from importlib import resources
-from typing import Iterable
+from typing import Sequence
 
 import numpy as np
 
@@ -76,17 +75,6 @@ class SparseVector:
     def is_empty(self) -> bool:
         return len(self.indices) == 0
 
-    def dot(self, other: "SparseVector") -> float:
-        _, ia, ib = np.intersect1d(
-            self.indices, other.indices, assume_unique=True, return_indices=True
-        )
-        return float(np.dot(self.weights[ia], other.weights[ib]))
-
-    def to_dense(self, size: int) -> np.ndarray:
-        dense = np.zeros(size)
-        dense[self.indices] = self.weights
-        return dense
-
 
 @dataclass
 class VectorizerModel:
@@ -140,41 +128,53 @@ def vectorize(model: VectorizerModel, text: str) -> SparseVector:
     return SparseVector(indices, weights)
 
 
-def skill_sim(a: Iterable[str], b: Iterable[str]) -> float:
-    """Jaccard overlap; two empty sets score 0 rather than 1."""
-    sa, sb = set(a), set(b)
-    union = len(sa | sb)
-    if union == 0:
-        return 0.0
-    return len(sa & sb) / union
+def skill_index(skill_sets: Sequence[frozenset[str]]) -> dict[str, int]:
+    """Column index over every skill named in ``skill_sets``, in sorted order."""
+    return {skill: k for k, skill in enumerate(sorted(set().union(*skill_sets)))}
 
 
-def content_sim(a: SparseVector, b: SparseVector) -> float:
-    if a.is_empty() or b.is_empty():
-        return 0.0
-    return min(1.0, max(0.0, a.dot(b)))
+def skill_incidence(skill_sets: Sequence[frozenset[str]], index: dict[str, int]) -> np.ndarray:
+    """0/1 float64 matrix; row i marks the skills of ``skill_sets[i]`` found in ``index``."""
+    out = np.zeros((len(skill_sets), len(index)))
+    for i, skills in enumerate(skill_sets):
+        out[i, [index[s] for s in skills if s in index]] = 1.0
+    return out
 
 
-def save_vectorizer(model: VectorizerModel, path: str) -> None:
-    payload = {
-        "vocabulary": model.vocabulary,
-        "idf": model.idf.tolist(),
-        "doc_count": model.doc_count,
-        "settings": {
-            "min_token_len": model.settings.min_token_len,
-            "use_stopwords": model.settings.use_stopwords,
-        },
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True)
+def jaccard_matrix(
+    volunteer_skills: Sequence[frozenset[str]], task_skills: Sequence[frozenset[str]]
+) -> np.ndarray:
+    """Pairwise Jaccard overlap; two empty sets score 0 rather than 1.
+
+    Intersections come from one product of 0/1 incidence matrices over the
+    task skills. The counts are small integers held in float64, so the BLAS
+    product is exact in any summation order and thread count, and each
+    quotient equals Python's ``int / int`` of the same counts.
+    """
+    index = skill_index(task_skills)
+    tasks = skill_incidence(task_skills, index)
+    inter = skill_incidence(volunteer_skills, index) @ tasks.T
+    volunteer_sizes = np.array([len(s) for s in volunteer_skills], dtype=np.float64)
+    union = volunteer_sizes[:, None] + tasks.sum(axis=1)[None, :] - inter
+    return np.divide(inter, union, out=np.zeros_like(inter), where=union > 0)
 
 
-def load_vectorizer(path: str) -> VectorizerModel:
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
-    return VectorizerModel(
-        vocabulary=payload["vocabulary"],
-        idf=np.array(payload["idf"]),
-        doc_count=payload["doc_count"],
-        settings=VectorizerSettings(**payload["settings"]),
-    )
+def cosine_matrix(
+    volunteer_vectors: Sequence[SparseVector], task_vectors: Sequence[SparseVector]
+) -> np.ndarray:
+    """Pairwise content cosine, clipped to [0, 1]; empty vectors score 0.
+
+    One dense product over the columns up to the highest index in use. Its
+    last bits depend on the operands' shapes and on the BLAS thread count.
+    """
+    size = 0
+    for vec in [*volunteer_vectors, *task_vectors]:
+        if len(vec.indices):
+            size = max(size, int(vec.indices[-1]) + 1)
+    xv = np.zeros((len(volunteer_vectors), size))
+    xt = np.zeros((len(task_vectors), size))
+    for x, vectors in ((xv, volunteer_vectors), (xt, task_vectors)):
+        for i, vec in enumerate(vectors):
+            if len(vec.indices):
+                x[i, vec.indices] = vec.weights
+    return np.clip(xv @ xt.T, 0.0, 1.0)

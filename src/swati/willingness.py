@@ -1,4 +1,4 @@
-"""Per-pair willingness estimation.
+"""Willingness estimation for every (volunteer, task) pair at once.
 
 A volunteer's willingness toward a task blends a history-derived acceptance
 tendency with a score over profile preference cues, squashes the mix through
@@ -15,14 +15,13 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, ParseError
+from .errors import ConfigError, DimensionError, ParseError
 from .extraction import Profile, TaskSpec
-
-Pair = tuple[str, str]
+from .similarity import skill_incidence, skill_index
 
 # Cue vector layout: (domain_affinity, prior_exposure, stated_interest,
 # volunteering_history, availability). Affinity is halved when the volunteer
@@ -65,147 +64,172 @@ class WillingnessParams:
 
 
 class WillingnessState:
-    """Mutable store of last smoothed willingness per (volunteer, task) pair.
+    """Last smoothed willingness matrix of one market across decision epochs.
 
-    The scoring functions around it are pure; this is the one mutable piece.
-    Updates for distinct pairs may proceed concurrently, but each pair's
-    read-modify-write must stay atomic; one writer per epoch is the
-    reference contract.
+    The state is created for fixed volunteer and task id orders and refuses
+    matrices scored for any other market. The scoring functions around it are
+    pure; this is the one mutable piece, with one writer per epoch.
     """
 
-    def __init__(self):
-        self._values: dict[Pair, float] = {}
+    def __init__(self, volunteers: Sequence[str], tasks: Sequence[str]):
+        self.volunteers = tuple(volunteers)
+        self.tasks = tuple(tasks)
+        self.values: Optional[np.ndarray] = None
 
-    def get(self, pair: Pair) -> Optional[float]:
-        return self._values.get(pair)
+    def smooth(
+        self,
+        volunteers: Sequence[str],
+        tasks: Sequence[str],
+        w_hat: np.ndarray,
+        params: WillingnessParams,
+    ) -> np.ndarray:
+        """Exponentially smooth ``w_hat`` against the stored matrix and store it.
 
-    def set(self, pair: Pair, value: float) -> None:
-        if not 0.0 <= value <= 1.0:
-            raise ValueError(f"willingness {value} out of [0, 1]")
-        self._values[pair] = value
+        The first epoch initializes directly from the raw estimate, so a
+        single-epoch run over a static corpus is smoothing-free.
+        """
+        if tuple(volunteers) != self.volunteers or tuple(tasks) != self.tasks:
+            raise DimensionError("willingness state belongs to other volunteer or task ids")
+        value = w_hat
+        if self.values is not None:
+            value = params.smoothing * self.values + (1.0 - params.smoothing) * w_hat
+        if value.size and (value.min() < 0.0 or value.max() > 1.0):
+            raise ValueError("willingness out of [0, 1]")
+        self.values = value
+        return value
 
     def __len__(self) -> int:
-        return len(self._values)
-
-    def snapshot(self) -> dict[Pair, float]:
-        return dict(self._values)
+        return 0 if self.values is None else self.values.size
 
 
-def cue_vector(volunteer: Profile, task: TaskSpec) -> np.ndarray:
-    """Pairwise cue vector; affinity is damped when skill sets are disjoint."""
-    cues = volunteer.cues
-    affinity = cues.domain_affinity
-    if not (volunteer.skills & task.required_skills):
-        affinity *= _NO_OVERLAP_AFFINITY_FACTOR
-    return np.array(
-        [
-            affinity,
-            cues.prior_exposure,
-            cues.stated_interest,
-            cues.volunteering_history,
-            cues.availability,
-        ]
-    )
+def cue_score_matrix(
+    profiles: Sequence[Profile], overlap: np.ndarray, params: WillingnessParams
+) -> np.ndarray:
+    """Convex combination of each volunteer's cues under the configured weights.
+
+    Cells where the volunteer shares no skill with the task (``overlap`` is
+    false) use the damped domain affinity. Each row's two candidate scores
+    are one 5-element ``np.dot`` apiece; a matrix product over all rows would
+    round differently.
+    """
+    weights = np.asarray(params.cue_weights)
+    scores = np.empty(overlap.shape)
+    for i, profile in enumerate(profiles):
+        cues = profile.cues.as_array()
+        full = float(np.dot(weights, cues))
+        cues[0] *= _NO_OVERLAP_AFFINITY_FACTOR
+        damped = float(np.dot(weights, cues))
+        scores[i] = np.where(overlap[i], full, damped)
+    return scores
 
 
-def profile_score(cue_vec: np.ndarray, params: WillingnessParams) -> float:
-    """Convex combination of cue components under the configured weights."""
-    return float(np.dot(np.asarray(params.cue_weights), cue_vec))
-
-
-def history_tendency(history: Optional[History], task: TaskSpec) -> float:
-    """Acceptance fraction over history records relevant to the task.
+def tendency_matrix(
+    profiles: Sequence[Profile],
+    taskspecs: Sequence[TaskSpec],
+    histories: Optional[Mapping[str, History]],
+) -> np.ndarray:
+    """Acceptance fraction over each volunteer's history records relevant to each task.
 
     Records whose skills intersect the task's requirements count as relevant;
     with no relevant records the overall acceptance fraction is used, and with
-    no history at all the uninformative prior 0.5 is returned.
+    no history at all the uninformative prior 0.5. Every fraction is a
+    quotient of exact integer counts.
     """
-    if history is None or not history.records:
-        return 0.5
-    relevant = [r for r in history.records if r.task_skills & task.required_skills]
-    pool = relevant if relevant else history.records
-    return sum(1 for r in pool if r.accepted) / len(pool)
+    task_skills = [t.required_skills for t in taskspecs]
+    index = skill_index(task_skills)
+    tasks_t = skill_incidence(task_skills, index).T
+    out = np.full((len(profiles), len(taskspecs)), 0.5)
+    for i, profile in enumerate(profiles):
+        history = histories.get(profile.history_ref or profile.id) if histories else None
+        if history is None or not history.records:
+            continue
+        records = history.records
+        relevant = (skill_incidence([r.task_skills for r in records], index) @ tasks_t) > 0
+        accepted = np.array([r.accepted for r in records], dtype=np.float64)
+        n_relevant = relevant.sum(axis=0).astype(np.float64)
+        n_accepted = accepted @ relevant
+        overall = accepted.sum() / len(records)
+        out[i] = np.divide(
+            n_accepted, n_relevant, out=np.full(len(taskspecs), overall), where=n_relevant > 0
+        )
+    return out
 
 
-def raw_willingness(g: float, f: float, params: WillingnessParams) -> float:
-    """Mix history tendency and cue score, then squash through the logistic."""
-    mixed = params.history_weight * g + (1.0 - params.history_weight) * f
+def raw_willingness(g, f, params: WillingnessParams) -> np.ndarray:
+    """Mix history tendency and cue score, then squash through the logistic.
+
+    Accepts scalars or arrays. ``math.exp`` runs per element because
+    ``np.exp`` differs from it in the last bit on some inputs.
+    """
+    mixed = params.history_weight * np.asarray(g) + (1.0 - params.history_weight) * np.asarray(f)
     z = params.sigmoid_gain * (mixed - params.sigmoid_center)
-    return 1.0 / (1.0 + math.exp(-z))
+    e = np.fromiter(map(math.exp, (-z).ravel().tolist()), dtype=np.float64, count=z.size)
+    return 1.0 / (1.0 + e.reshape(z.shape))
 
 
-def smooth_willingness(
-    state: WillingnessState, pair: Pair, w_hat: float, params: WillingnessParams
-) -> float:
-    """Exponentially smooth against the pair's previous value and store it.
-
-    A pair never seen before initializes directly from the raw estimate, so a
-    single-epoch run over a static corpus is smoothing-free.
-    """
-    if not 0.0 <= w_hat <= 1.0:
-        raise ValueError(f"raw willingness {w_hat} out of [0, 1]")
-    previous = state.get(pair)
-    if previous is None:
-        value = w_hat
-    else:
-        value = params.smoothing * previous + (1.0 - params.smoothing) * w_hat
-    state.set(pair, value)
-    return value
-
-
-def pair_willingness(
-    volunteer: Profile,
-    task: TaskSpec,
-    history: Optional[History],
+def willingness_matrix(
+    profiles: Sequence[Profile],
+    taskspecs: Sequence[TaskSpec],
+    histories: Optional[Mapping[str, History]],
+    overlap: np.ndarray,
     state: WillingnessState,
     params: WillingnessParams,
-) -> float:
-    """Full willingness pipeline for one pair: cues -> mix -> squash -> smooth."""
-    f = profile_score(cue_vector(volunteer, task), params)
-    g = history_tendency(history, task)
-    w_hat = raw_willingness(g, f, params)
-    return smooth_willingness(state, (volunteer.id, task.id), w_hat, params)
+) -> np.ndarray:
+    """Willingness for every pair: cues and history -> mix -> squash -> smooth.
+
+    ``overlap[i, j]`` says whether volunteer i shares a skill with task j.
+    """
+    if not profiles or not taskspecs:
+        raise DimensionError("need at least one volunteer and one task")
+    w_hat = raw_willingness(
+        tendency_matrix(profiles, taskspecs, histories),
+        cue_score_matrix(profiles, overlap, params),
+        params,
+    )
+    return state.smooth([p.id for p in profiles], [t.id for t in taskspecs], w_hat, params)
+
+
+def _group_records(numbered: Iterable[tuple[int, object]]) -> dict[str, History]:
+    """Validate (line number, record) pairs and group them by volunteer."""
+    grouped: dict[str, list[HistoryRecord]] = {}
+    for line_no, obj in numbered:
+        try:
+            vid = obj["volunteer_id"]
+            skills = obj["task_skills"]
+            accepted = obj["accepted"]
+        except (KeyError, TypeError):
+            raise ParseError(
+                "record needs volunteer_id, task_skills, accepted", line_no
+            ) from None
+        if not isinstance(vid, str) or not isinstance(accepted, bool):
+            raise ParseError("bad field types", line_no)
+        if not isinstance(skills, list) or not all(isinstance(s, str) for s in skills):
+            raise ParseError("task_skills must be a list of strings", line_no)
+        grouped.setdefault(vid, []).append(
+            HistoryRecord(task_skills=frozenset(skills), accepted=accepted)
+        )
+    return {vid: History(volunteer_id=vid, records=tuple(recs)) for vid, recs in grouped.items()}
 
 
 def histories_from_records(records: Iterable[dict]) -> dict[str, History]:
-    """Group {volunteer_id, task_skills[], accepted} dicts into History objects."""
-    grouped: dict[str, list[HistoryRecord]] = {}
-    for obj in records:
-        grouped.setdefault(obj["volunteer_id"], []).append(
-            HistoryRecord(
-                task_skills=frozenset(obj["task_skills"]), accepted=obj["accepted"]
-            )
-        )
-    return {
-        vid: History(volunteer_id=vid, records=tuple(recs))
-        for vid, recs in grouped.items()
-    }
+    """Group {volunteer_id, task_skills[], accepted} dicts into History objects.
+
+    A malformed record raises ``ParseError`` naming its 1-based position.
+    """
+    return _group_records(enumerate(records, start=1))
+
+
+def _json_lines(fh) -> Iterator[tuple[int, object]]:
+    for line_no, line in enumerate(fh, start=1):
+        if not line.strip():
+            continue
+        try:
+            yield line_no, json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"invalid JSON: {exc.msg}", line_no) from exc
 
 
 def load_history(path: str) -> dict[str, History]:
     """Read history records from JSONL: {volunteer_id, task_skills[], accepted}."""
-    grouped: dict[str, list[HistoryRecord]] = {}
     with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"invalid JSON: {exc.msg}", line_no) from exc
-            try:
-                vid = obj["volunteer_id"]
-                skills = obj["task_skills"]
-                accepted = obj["accepted"]
-            except (KeyError, TypeError):
-                raise ParseError(
-                    "record needs volunteer_id, task_skills, accepted", line_no
-                ) from None
-            if not isinstance(vid, str) or not isinstance(accepted, bool):
-                raise ParseError("bad field types", line_no)
-            if not isinstance(skills, list) or not all(isinstance(s, str) for s in skills):
-                raise ParseError("task_skills must be a list of strings", line_no)
-            grouped.setdefault(vid, []).append(
-                HistoryRecord(task_skills=frozenset(skills), accepted=accepted)
-            )
-    return {vid: History(volunteer_id=vid, records=tuple(recs)) for vid, recs in grouped.items()}
+        return _group_records(_json_lines(fh))

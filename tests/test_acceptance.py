@@ -27,6 +27,7 @@ from swati.assignment import (
     assign_skill_only,
     assign_swati,
     run_epoch,
+    similarity_components,
     utility_matrix_from_components,
     validate_assignment,
 )
@@ -39,9 +40,9 @@ from swati.similarity import (
     SparseVector,
     VectorizerModel,
     VectorizerSettings,
-    content_sim,
+    cosine_matrix,
     fit_vectorizer,
-    skill_sim,
+    jaccard_matrix,
     vectorize,
 )
 from swati.willingness import (
@@ -49,7 +50,6 @@ from swati.willingness import (
     WillingnessState,
     histories_from_records,
     raw_willingness,
-    smooth_willingness,
 )
 from swati.corpus import Corpus, Document
 
@@ -88,14 +88,19 @@ def market_runs(builtin_ontology):
         )
         market = build_market(corpus, builtin_ontology)
         caps = CapacityMap()
+        skill, content = similarity_components(market.profiles, market.taskspecs)
         result = run_epoch(
             market.profiles,
             market.taskspecs,
+            skill,
+            content,
             histories,
             caps,
             UtilityParams(),
             WillingnessParams(),
-            WillingnessState(),
+            WillingnessState(
+                [p.id for p in market.profiles], [t.id for t in market.taskspecs]
+            ),
         )
         runs[seed] = {
             "matrix": result.matrix,
@@ -216,16 +221,21 @@ def test_c04_cmd_match_determinism(tmp_path):
 
 def test_c05_similarity_math():
     checks = []
-    checks.append(abs(skill_sim({"A", "B"}, {"A", "B"}) - 1.0) <= 1e-9)
-    checks.append(abs(skill_sim({"A", "B"}, {"C"}) - 0.0) <= 1e-9)
-    checks.append(abs(skill_sim({"A", "B", "C"}, {"B", "C", "D"}) - 0.5) <= 1e-9)
-    checks.append(skill_sim(set(), set()) == 0.0)
+    jaccard = jaccard_matrix(
+        [frozenset("AB"), frozenset("ABC"), frozenset()],
+        [frozenset("AB"), frozenset("C"), frozenset("BCD"), frozenset()],
+    )
+    checks.append(abs(jaccard[0, 0] - 1.0) <= 1e-9)
+    checks.append(abs(jaccard[0, 1] - 0.0) <= 1e-9)
+    checks.append(abs(jaccard[1, 2] - 0.5) <= 1e-9)
+    checks.append(jaccard[2, 3] == 0.0)
 
     a = SparseVector(np.array([0, 1]), np.array([0.6, 0.8]))
     b = SparseVector(np.array([0]), np.array([1.0]))
-    checks.append(abs(content_sim(a, b) - 0.6) <= 1e-9)
-    checks.append(abs(content_sim(a, a) - 1.0) <= 1e-9)
-    checks.append(content_sim(SparseVector.empty(), b) == 0.0)
+    cosine = cosine_matrix([a, SparseVector.empty()], [b, a])
+    checks.append(abs(cosine[0, 0] - 0.6) <= 1e-9)
+    checks.append(abs(cosine[0, 1] - 1.0) <= 1e-9)
+    checks.append(cosine[1, 0] == 0.0)
 
     corpus = Corpus(
         volunteers=(
@@ -267,13 +277,12 @@ def test_c06_willingness_math():
     checks.append(
         abs(raw_willingness(0.0, 0.0, params) - 1 / (1 + math.exp(2))) <= 1e-12
     )
-    state = WillingnessState()
-    state.set(("v", "t"), 0.4)
-    checks.append(
-        abs(smooth_willingness(state, ("v", "t"), 0.8, params) - 0.52) <= 1e-12
-    )
-    fresh = WillingnessState()
-    checks.append(smooth_willingness(fresh, ("v", "t"), 0.7, params) == 0.7)
+    state = WillingnessState(["v"], ["t"])
+    state.smooth(["v"], ["t"], np.array([[0.4]]), params)
+    smoothed = state.smooth(["v"], ["t"], np.array([[0.8]]), params)
+    checks.append(abs(smoothed[0, 0] - 0.52) <= 1e-12)
+    fresh = WillingnessState(["v"], ["t"])
+    checks.append(fresh.smooth(["v"], ["t"], np.array([[0.7]]), params)[0, 0] == 0.7)
 
     grid = np.linspace(0.0, 1.0, 10)
     monotone = True

@@ -14,23 +14,26 @@ from swati.assignment import (
     assign_skill_only,
     assign_swati,
     assignment_digest,
-    build_utility_matrix,
     canonical_assignment_bytes,
-    compute_utility,
     run_epoch,
+    similarity_components,
     utility_matrix_from_components,
     validate_assignment,
 )
 from swati.corpus import SyntheticConfig, generate_synthetic, generate_synthetic_history
 from swati.errors import ConfigError, DimensionError, InstanceTooLargeError
-from swati.extraction import build_market
-from swati.similarity import content_sim, skill_sim
+from swati.extraction import PreferenceCues, Profile, TaskSpec, build_market
+from swati.similarity import SparseVector
 from swati.willingness import (
+    History,
+    HistoryRecord,
     WillingnessParams,
     WillingnessState,
     histories_from_records,
-    pair_willingness,
+    willingness_matrix,
 )
+
+import scalar_reference as ref
 
 
 def _matrix(utilities, skill=None, content=None, willingness=None, params=None):
@@ -53,25 +56,41 @@ def _pairs(assignment):
     return {(p.volunteer_id, p.task_id) for p in assignment.pairs}
 
 
+def _state(profiles, taskspecs):
+    return WillingnessState([p.id for p in profiles], [t.id for t in taskspecs])
+
+
+def _run_epoch(market, histories, params, state, epoch=0):
+    skill, content = similarity_components(market.profiles, market.taskspecs)
+    return run_epoch(
+        market.profiles, market.taskspecs, skill, content, histories, CapacityMap(),
+        UtilityParams(), params, state, epoch=epoch,
+    )
+
+
 # --- utility computation ----------------------------------------------------
+
+
+def _utility(s, c, w, params):
+    return _matrix([[0.0]], [[s]], [[c]], [[w]], params).utilities[0, 0]
 
 
 def test_compute_utility_upper_endpoint():
     for form in UtilityForm:
         params = UtilityParams(form=form)
-        assert compute_utility(1.0, 1.0, 1.0, params) == 1.0
+        assert _utility(1.0, 1.0, 1.0, params) == 1.0
 
 
 def test_compute_utility_zero_willingness_separates_forms():
     product = UtilityParams(form=UtilityForm.PRODUCT)
     split = UtilityParams(form=UtilityForm.SPLIT)
-    assert compute_utility(0.8, 0.6, 0.0, product) == 0.0
-    assert compute_utility(0.8, 0.6, 0.0, split) == pytest.approx(0.4, abs=1e-12)
+    assert _utility(0.8, 0.6, 0.0, product) == 0.0
+    assert _utility(0.8, 0.6, 0.0, split) == pytest.approx(0.4, abs=1e-12)
 
 
 def test_compute_utility_hand_value():
     params = UtilityParams()
-    assert compute_utility(0.6, 0.4, 0.5, params) == pytest.approx(0.25, abs=1e-12)
+    assert _utility(0.6, 0.4, 0.5, params) == pytest.approx(0.25, abs=1e-12)
 
 
 def test_utility_params_validation():
@@ -99,46 +118,81 @@ def _tiny_market(seed=3, n=4, m=3, builtin=None):
     return build_market(corpus, builtin)
 
 
+def _reference_market(builtin_ontology):
+    """Generated market with history, plus every branch the kernel special-cases.
+
+    Volunteer ``v-empty`` and task ``t-empty`` have no skills and no content;
+    the first volunteer has no history and the second only irrelevant history.
+    """
+    market, histories = _epoch_inputs(builtin_ontology, seed=31, n=40, m=30)
+    profiles = [
+        *market.profiles,
+        Profile("v-empty", frozenset(), SparseVector.empty(), PreferenceCues(0.6, 0.2)),
+    ]
+    taskspecs = [*market.taskspecs, TaskSpec("t-empty", frozenset(), SparseVector.empty())]
+    histories = dict(histories)
+    histories.pop(profiles[0].history_ref)
+    irrelevant = (HistoryRecord(frozenset({"No Such Skill"}), accepted) for accepted in
+                  (True, False, True))
+    histories[profiles[1].history_ref] = History(profiles[1].history_ref, tuple(irrelevant))
+    return profiles, taskspecs, histories
+
+
 def test_matrix_matches_scalar_composition(builtin_ontology):
-    market = _tiny_market(builtin=builtin_ontology)
-    params = UtilityParams()
-    state = WillingnessState()
-    wp = WillingnessParams()
-
-    def wf(v, t):
-        return pair_willingness(v, t, None, state, wp)
-
-    matrix = build_utility_matrix(market.profiles, market.taskspecs, wf, params)
-    check_state = WillingnessState()
-    for i, prof in enumerate(market.profiles):
-        for j, task in enumerate(market.taskspecs):
-            s = skill_sim(prof.skills, task.required_skills)
-            c = content_sim(prof.content_vector, task.content_vector)
-            w = pair_willingness(prof, task, None, check_state, wp)
-            assert matrix.skill[i, j] == pytest.approx(s, abs=1e-12)
-            assert matrix.content[i, j] == pytest.approx(c, abs=1e-12)
-            assert matrix.willingness[i, j] == pytest.approx(w, abs=1e-12)
-            assert matrix.utilities[i, j] == pytest.approx(
-                compute_utility(s, c, w, params), abs=1e-12
+    """The kernel equals the per-pair reference bit for bit across smoothing epochs."""
+    profiles, taskspecs, histories = _reference_market(builtin_ontology)
+    skill, content = similarity_components(profiles, taskspecs)
+    shape = (len(profiles), len(taskspecs))
+    # a different history weight per epoch makes the raw estimates move, so
+    # smoothing combines distinct previous and new values
+    epoch_params = [WillingnessParams(history_weight=hw) for hw in (0.5, 0.2, 0.9)]
+    for form in UtilityForm:
+        up = UtilityParams(skill_weight=0.6, content_weight=0.4, form=form)
+        state, ref_state = _state(profiles, taskspecs), {}
+        for epoch, wp in enumerate(epoch_params):
+            result = run_epoch(
+                profiles, taskspecs, skill, content, histories, CapacityMap(), up, wp,
+                state, epoch=epoch,
             )
+            s_ref, c_ref, w_ref, u_ref = (np.empty(shape) for _ in range(4))
+            for i, prof in enumerate(profiles):
+                history = histories.get(prof.history_ref or prof.id)
+                for j, task in enumerate(taskspecs):
+                    s_ref[i, j] = ref.skill_sim(prof.skills, task.required_skills)
+                    c_ref[i, j] = ref.content_sim(prof.content_vector, task.content_vector)
+                    w_ref[i, j] = ref.pair_willingness(prof, task, history, ref_state, wp)
+                    # the reference cosine may differ from the BLAS product in
+                    # the last bits, so utilities use the kernel's content
+                    u_ref[i, j] = ref.compute_utility(s_ref[i, j], content[i, j], w_ref[i, j], up)
+            matrix = result.matrix
+            assert np.array_equal(matrix.skill, s_ref)
+            assert np.array_equal(matrix.willingness, w_ref)
+            assert np.array_equal(matrix.utilities, u_ref)
+            assert np.allclose(matrix.content, c_ref, rtol=0.0, atol=1e-12)
+            assert len(state) == len(ref_state)
+
+
+def _constant_willingness_matrix(profiles, taskspecs, w):
+    skill, content = similarity_components(profiles, taskspecs)
+    return utility_matrix_from_components(
+        [p.id for p in profiles], [t.id for t in taskspecs], skill, content,
+        np.full(skill.shape, w), UtilityParams(),
+    )
 
 
 def test_matrix_shape_and_range(builtin_ontology):
     market = _tiny_market(seed=5, n=2, m=3, builtin=builtin_ontology)
-    matrix = build_utility_matrix(
-        market.profiles, market.taskspecs, lambda v, t: 0.5, UtilityParams()
-    )
+    matrix = _constant_willingness_matrix(market.profiles, market.taskspecs, 0.5)
     assert matrix.utilities.shape == (2, 3)
     assert matrix.utilities.min() >= 0.0 and matrix.utilities.max() <= 1.0
 
 
 def test_matrix_row_permutation(builtin_ontology):
     market = _tiny_market(seed=9, n=4, m=3, builtin=builtin_ontology)
-    params = UtilityParams()
-    base = build_utility_matrix(market.profiles, market.taskspecs, lambda v, t: 0.7, params)
+    base = _constant_willingness_matrix(market.profiles, market.taskspecs, 0.7)
     perm = [2, 0, 3, 1]
-    shuffled = build_utility_matrix(
-        [market.profiles[i] for i in perm], market.taskspecs, lambda v, t: 0.7, params
+    shuffled = _constant_willingness_matrix(
+        [market.profiles[i] for i in perm], market.taskspecs, 0.7
     )
     assert np.allclose(shuffled.utilities, base.utilities[perm, :])
 
@@ -146,7 +200,12 @@ def test_matrix_row_permutation(builtin_ontology):
 def test_matrix_requires_nonempty_inputs(builtin_ontology):
     market = _tiny_market(builtin=builtin_ontology)
     with pytest.raises(DimensionError):
-        build_utility_matrix([], market.taskspecs, lambda v, t: 0.5, UtilityParams())
+        similarity_components([], market.taskspecs)
+    with pytest.raises(DimensionError):
+        willingness_matrix(
+            [], market.taskspecs, None, np.zeros((0, 3), dtype=bool),
+            _state([], market.taskspecs), WillingnessParams(),
+        )
 
 
 # --- greedy matcher ---------------------------------------------------------
@@ -172,16 +231,11 @@ def test_swati_lexicographic_tie_break():
 
 def test_swati_deterministic(builtin_ontology):
     market = _tiny_market(seed=17, n=5, m=5, builtin=builtin_ontology)
-    params = UtilityParams()
-    a = run_epoch(
-        market.profiles, market.taskspecs, None, CapacityMap(), params,
-        WillingnessParams(), WillingnessState(),
-    ).assignment
-    b = run_epoch(
-        market.profiles, market.taskspecs, None, CapacityMap(), params,
-        WillingnessParams(), WillingnessState(),
-    ).assignment
-    assert a == b
+    a, b = (
+        _run_epoch(market, None, WillingnessParams(), _state(market.profiles, market.taskspecs))
+        for _ in range(2)
+    )
+    assert a.assignment == b.assignment
 
 
 def test_swati_scaling_invariance():
@@ -341,8 +395,8 @@ def test_validator_rejects_wrong_utility():
 # --- epochs -------------------------------------------------------------------
 
 
-def _epoch_inputs(builtin_ontology, seed=23):
-    cfg = SyntheticConfig(seed=seed, n_volunteers=6, n_tasks=5)
+def _epoch_inputs(builtin_ontology, seed=23, n=6, m=5):
+    cfg = SyntheticConfig(seed=seed, n_volunteers=n, n_tasks=m)
     corpus = generate_synthetic(cfg, builtin_ontology)
     market = build_market(corpus, builtin_ontology)
     histories = histories_from_records(
@@ -355,10 +409,8 @@ def test_run_epoch_digest_is_stable(builtin_ontology):
     market, histories = _epoch_inputs(builtin_ontology)
     digests = []
     for _ in range(2):
-        result = run_epoch(
-            market.profiles, market.taskspecs, histories, CapacityMap(),
-            UtilityParams(), WillingnessParams(), WillingnessState(),
-        )
+        state = _state(market.profiles, market.taskspecs)
+        result = _run_epoch(market, histories, WillingnessParams(), state)
         digests.append(assignment_digest(result.assignment))
     assert digests[0] == digests[1]
 
@@ -367,15 +419,9 @@ def test_run_epoch_digest_is_stable(builtin_ontology):
 def test_static_inputs_make_epochs_identical(builtin_ontology, smoothing):
     market, histories = _epoch_inputs(builtin_ontology)
     params = WillingnessParams(smoothing=smoothing)
-    state = WillingnessState()
-    first = run_epoch(
-        market.profiles, market.taskspecs, histories, CapacityMap(),
-        UtilityParams(), params, state, epoch=0,
-    )
-    second = run_epoch(
-        market.profiles, market.taskspecs, histories, CapacityMap(),
-        UtilityParams(), params, state, epoch=1,
-    )
+    state = _state(market.profiles, market.taskspecs)
+    first = _run_epoch(market, histories, params, state, epoch=0)
+    second = _run_epoch(market, histories, params, state, epoch=1)
     assert _pairs(first.assignment) == _pairs(second.assignment)
     assert np.allclose(first.matrix.willingness, second.matrix.willingness)
 

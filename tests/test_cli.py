@@ -206,6 +206,27 @@ def test_bad_config_is_machine_readable_error(tmp_path, capsys):
     assert err["error"] == "ConfigError"
 
 
+@pytest.mark.parametrize(
+    "case",
+    ["remote_retries_not_a_number", "capacities_file_not_json", "default_capacity_not_int"],
+)
+def test_config_value_errors_are_machine_readable(tmp_path, capsys, monkeypatch, case):
+    if case == "remote_retries_not_a_number":
+        monkeypatch.setenv("SWATI_REMOTE_RETRIES", "abc")
+        raw = {"extractor": {"remote": {"endpoint": "http://localhost:9"}}}
+    elif case == "capacities_file_not_json":
+        caps_path = tmp_path / "caps.json"
+        caps_path.write_text("{not json")
+        raw = {"capacities": {"path": str(caps_path)}}
+    else:
+        raw = {"capacities": {"default": "x"}}
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(raw))
+    rc = main(["gen", "--config", str(config_path), "--out", str(tmp_path / "gen"), "--seed", "1"])
+    assert rc == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+
+
 def test_bench_smoke(tmp_path):
     out = tmp_path / "bench"
     rc = main(["bench", "--sizes", "4,8", "--seed", "2", "--out", str(out)])

@@ -379,7 +379,6 @@ def test_build_taskspec_symmetric(mini_ontology):
     )
     spec = build_taskspec(doc, ex, mini_ontology, _fitted_vectorizer())
     assert spec.required_skills == {"SQL"}
-    assert spec.capacity_demand == 1
 
 
 def test_build_market_round_trip(builtin_ontology):

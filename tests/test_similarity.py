@@ -11,11 +11,9 @@ from swati.similarity import (
     SparseVector,
     VectorizerModel,
     VectorizerSettings,
-    content_sim,
+    cosine_matrix,
     fit_vectorizer,
-    load_vectorizer,
-    save_vectorizer,
-    skill_sim,
+    jaccard_matrix,
     tokenize,
     vectorize,
 )
@@ -94,6 +92,21 @@ def test_vectorize_hand_example_tf_weighting():
     assert vec.weights.tolist() == pytest.approx(
         [0.7071067811865475, 0.7071067811865475], abs=1e-9
     )
+
+
+def skill_sim(a, b):
+    return jaccard_matrix([frozenset(a)], [frozenset(b)])[0, 0]
+
+
+def content_sim(a, b):
+    return cosine_matrix([a], [b])[0, 0]
+
+
+def test_jaccard_matrix_is_pairwise():
+    volunteers = [frozenset("AB"), frozenset(), frozenset("ABCZ")]
+    tasks = [frozenset("A"), frozenset("BC"), frozenset()]
+    matrix = jaccard_matrix(volunteers, tasks)
+    assert matrix.tolist() == [[1 / 2, 1 / 3, 0.0], [0.0, 0.0, 0.0], [1 / 4, 2 / 4, 0.0]]
 
 
 def test_skill_sim_examples():
@@ -180,14 +193,3 @@ def test_sparse_vector_invariants_enforced():
         SparseVector(np.array([0, 1]), np.array([0.5, 0.5]))  # not unit norm
     with pytest.raises(ValueError):
         SparseVector(np.array([0]), np.array([np.inf]))
-
-
-def test_vectorizer_round_trip(tmp_path):
-    model = fit_vectorizer(_micro_corpus())
-    path = tmp_path / "vec.json"
-    save_vectorizer(model, str(path))
-    loaded = load_vectorizer(str(path))
-    assert loaded.vocabulary == model.vocabulary
-    assert np.allclose(loaded.idf, model.idf)
-    assert loaded.doc_count == model.doc_count
-    assert loaded.settings == model.settings

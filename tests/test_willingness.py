@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from swati.errors import ConfigError, ParseError
+from swati.errors import ConfigError, DimensionError, ParseError
 from swati.extraction import PreferenceCues, Profile, TaskSpec
 from swati.similarity import SparseVector
 from swati.willingness import (
@@ -14,14 +14,12 @@ from swati.willingness import (
     HistoryRecord,
     WillingnessParams,
     WillingnessState,
-    cue_vector,
+    cue_score_matrix,
     histories_from_records,
-    history_tendency,
     load_history,
-    pair_willingness,
-    profile_score,
     raw_willingness,
-    smooth_willingness,
+    tendency_matrix,
+    willingness_matrix,
 )
 
 # Logistic endpoints for gain 4, center 0.5, evaluated by hand:
@@ -38,38 +36,66 @@ def _task(skills=frozenset()):
     return TaskSpec(id="t1", required_skills=frozenset(skills), content_vector=SparseVector.empty())
 
 
+def _cue_score(cues, overlap=True, params=WillingnessParams()):
+    return cue_score_matrix([_profile(cues)], np.array([[overlap]]), params)[0, 0]
+
+
+def _history_tendency(history, task):
+    histories = None if history is None else {history.volunteer_id: history}
+    return tendency_matrix([_profile(PreferenceCues())], [task], histories)[0, 0]
+
+
+def _state_with(value):
+    """State for the single pair (v1, t1) holding ``value`` from an earlier epoch."""
+    state = WillingnessState(["v1"], ["t1"])
+    state.smooth(["v1"], ["t1"], np.array([[value]]), WillingnessParams())
+    return state
+
+
+def _smooth(state, w_hat, params):
+    return state.smooth(["v1"], ["t1"], np.array([[w_hat]]), params)[0, 0]
+
+
 def test_cue_vector_zeros():
-    p = cue_vector(_profile(PreferenceCues()), _task())
-    assert p.tolist() == [0, 0, 0, 0, 0]
+    assert _cue_score(PreferenceCues()) == 0.0
+    assert _cue_score(PreferenceCues(), overlap=False) == 0.0
 
 
 def test_cue_vector_all_ones_with_overlap():
     cues = PreferenceCues(1.0, 1.0, 1.0, 1.0, 1.0)
-    p = cue_vector(_profile(cues, {"A"}), _task({"A"}))
-    assert p.tolist() == [1, 1, 1, 1, 1]
+    assert _cue_score(cues) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_cue_vector_affinity_halved_without_overlap():
     cues = PreferenceCues(domain_affinity=0.8)
-    p = cue_vector(_profile(cues, {"A"}), _task({"B"}))
-    assert p[0] == pytest.approx(0.4, abs=1e-12)
+    affinity_only = WillingnessParams(cue_weights=(1.0, 0.0, 0.0, 0.0, 0.0))
+    assert _cue_score(cues, overlap=True, params=affinity_only) == pytest.approx(0.8, abs=1e-12)
+    assert _cue_score(cues, overlap=False, params=affinity_only) == pytest.approx(
+        0.4, abs=1e-12
+    )
+
+
+def test_cue_scores_pick_damping_per_cell():
+    profiles = [_profile(PreferenceCues(0.8, 0.4)), _profile(PreferenceCues(0.2))]
+    overlap = np.array([[True, False], [False, True]])
+    scores = cue_score_matrix(profiles, overlap, WillingnessParams())
+    assert scores == pytest.approx(np.array([[0.24, 0.16], [0.02, 0.04]]), abs=1e-12)
 
 
 def test_profile_score_endpoints():
-    params = WillingnessParams()
-    assert profile_score(np.ones(5), params) == pytest.approx(1.0, abs=1e-12)
-    assert profile_score(np.zeros(5), params) == 0.0
+    assert _cue_score(PreferenceCues(1.0, 1.0, 1.0, 1.0, 1.0)) == pytest.approx(1.0, abs=1e-12)
+    assert _cue_score(PreferenceCues()) == 0.0
 
 
 def test_profile_score_weighted_dot():
     params = WillingnessParams(cue_weights=(0.4, 0.3, 0.1, 0.1, 0.1))
-    p = np.array([0.5, 1.0, 0.0, 0.0, 0.0])
-    assert profile_score(p, params) == pytest.approx(0.5, abs=1e-12)
+    cues = PreferenceCues(domain_affinity=0.5, prior_exposure=1.0)
+    assert _cue_score(cues, params=params) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_history_tendency_prior():
-    assert history_tendency(None, _task({"A"})) == 0.5
-    assert history_tendency(History("v1", ()), _task({"A"})) == 0.5
+    assert _history_tendency(None, _task({"A"})) == 0.5
+    assert _history_tendency(History("v1", ()), _task({"A"})) == 0.5
 
 
 def test_history_tendency_intersecting_records():
@@ -82,7 +108,7 @@ def test_history_tendency_intersecting_records():
             HistoryRecord(frozenset({"Z"}), False),
         ),
     )
-    assert history_tendency(history, _task({"A"})) == pytest.approx(2 / 3, abs=1e-12)
+    assert _history_tendency(history, _task({"A"})) == pytest.approx(2 / 3, abs=1e-12)
 
 
 def test_history_tendency_fallback_overall():
@@ -90,7 +116,7 @@ def test_history_tendency_fallback_overall():
         HistoryRecord(frozenset({"Z"}), accepted) for accepted in (True, True, True, True, False)
     )
     history = History("v1", records)
-    assert history_tendency(history, _task({"A"})) == pytest.approx(0.8, abs=1e-12)
+    assert _history_tendency(history, _task({"A"})) == pytest.approx(0.8, abs=1e-12)
 
 
 def test_raw_willingness_center():
@@ -112,33 +138,31 @@ def test_raw_willingness_history_only_mixing():
 
 
 def test_smooth_first_epoch_initializes_from_raw():
-    state = WillingnessState()
-    assert smooth_willingness(state, ("v1", "t1"), 0.7, WillingnessParams()) == 0.7
-    assert state.get(("v1", "t1")) == 0.7
+    state = WillingnessState(["v1"], ["t1"])
+    assert len(state) == 0
+    assert _smooth(state, 0.7, WillingnessParams()) == 0.7
+    assert state.values.tolist() == [[0.7]]
+    assert len(state) == 1
 
 
 def test_smooth_convex_combination():
-    state = WillingnessState()
-    state.set(("v1", "t1"), 0.4)
+    state = _state_with(0.4)
     params = WillingnessParams(smoothing=0.7)
-    value = smooth_willingness(state, ("v1", "t1"), 0.8, params)
+    value = _smooth(state, 0.8, params)
     assert value == pytest.approx(0.52, abs=1e-12)
-    assert state.get(("v1", "t1")) == pytest.approx(0.52, abs=1e-12)
+    assert state.values[0, 0] == pytest.approx(0.52, abs=1e-12)
 
 
 def test_smoothing_one_freezes_state():
-    state = WillingnessState()
-    state.set(("v1", "t1"), 0.4)
+    state = _state_with(0.4)
     params = WillingnessParams(smoothing=1.0)
-    assert smooth_willingness(state, ("v1", "t1"), 0.9, params) == pytest.approx(0.4)
+    assert _smooth(state, 0.9, params) == pytest.approx(0.4)
 
 
 @given(st.floats(0, 1), st.floats(0, 1))
 def test_smoothing_zero_is_identity(prev, w_hat):
-    state = WillingnessState()
-    state.set(("v", "t"), prev)
     params = WillingnessParams(smoothing=0.0)
-    assert smooth_willingness(state, ("v", "t"), w_hat, params) == w_hat
+    assert _smooth(_state_with(prev), w_hat, params) == w_hat
 
 
 @given(st.floats(0, 1), st.floats(0, 1))
@@ -149,11 +173,8 @@ def test_raw_willingness_closure(g, f):
 @given(st.floats(0, 1), st.floats(0, 1), st.floats(0, 1), st.floats(0, 1), st.floats(0, 1))
 def test_smoothing_contraction(prev_a, prev_b, hat_a, hat_b, lam):
     params = WillingnessParams(smoothing=lam)
-    state_a, state_b = WillingnessState(), WillingnessState()
-    state_a.set(("v", "t"), prev_a)
-    state_b.set(("v", "t"), prev_b)
-    out_a = smooth_willingness(state_a, ("v", "t"), hat_a, params)
-    out_b = smooth_willingness(state_b, ("v", "t"), hat_b, params)
+    out_a = _smooth(_state_with(prev_a), hat_a, params)
+    out_b = _smooth(_state_with(prev_b), hat_b, params)
     bound = lam * abs(prev_a - prev_b) + (1 - lam) * abs(hat_a - hat_b)
     assert abs(out_a - out_b) <= bound + 1e-12
 
@@ -186,20 +207,28 @@ def test_params_validation(kwargs):
 
 
 def test_state_rejects_out_of_range():
-    state = WillingnessState()
+    state = WillingnessState(["v"], ["t"])
     with pytest.raises(ValueError):
-        state.set(("v", "t"), 1.5)
+        state.smooth(["v"], ["t"], np.array([[1.5]]), WillingnessParams())
+    assert len(state) == 0
+
+
+def test_state_rejects_other_market():
+    state = WillingnessState(["v1", "v2"], ["t1"])
+    with pytest.raises(DimensionError):
+        state.smooth(["v2", "v1"], ["t1"], np.full((2, 1), 0.5), WillingnessParams())
 
 
 def test_pair_willingness_composes_and_stores():
     cues = PreferenceCues(1.0, 1.0, 1.0, 1.0, 1.0)
-    profile = _profile(cues, {"A"})
-    task = _task({"A"})
-    state = WillingnessState()
-    value = pair_willingness(profile, task, None, state, WillingnessParams())
+    state = WillingnessState(["v1"], ["t1"])
+    value = willingness_matrix(
+        [_profile(cues, {"A"})], [_task({"A"})], None, np.array([[True]]), state,
+        WillingnessParams(),
+    )
     # g = 0.5 prior, f = 1.0 -> mix 0.75 -> sigma(1)
-    assert value == pytest.approx(1.0 / (1.0 + math.exp(-1.0)), abs=1e-12)
-    assert state.get(("v1", "t1")) == value
+    assert value[0, 0] == pytest.approx(1.0 / (1.0 + math.exp(-1.0)), abs=1e-12)
+    assert state.values is value
 
 
 def test_load_history_grouping(tmp_path):
@@ -231,3 +260,13 @@ def test_histories_from_records_matches_file_loader(tmp_path):
     path = tmp_path / "h.jsonl"
     path.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
     assert histories_from_records(rows) == load_history(str(path))
+
+
+def test_load_history_reports_line_numbers(tmp_path):
+    path = tmp_path / "h.jsonl"
+    good = json.dumps({"volunteer_id": "v1", "task_skills": ["A"], "accepted": True})
+    path.write_text(good + "\n\n" + '{"volunteer_id": "v1", "accepted": true}\n')
+    with pytest.raises(ParseError, match="line 3"):
+        load_history(str(path))
+    with pytest.raises(ParseError, match="line 2"):
+        histories_from_records([json.loads(good), {"volunteer_id": "v1"}])
