@@ -21,6 +21,7 @@ from swati import (
     run_epoch,
     similarity_components,
     utility_matrix_from_components,
+    willingness_matrix,
 )
 from swati.extraction import build_market
 
@@ -37,19 +38,22 @@ print("sample volunteer text:\n ", corpus.volunteers[0].text, "\n")
 market = build_market(corpus, ontology)
 caps = CapacityMap()  # one task per volunteer unless configured otherwise
 
-# Skill and content similarity depend only on the market; willingness is
-# smoothed against a state that lives across decision epochs.
+# Skill and content similarity and the raw willingness depend only on the
+# market and its history; each epoch smooths the raw willingness against a
+# state that lives across decision epochs.
+params = WillingnessParams()
 skill, content = similarity_components(market.profiles, market.taskspecs)
+w_hat = willingness_matrix(market.profiles, market.taskspecs, histories, skill > 0, params)
 state = WillingnessState([p.id for p in market.profiles], [t.id for t in market.taskspecs])
 result = run_epoch(
     market.profiles,
     market.taskspecs,
     skill,
     content,
-    histories,
+    w_hat,
     caps,
     UtilityParams(),
-    WillingnessParams(),
+    params,
     state,
 )
 matrix = result.matrix

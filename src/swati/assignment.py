@@ -29,7 +29,10 @@ import numpy as np
 from .errors import ConfigError, DimensionError, InstanceTooLargeError
 from .extraction import Profile, TaskSpec
 from .similarity import cosine_matrix, jaccard_matrix
-from .willingness import History, WillingnessParams, WillingnessState, willingness_matrix
+from .willingness import WillingnessParams, WillingnessState
+
+# re-exported so that every scoring stage of ``match`` is reachable from here
+from .willingness import willingness_matrix  # noqa: F401
 
 
 class UtilityForm(enum.Enum):
@@ -166,28 +169,50 @@ def similarity_components(
     return skill, content
 
 
+def _id_ranks(ids: Sequence[str]) -> np.ndarray:
+    """Rank of each id in Python string order; equal ids share a rank."""
+    rank = {v: r for r, v in enumerate(sorted(set(ids)))}
+    return np.array([rank[v] for v in ids], dtype=np.int64)
+
+
+# pairs are filtered against the matching state in blocks of this many
+_WALK_BLOCK = 4096
+
+
 def _greedy(
     matrix: UtilityMatrix, sort_scores: np.ndarray, caps: CapacityMap, epoch: int
 ) -> Assignment:
+    """Walk all pairs by (-score, volunteer id, task id), taking each feasible one.
+
+    ``np.lexsort`` is stable, so pairs tied on all three keys (duplicate ids)
+    keep their row-major (i, j) order.
+    """
     n, m = sort_scores.shape
-    order = sorted(
-        ((i, j) for i in range(n) for j in range(m)),
-        key=lambda ij: (-sort_scores[ij[0], ij[1]], matrix.volunteers[ij[0]], matrix.tasks[ij[1]]),
-    )
-    load = [0] * n
-    caps_vec = [caps.get(v) for v in matrix.volunteers]
-    taken: set[int] = set()
-    pairs = []
-    for i, j in order:
-        if j in taken or load[i] >= caps_vec[i]:
-            continue
-        taken.add(j)
-        load[i] += 1
-        pairs.append(
-            AssignedPair(matrix.volunteers[i], matrix.tasks[j], float(matrix.utilities[i, j]))
+    order = np.lexsort(
+        (
+            np.tile(_id_ranks(matrix.tasks), n),
+            np.repeat(_id_ranks(matrix.volunteers), m),
+            -sort_scores.ravel(),
         )
-        if len(taken) == m:
-            break
+    )
+    # a block first drops the pairs whose volunteer or task was used up
+    # before it began; the rest are checked one by one as the state changes
+    spare = np.array([caps.get(v) for v in matrix.volunteers], dtype=np.int64)
+    free = np.ones(m, dtype=bool)
+    pairs = []
+    for start in range(0, order.size, _WALK_BLOCK):
+        rows, cols = np.divmod(order[start : start + _WALK_BLOCK], m)
+        live = (spare[rows] > 0) & free[cols]
+        for i, j in zip(rows[live].tolist(), cols[live].tolist()):
+            if not free[j] or spare[i] == 0:
+                continue
+            free[j] = False
+            spare[i] -= 1
+            pairs.append(
+                AssignedPair(matrix.volunteers[i], matrix.tasks[j], float(matrix.utilities[i, j]))
+            )
+            if len(pairs) == m:
+                return Assignment(pairs=tuple(pairs), epoch=epoch)
     return Assignment(pairs=tuple(pairs), epoch=epoch)
 
 
@@ -331,28 +356,23 @@ def run_epoch(
     taskspecs: Sequence[TaskSpec],
     skill: np.ndarray,
     content: np.ndarray,
-    histories: Optional[Mapping[str, History]],
+    w_hat: np.ndarray,
     caps: CapacityMap,
     utility_params: UtilityParams,
     willingness_params: WillingnessParams,
     state: WillingnessState,
     epoch: int = 0,
 ) -> EpochResult:
-    """One decision epoch: willingness (smoothed against state) -> utilities -> greedy.
+    """One decision epoch: smooth willingness against state -> utilities -> greedy.
 
-    ``skill`` and ``content`` are the market's ``similarity_components``.
+    ``skill`` and ``content`` are the market's ``similarity_components`` and
+    ``w_hat`` its raw ``willingness_matrix``; all three are fixed across epochs.
     """
-    # a Jaccard score is positive exactly where the pair shares a skill
-    willingness = willingness_matrix(
-        profiles, taskspecs, histories, skill > 0, state, willingness_params
-    )
+    volunteers = [p.id for p in profiles]
+    tasks = [t.id for t in taskspecs]
+    willingness = state.smooth(volunteers, tasks, w_hat, willingness_params)
     matrix = utility_matrix_from_components(
-        [p.id for p in profiles],
-        [t.id for t in taskspecs],
-        skill,
-        content,
-        willingness,
-        utility_params,
+        volunteers, tasks, skill, content, willingness, utility_params
     )
     assignment = assign_swati(matrix, caps, epoch=epoch)
     return EpochResult(assignment=assignment, matrix=matrix, state=state)

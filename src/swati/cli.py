@@ -20,6 +20,7 @@ from .assignment import (
     assign_skill_only,
     run_epoch,
     similarity_components,
+    willingness_matrix,
 )
 from .config import EngineConfig, input_digest, load_config
 from .corpus import (
@@ -70,8 +71,8 @@ def _synthetic_config(cfg: EngineConfig, args) -> SyntheticConfig:
         raise ConfigError("synthetic generation needs a seed (--seed or config)")
     return SyntheticConfig(
         seed=seed,
-        n_volunteers=args.n_volunteers or syn["n_volunteers"],
-        n_tasks=args.n_tasks or syn["n_tasks"],
+        n_volunteers=syn["n_volunteers"] if args.n_volunteers is None else args.n_volunteers,
+        n_tasks=syn["n_tasks"] if args.n_tasks is None else args.n_tasks,
         skills_per_volunteer=tuple(syn["skills_per_volunteer"]),
         skills_per_task=tuple(syn["skills_per_task"]),
         cue_density=syn["cue_density"],
@@ -205,6 +206,10 @@ def cmd_match(args) -> int:
     histories = load_history(cfg.history_path) if cfg.history_path else None
 
     skill, content = similarity_components(market.profiles, market.taskspecs)
+    # a Jaccard score is positive exactly where the pair shares a skill
+    w_hat = willingness_matrix(
+        market.profiles, market.taskspecs, histories, skill > 0, cfg.willingness
+    )
     state = WillingnessState(
         [p.id for p in market.profiles], [t.id for t in market.taskspecs]
     )
@@ -215,7 +220,7 @@ def cmd_match(args) -> int:
             market.taskspecs,
             skill,
             content,
-            histories,
+            w_hat,
             cfg.capacities,
             cfg.utility,
             cfg.willingness,
@@ -343,8 +348,11 @@ def cmd_bench(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    try:
+        expected = bytes.fromhex(args.expect_head) if args.expect_head else None
+    except ValueError:
+        raise ConfigError(f"--expect-head must be hex, got {args.expect_head!r}") from None
     ledger = load_ledger(args.ledger)
-    expected = bytes.fromhex(args.expect_head) if args.expect_head else None
     result = verify(ledger, expected_head=expected)
     print(
         json.dumps(

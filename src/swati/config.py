@@ -118,6 +118,10 @@ def build_config(raw: Optional[dict] = None) -> EngineConfig:
                 mapping = json.load(fh)
             except json.JSONDecodeError as exc:
                 raise ConfigError(f"capacities file is not valid JSON: {exc.msg}") from exc
+            except UnicodeDecodeError as exc:
+                raise ConfigError(
+                    f"capacities file {caps_raw['path']} is not valid UTF-8"
+                ) from exc
         if not isinstance(mapping, dict) or not all(
             isinstance(k, str) and isinstance(v, int) for k, v in mapping.items()
         ):
@@ -159,6 +163,8 @@ def load_config(path: Optional[str]) -> EngineConfig:
             raw = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config is not valid JSON: {exc.msg}") from exc
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"config file {path} is not valid UTF-8") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config root must be an object")
     return build_config(raw)

@@ -129,19 +129,22 @@ def load_corpus(path: str, strict: bool = False) -> Corpus:
     volunteers: list[Document] = []
     tasks: list[Document] = []
     seen: dict[str, int] = {}
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"invalid JSON: {exc.msg}", line_no) from exc
-            doc = _parse_document(obj, line_no, strict)
-            if doc.id in seen:
-                raise DuplicateIdError(doc.id, line_no)
-            seen[doc.id] = line_no
-            (volunteers if doc.kind == VOLUNTEER else tasks).append(doc)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for line_no, line in enumerate(fh, start=1):
+                if not line.strip():
+                    continue
+                try:
+                    obj = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise ParseError(f"invalid JSON: {exc.msg}", line_no) from exc
+                doc = _parse_document(obj, line_no, strict)
+                if doc.id in seen:
+                    raise DuplicateIdError(doc.id, line_no)
+                seen[doc.id] = line_no
+                (volunteers if doc.kind == VOLUNTEER else tasks).append(doc)
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"corpus file {path} is not valid UTF-8") from exc
     return Corpus(volunteers=tuple(volunteers), tasks=tuple(tasks))
 
 

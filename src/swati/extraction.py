@@ -21,7 +21,6 @@ from importlib import resources
 from typing import Optional, Sequence
 
 import numpy as np
-import requests
 
 from .corpus import Document
 from .errors import (
@@ -144,11 +143,23 @@ def _span_distance(a: tuple[int, int], b: tuple[int, int]) -> int:
 def find_alias_mentions(text: str, ontology: Ontology) -> list[tuple[int, int, str]]:
     """All non-overlapping alias matches as (start, end, canonical), longest first."""
     tokens = _tokens_with_spans(text)
+    # each token without its leading punctuation, lowercased; empty when the
+    # token is punctuation only
+    heads = [text[start:end].lstrip(_STRIP_CHARS).lower() for start, end in tokens]
     matches = []
     i = 0
     while i < len(tokens):
         matched = False
         max_len = min(ontology.max_alias_tokens, len(tokens) - i)
+        if heads[i] and heads[i] not in ontology.alias_first_words:
+            # A span reaching a later token that has content normalizes to a
+            # key of two or more words starting with heads[i], which no alias
+            # has. Spans whose extra tokens are punctuation only normalize to
+            # the token's own key, so they stay candidates.
+            reach = 1
+            while reach < max_len and not heads[i + reach]:
+                reach += 1
+            max_len = reach
         for length in range(max_len, 0, -1):
             start, end = tokens[i][0], tokens[i + length - 1][1]
             canonical = ontology.alias_index.get(normalize_skill(text[start:end]))
@@ -163,18 +174,25 @@ def find_alias_mentions(text: str, ontology: Ontology) -> list[tuple[int, int, s
     return matches
 
 
-def _proficiency(text: str, span: tuple[int, int]) -> float:
+def _proficiency_phrases(text: str) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
+    """Spans of the expertise phrases and of the qualifying years phrases."""
+    expertise = [m.span() for m in _EXPERTISE_RE.finditer(text)]
+    years = [
+        m.span() for m in _YEARS_RE.finditer(text) if int(m.group(1)) >= _PROF["min_years"]
+    ]
+    return expertise, years
+
+
+def _proficiency(
+    span: tuple[int, int],
+    expertise: Sequence[tuple[int, int]],
+    years: Sequence[tuple[int, int]],
+) -> float:
     score = _PROF["base"]
-    for m in _EXPERTISE_RE.finditer(text):
-        if _span_distance(span, m.span()) <= PROXIMITY_WINDOW:
-            score += _PROF["expertise_bonus"]
-            break
-    for m in _YEARS_RE.finditer(text):
-        if int(m.group(1)) >= _PROF["min_years"] and (
-            _span_distance(span, m.span()) <= PROXIMITY_WINDOW
-        ):
-            score += _PROF["years_bonus"]
-            break
+    if any(_span_distance(span, phrase) <= PROXIMITY_WINDOW for phrase in expertise):
+        score += _PROF["expertise_bonus"]
+    if any(_span_distance(span, phrase) <= PROXIMITY_WINDOW for phrase in years):
+        score += _PROF["years_bonus"]
     return min(1.0, score)
 
 
@@ -194,11 +212,12 @@ def extract_rule_based(doc: Document, ontology: Ontology) -> ExtractionResult:
     """Deterministic extractor: alias scan plus lexicon-driven cue scores."""
     text = doc.text
     found = find_alias_mentions(text, ontology)
+    expertise, years = _proficiency_phrases(text)
     mentions = tuple(
         SkillMention(
             raw=text[start:end],
             evidence=(start, end),
-            proficiency=_proficiency(text, (start, end)),
+            proficiency=_proficiency((start, end), expertise, years),
         )
         for start, end, _ in found
     )
@@ -333,6 +352,8 @@ def extract_remote(doc: Document, cfg: RemoteExtractorConfig) -> ExtractionResul
     Schema-invalid responses are retried up to ``cfg.retries`` times; transport
     failures and timeouts are surfaced immediately. No local state is touched.
     """
+    import requests  # only the remote extractor needs it; it is slow to import
+
     headers = {"Content-Type": "application/json"}
     if cfg.api_key:
         headers["Authorization"] = f"Bearer {cfg.api_key}"

@@ -35,7 +35,7 @@ from .corpus import SyntheticConfig, generate_synthetic
 from .errors import ConfigError, InconsistentInputError
 from .extraction import build_market
 from .ontology import Ontology, load_builtin_ontology
-from .willingness import WillingnessParams, WillingnessState
+from .willingness import WillingnessParams
 
 METHODS = ("random", "skill", "swati")
 
@@ -164,17 +164,12 @@ def bench_scaling(
             t1 = time.perf_counter()
             skill, content = similarity_components(market.profiles, market.taskspecs)
             t2 = time.perf_counter()
-            volunteer_ids = [p.id for p in market.profiles]
-            task_ids = [t.id for t in market.taskspecs]
             will = willingness_matrix(
-                market.profiles,
-                market.taskspecs,
-                None,
-                skill > 0,
-                WillingnessState(volunteer_ids, task_ids),
-                willingness_params,
+                market.profiles, market.taskspecs, None, skill > 0, willingness_params
             )
             t3 = time.perf_counter()
+            volunteer_ids = [p.id for p in market.profiles]
+            task_ids = [t.id for t in market.taskspecs]
             stage_times["extraction"].append(t1 - t0)
             stage_times["similarity"].append(t2 - t1)
             stage_times["willingness"].append(t3 - t2)

@@ -73,6 +73,10 @@ class Ontology:
         self.max_alias_tokens = max(
             (len(key.split()) for key in self.alias_index), default=0
         )
+        # a span of two or more words can match only if it starts with one of these
+        self.alias_first_words = frozenset(
+            key.split(" ", 1)[0] for key in self.alias_index if " " in key
+        )
 
     def _check_acyclic(self) -> None:
         for start in self._parents:
@@ -155,8 +159,11 @@ def load_ontology(path: str) -> Ontology:
             resources.files("swati.data").joinpath("ontology_cs.jsonl").read_text("utf-8")
         )
     else:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
+        try:
+            with open(path, encoding="utf-8") as fh:
+                text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"ontology file {path} is not valid UTF-8") from exc
     entries = []
     for line_no, line in enumerate(text.splitlines(), start=1):
         if not line.strip():

@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .corpus import Corpus
-from .errors import EmptyCorpusError
+from .errors import ConfigError, EmptyCorpusError
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
 
@@ -38,6 +38,12 @@ _STOPWORDS = _load_stopwords()
 class VectorizerSettings:
     min_token_len: int = 2
     use_stopwords: bool = True
+
+    def __post_init__(self):
+        if not isinstance(self.min_token_len, int) or isinstance(self.min_token_len, bool):
+            raise ConfigError(f"min_token_len must be an integer, got {self.min_token_len!r}")
+        if not isinstance(self.use_stopwords, bool):
+            raise ConfigError(f"use_stopwords must be true or false, got {self.use_stopwords!r}")
 
 
 def tokenize(text: str, settings: VectorizerSettings = VectorizerSettings()) -> list[str]:

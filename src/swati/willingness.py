@@ -172,21 +172,22 @@ def willingness_matrix(
     taskspecs: Sequence[TaskSpec],
     histories: Optional[Mapping[str, History]],
     overlap: np.ndarray,
-    state: WillingnessState,
     params: WillingnessParams,
 ) -> np.ndarray:
-    """Willingness for every pair: cues and history -> mix -> squash -> smooth.
+    """Raw willingness for every pair: cues and history -> mix -> squash.
 
     ``overlap[i, j]`` says whether volunteer i shares a skill with task j.
+    The estimate depends only on the market, the history and ``params``, so a
+    multi-epoch run computes it once and smooths it per epoch with
+    ``WillingnessState.smooth``.
     """
     if not profiles or not taskspecs:
         raise DimensionError("need at least one volunteer and one task")
-    w_hat = raw_willingness(
+    return raw_willingness(
         tendency_matrix(profiles, taskspecs, histories),
         cue_score_matrix(profiles, overlap, params),
         params,
     )
-    return state.smooth([p.id for p in profiles], [t.id for t in taskspecs], w_hat, params)
 
 
 def _group_records(numbered: Iterable[tuple[int, object]]) -> dict[str, History]:
@@ -231,5 +232,8 @@ def _json_lines(fh) -> Iterator[tuple[int, object]]:
 
 def load_history(path: str) -> dict[str, History]:
     """Read history records from JSONL: {volunteer_id, task_skills[], accepted}."""
-    with open(path, encoding="utf-8") as fh:
-        return _group_records(_json_lines(fh))
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return _group_records(_json_lines(fh))
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"history file {path} is not valid UTF-8") from exc

@@ -50,6 +50,7 @@ from swati.willingness import (
     WillingnessState,
     histories_from_records,
     raw_willingness,
+    willingness_matrix,
 )
 from swati.corpus import Corpus, Document
 
@@ -89,12 +90,15 @@ def market_runs(builtin_ontology):
         market = build_market(corpus, builtin_ontology)
         caps = CapacityMap()
         skill, content = similarity_components(market.profiles, market.taskspecs)
+        w_hat = willingness_matrix(
+            market.profiles, market.taskspecs, histories, skill > 0, WillingnessParams()
+        )
         result = run_epoch(
             market.profiles,
             market.taskspecs,
             skill,
             content,
-            histories,
+            w_hat,
             caps,
             UtilityParams(),
             WillingnessParams(),

@@ -2,12 +2,15 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from swati.assignment import (
     Assignment,
     AssignedPair,
     CapacityMap,
     UtilityForm,
+    UtilityMatrix,
     UtilityParams,
     assign_optimal_bruteforce,
     assign_random,
@@ -33,6 +36,7 @@ from swati.willingness import (
     willingness_matrix,
 )
 
+import python_reference as ref_paths
 import scalar_reference as ref
 
 
@@ -62,8 +66,9 @@ def _state(profiles, taskspecs):
 
 def _run_epoch(market, histories, params, state, epoch=0):
     skill, content = similarity_components(market.profiles, market.taskspecs)
+    w_hat = willingness_matrix(market.profiles, market.taskspecs, histories, skill > 0, params)
     return run_epoch(
-        market.profiles, market.taskspecs, skill, content, histories, CapacityMap(),
+        market.profiles, market.taskspecs, skill, content, w_hat, CapacityMap(),
         UtilityParams(), params, state, epoch=epoch,
     )
 
@@ -150,8 +155,9 @@ def test_matrix_matches_scalar_composition(builtin_ontology):
         up = UtilityParams(skill_weight=0.6, content_weight=0.4, form=form)
         state, ref_state = _state(profiles, taskspecs), {}
         for epoch, wp in enumerate(epoch_params):
+            w_hat = willingness_matrix(profiles, taskspecs, histories, skill > 0, wp)
             result = run_epoch(
-                profiles, taskspecs, skill, content, histories, CapacityMap(), up, wp,
+                profiles, taskspecs, skill, content, w_hat, CapacityMap(), up, wp,
                 state, epoch=epoch,
             )
             s_ref, c_ref, w_ref, u_ref = (np.empty(shape) for _ in range(4))
@@ -170,6 +176,38 @@ def test_matrix_matches_scalar_composition(builtin_ontology):
             assert np.array_equal(matrix.utilities, u_ref)
             assert np.allclose(matrix.content, c_ref, rtol=0.0, atol=1e-12)
             assert len(state) == len(ref_state)
+
+
+def test_hoisted_raw_willingness_reproduces_epoch_states(builtin_ontology):
+    """Raw willingness scored once per market gives every epoch's state bit for bit.
+
+    The reference rescores each pair from its cues and history in every epoch
+    and smooths it against the previous epoch, as ``match`` did before.
+    """
+    profiles, taskspecs, histories = _reference_market(builtin_ontology)
+    skill, content = similarity_components(profiles, taskspecs)
+    params = WillingnessParams(smoothing=0.6)
+    w_hat = willingness_matrix(profiles, taskspecs, histories, skill > 0, params)
+    state, ref_state = _state(profiles, taskspecs), {}
+    for epoch in range(3):
+        result = run_epoch(
+            profiles, taskspecs, skill, content, w_hat, CapacityMap(), UtilityParams(),
+            params, state, epoch=epoch,
+        )
+        expected = np.array(
+            [
+                [
+                    ref.pair_willingness(
+                        prof, task, histories.get(prof.history_ref), ref_state, params
+                    )
+                    for task in taskspecs
+                ]
+                for prof in profiles
+            ]
+        )
+        assert np.array_equal(state.values, expected)
+        assert result.matrix.willingness is state.values
+        assert result.assignment.epoch == epoch
 
 
 def _constant_willingness_matrix(profiles, taskspecs, w):
@@ -203,8 +241,7 @@ def test_matrix_requires_nonempty_inputs(builtin_ontology):
         similarity_components([], market.taskspecs)
     with pytest.raises(DimensionError):
         willingness_matrix(
-            [], market.taskspecs, None, np.zeros((0, 3), dtype=bool),
-            _state([], market.taskspecs), WillingnessParams(),
+            [], market.taskspecs, None, np.zeros((0, 3), dtype=bool), WillingnessParams()
         )
 
 
@@ -255,6 +292,54 @@ def test_swati_equals_skill_only_when_s_equals_c():
     assert _pairs(assign_swati(matrix, CapacityMap())) == _pairs(
         assign_skill_only(matrix, CapacityMap())
     )
+
+
+def _id_list(rng, prefix, k, duplicates):
+    """k ids whose string order differs from row order ("x10" < "x2"), maybe repeated."""
+    if duplicates:
+        return [f"{prefix}{i}" for i in rng.integers(0, k, size=k)]
+    return [f"{prefix}{i}" for i in rng.permutation(k)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 80),
+    m=st.integers(1, 80),
+    levels=st.sampled_from([2, 3, 5, 0]),
+    duplicates=st.booleans(),
+    max_cap=st.integers(1, 4),
+)
+def test_greedy_matches_global_sort_reference(seed, n, m, levels, duplicates, max_cap):
+    """The lexsort walk picks exactly what a global sort of all n*m pairs picks.
+
+    ``levels`` > 0 draws scores from that many values (heavy ties), 0 from
+    uniform floats; markets up to 80x80 span several walk blocks.
+    """
+    rng = np.random.default_rng(seed)
+
+    def scores():
+        if levels:
+            return rng.integers(0, levels, size=(n, m)) / (levels - 1)
+        return rng.uniform(size=(n, m))
+
+    utilities = scores()
+    matrix = UtilityMatrix(
+        volunteers=tuple(_id_list(rng, "v", n, duplicates)),
+        tasks=tuple(_id_list(rng, "t", m, duplicates)),
+        utilities=utilities,
+        skill=scores(),
+        content=utilities,
+        willingness=np.ones((n, m)),
+    )
+    caps = CapacityMap(
+        {v: int(rng.integers(1, max_cap + 1)) for v in matrix.volunteers},
+        default=max_cap,
+    )
+    assert assign_swati(matrix, caps, epoch=2) == ref_paths.greedy(
+        matrix, matrix.utilities, caps, 2
+    )
+    assert assign_skill_only(matrix, caps) == ref_paths.greedy(matrix, matrix.skill, caps, 0)
 
 
 # --- baselines ----------------------------------------------------------------

@@ -282,3 +282,68 @@ def test_custom_config_overrides(tmp_path):
         ]
     )
     assert rc == 0
+
+
+def test_verify_rejects_non_hex_head(tmp_path, capsys):
+    gen = _gen(tmp_path)
+    out = tmp_path / "match"
+    main(["match", "--corpus", str(gen / "corpus.jsonl"), "--out", str(out)])
+    capsys.readouterr()
+    rc = main(["verify", str(out / "ledger.bin"), "--expect-head", "zz"])
+    assert rc == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+
+
+@pytest.mark.parametrize(
+    "vectorizer",
+    [{"min_token_len": "x"}, {"use_stopwords": "no"}],
+    ids=["min_token_len", "use_stopwords"],
+)
+def test_vectorizer_settings_are_type_checked(tmp_path, capsys, vectorizer):
+    gen = _gen(tmp_path)
+    capsys.readouterr()
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"vectorizer": vectorizer}))
+    rc = main(
+        ["match", "--config", str(config_path), "--corpus", str(gen / "corpus.jsonl"),
+         "--out", str(tmp_path / "match")]
+    )
+    assert rc == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+
+
+@pytest.mark.parametrize("flag", ["--n-volunteers", "--n-tasks"])
+def test_gen_rejects_zero_counts(tmp_path, capsys, flag):
+    out = tmp_path / "gen"
+    rc = main(["gen", "--out", str(out), "--seed", "1", flag, "0"])
+    assert rc == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+    assert not (out / "corpus.jsonl").exists()
+
+
+@pytest.mark.parametrize(
+    "which, error",
+    [("config", "ConfigError"), ("corpus", "ParseError"), ("history", "ParseError"),
+     ("ontology", "ParseError")],
+)
+def test_non_utf8_inputs_are_machine_readable(tmp_path, capsys, which, error):
+    gen = _gen(tmp_path)
+    capsys.readouterr()
+    bad = tmp_path / f"{which}.bin"
+    bad.write_bytes(b"\xff\xfe{}\n")
+    corpus = bad if which == "corpus" else gen / "corpus.jsonl"
+    config = {"history_path": str(bad if which == "history" else gen / "history.jsonl")}
+    if which == "ontology":
+        config["ontology"] = str(bad)
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config))
+    if which == "config":
+        config_path = bad
+    rc = main(
+        ["match", "--config", str(config_path), "--corpus", str(corpus),
+         "--out", str(tmp_path / "match")]
+    )
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == error
+    assert str(bad) in err["detail"]

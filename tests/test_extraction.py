@@ -4,6 +4,8 @@ import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from swati.corpus import Document, SyntheticConfig, generate_synthetic
 from swati.errors import (
@@ -28,6 +30,8 @@ from swati.extraction import (
 )
 from swati.ontology import Ontology, SkillEntry
 from swati.similarity import fit_vectorizer
+
+import python_reference as ref
 from swati.corpus import Corpus
 
 
@@ -424,3 +428,48 @@ def test_extraction_stats_empty():
     onto, _ = _stats_fixture()
     stats = extraction_stats([], onto)
     assert (stats.total_skills, stats.unique_vocabulary, stats.avg_per_doc) == (0, 0, 0)
+
+
+# --- equivalence with the span-by-span scan -----------------------------------
+
+_OTHER_WORDS = ["expert", "proficient", "5+", "years", "12", "year", "worked", "the", "and"]
+_PUNCT_TOKENS = ["--", ",", "(", ")", "...", "/", "&", "+", "-"]
+
+
+def _texts(ontology):
+    """Texts of alias keys and their words, other words and punctuation-only tokens.
+
+    Words get leading and trailing punctuation and a case change; tokens are
+    separated by mixed whitespace.
+    """
+    keys = sorted(ontology.alias_index)
+    words = sorted({word for key in keys for word in key.split()})
+    word = st.tuples(
+        st.sampled_from(["", "(", "\"", "--", "*"]),
+        st.sampled_from(keys) | st.sampled_from(words) | st.sampled_from(_OTHER_WORDS),
+        st.sampled_from(["", ",", ".", ")", ":", "...", "'s"]),
+        st.sampled_from([str, str.upper, str.title]),
+    ).map(lambda t: t[0] + t[3](t[1]) + t[2])
+    token = word | st.sampled_from(_PUNCT_TOKENS)
+    separator = st.sampled_from([" ", "  ", "\t", "\n", " \n "])
+    return st.lists(st.tuples(token, separator), min_size=1, max_size=40).map(
+        lambda parts: "".join(tok + sep for tok, sep in parts)
+    )
+
+
+@pytest.mark.parametrize("which", ["mini", "builtin"])
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_rule_based_matches_span_by_span_scan(mini_ontology, builtin_ontology, which, data):
+    ontology = mini_ontology if which == "mini" else builtin_ontology
+    doc = Document("v1", "volunteer", data.draw(_texts(ontology)))
+    assert extract_rule_based(doc, ontology) == ref.extract_rule_based(doc, ontology)
+
+
+def test_punctuation_run_after_a_single_word_alias(mini_ontology):
+    # "java" starts no multi-word alias, yet "java -- --" matches it and
+    # consumes the punctuation, so "yolo v8" is matched whole afterwards
+    doc = Document("v1", "volunteer", "java -- -- yolo v8 and\tJava,\n(ML)")
+    result = extract_rule_based(doc, mini_ontology)
+    assert [m.raw for m in result.mentions] == ["java", "yolo v8", "Java", "ML"]
+    assert result == ref.extract_rule_based(doc, mini_ontology)

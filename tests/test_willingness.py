@@ -221,13 +221,13 @@ def test_state_rejects_other_market():
 
 def test_pair_willingness_composes_and_stores():
     cues = PreferenceCues(1.0, 1.0, 1.0, 1.0, 1.0)
-    state = WillingnessState(["v1"], ["t1"])
     value = willingness_matrix(
-        [_profile(cues, {"A"})], [_task({"A"})], None, np.array([[True]]), state,
-        WillingnessParams(),
+        [_profile(cues, {"A"})], [_task({"A"})], None, np.array([[True]]), WillingnessParams()
     )
     # g = 0.5 prior, f = 1.0 -> mix 0.75 -> sigma(1)
     assert value[0, 0] == pytest.approx(1.0 / (1.0 + math.exp(-1.0)), abs=1e-12)
+    state = WillingnessState(["v1"], ["t1"])
+    assert state.smooth(["v1"], ["t1"], value, WillingnessParams()) is value
     assert state.values is value
 
 
