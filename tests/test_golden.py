@@ -28,7 +28,9 @@ RUNS = (
     ("swati", 1, ()),
     ("swati", 3, ()),
     ("skill", 1, ()),
+    ("skill", 3, ()),
     ("random", 1, ("--seed", "5")),
+    ("random", 3, ("--seed", "5")),
 )
 
 GOLDEN = {
@@ -41,6 +43,14 @@ GOLDEN = {
             "2369ea42b501a67321e48e2a77143a59b70953a827316a178bb426ccb9ba8ad2",
         "random-e1/quality.csv":
             "8410a0ca95064b2d7c1c05df2344efd2780d9ea189d9ecd9d41607a3cf1e2cd5",
+        "random-e3/assignment.jsonl":
+            "31d9ae00dfe9d75c64bc8c6ad35c51f7dea77e40f3c48ed207a0f0484695c68c",
+        "random-e3/ledger.bin":
+            "96d50ceb4dbf0c582b894f051ae9c684466397d47c23a90c9ab5ca5a70db95ab",
+        "random-e3/manifest.json":
+            "0998fe216e51c04510cfc157dd8fb195ab501f2fad789d957f93b94d8fce854b",
+        "random-e3/quality.csv":
+            "8410a0ca95064b2d7c1c05df2344efd2780d9ea189d9ecd9d41607a3cf1e2cd5",
         "skill-e1/assignment.jsonl":
             "564a6656a4c88db99aab84f3635db496913041c03e1f053b3d88151b676e0c25",
         "skill-e1/ledger.bin":
@@ -48,6 +58,14 @@ GOLDEN = {
         "skill-e1/manifest.json":
             "cf3becb366dc53c9a48ba129e05c5908a3e8330c36ae09a41d45f481d86d1518",
         "skill-e1/quality.csv":
+            "8e67f8d3049dea8fd989f442131ecb78f4630002a04ef4debcebde8af01cea0f",
+        "skill-e3/assignment.jsonl":
+            "657b2941981219f7b9bc19c78808c15fcd564fb99dcca3998c48cefc17815060",
+        "skill-e3/ledger.bin":
+            "6f88b93bd21a89fb583b8cb0d0285bc50f26bec7a90c769f8f2bc803278bf74e",
+        "skill-e3/manifest.json":
+            "59ed76af91d1e228938725987fdadaa4c26fb6780a199b3e08145176fa23c12d",
+        "skill-e3/quality.csv":
             "8e67f8d3049dea8fd989f442131ecb78f4630002a04ef4debcebde8af01cea0f",
         "swati-e1/assignment.jsonl":
             "8f9632076aa56e9af3dace287a882f090c31ec8b3d925acca3cf4f6195033e4f",
@@ -75,6 +93,14 @@ GOLDEN = {
             "f7a55b1aeca358113a91f702075102679223a9843de2d30f68576eb1bf058297",
         "random-e1/quality.csv":
             "6bb69c2b5aac621624dfe87dd0c0c1f5d638a34d9f617bfa7192610cceac7848",
+        "random-e3/assignment.jsonl":
+            "1050f08f0ea69df9c715e01cca4f823538be54cea2b57379012b938b9f292e5e",
+        "random-e3/ledger.bin":
+            "96a6b483c0a50659a8e62bf55b109b156a069c87d6e89da963db73a55724ad0f",
+        "random-e3/manifest.json":
+            "6f4e7bd4516485c4b456c7eb85df5acb804804b3951d98ca8263ae44d18a4ec0",
+        "random-e3/quality.csv":
+            "6bb69c2b5aac621624dfe87dd0c0c1f5d638a34d9f617bfa7192610cceac7848",
         "skill-e1/assignment.jsonl":
             "e9ccca4a50c7753e4026ee78dd954139f991070c8feb6507715447e1bf602202",
         "skill-e1/ledger.bin":
@@ -82,6 +108,14 @@ GOLDEN = {
         "skill-e1/manifest.json":
             "4b60dc4c3fd0d714cece1c5c1c087f16918e7da603ece6ab68f7ac536df3ed0e",
         "skill-e1/quality.csv":
+            "7e54e4cec0cb11d63f8cdf9b25299b91110bb4cf27be759d47a6772cfbf9e49c",
+        "skill-e3/assignment.jsonl":
+            "ce4e8732d901e00d7eb6599dbf94284b55592ed1c88ac621e2adebeaaec4f429",
+        "skill-e3/ledger.bin":
+            "41a7b76d71e1f851a17f1ec5a124adf08b10d70ab1afcbe1187f756a9bf73947",
+        "skill-e3/manifest.json":
+            "75fb5c828840d73f1ab95d07e6a2af97c6d08dafc49f36adfa2afe23c586e0e6",
+        "skill-e3/quality.csv":
             "7e54e4cec0cb11d63f8cdf9b25299b91110bb4cf27be759d47a6772cfbf9e49c",
         "swati-e1/assignment.jsonl":
             "549f505be9530e658249cb76013639c0903e2f400308b3cc8bb338b7f2e4bfda",
@@ -109,6 +143,14 @@ GOLDEN = {
             "9e83b4f6c78c18cb98fd5f87c117343211a45f5964c5312dcdcca141655d6d51",
         "random-e1/quality.csv":
             "8a7dd371548eff32c5a5669efa670a8cb83c071d13ea9bffea9e74e27cde1eca",
+        "random-e3/assignment.jsonl":
+            "f552a5ce2484715dba175f799a0153a408930bfd74a7217d1fefc92597f89aeb",
+        "random-e3/ledger.bin":
+            "9b4bdc276f1048b2cab6a61491725d5e4d20e0a22f0cbf35904b681bfcbf9553",
+        "random-e3/manifest.json":
+            "fbb24ee3e4a8a1545de1721f857492764cb444fdfce5355eb0688f6a67617315",
+        "random-e3/quality.csv":
+            "8a7dd371548eff32c5a5669efa670a8cb83c071d13ea9bffea9e74e27cde1eca",
         "skill-e1/assignment.jsonl":
             "bda03870ea37dde4adaddadbb69742c170dc553f4f7044ed20adc512f5834004",
         "skill-e1/ledger.bin":
@@ -116,6 +158,14 @@ GOLDEN = {
         "skill-e1/manifest.json":
             "ba8b3ab0a00b01322a175b680d99d8f3f39b6420cb2887e2b1918011da3be774",
         "skill-e1/quality.csv":
+            "2adf8cbb56c0e7fe7de6390345af353e138dfc78fe3c4b33841d60ef798d8642",
+        "skill-e3/assignment.jsonl":
+            "00543a7c342920edea1df28a2f31d5121aba5a556f3ae7061d8850556a8ce66e",
+        "skill-e3/ledger.bin":
+            "b7fa64346b162e34bcad7fd9f5d1ee61c4947d4a18b926aa1aea0149070b851a",
+        "skill-e3/manifest.json":
+            "c091f5489ba158624f516204db3e8b446997a0ae656b4f4f1a46209c2ed24a69",
+        "skill-e3/quality.csv":
             "2adf8cbb56c0e7fe7de6390345af353e138dfc78fe3c4b33841d60ef798d8642",
         "swati-e1/assignment.jsonl":
             "492db721321645c8416781ec54fabce6a5fb205b47a7bef275e6f175e300efab",
