@@ -4,24 +4,20 @@ Run with:  python demos/02_matching_pipeline.py
 """
 
 from swati import (
+    METHODS,
     CapacityMap,
     SyntheticConfig,
     UtilityForm,
     UtilityParams,
     WillingnessParams,
-    WillingnessState,
-    assign_random,
-    assign_skill_only,
     assign_swati,
     generate_synthetic,
     generate_synthetic_history,
     histories_from_records,
     load_builtin_ontology,
+    match_market,
     quality,
-    run_epoch,
-    similarity_components,
     utility_matrix_from_components,
-    willingness_matrix,
 )
 from swati.extraction import build_market
 
@@ -38,33 +34,14 @@ print("sample volunteer text:\n ", corpus.volunteers[0].text, "\n")
 market = build_market(corpus, ontology)
 caps = CapacityMap()  # one task per volunteer unless configured otherwise
 
-# Skill and content similarity and the raw willingness depend only on the
-# market and its history; each epoch smooths the raw willingness against a
-# state that lives across decision epochs.
-params = WillingnessParams()
-skill, content = similarity_components(market.profiles, market.taskspecs)
-w_hat = willingness_matrix(market.profiles, market.taskspecs, histories, skill > 0, params)
-state = WillingnessState([p.id for p in market.profiles], [t.id for t in market.taskspecs])
-result = run_epoch(
-    market.profiles,
-    market.taskspecs,
-    skill,
-    content,
-    w_hat,
-    caps,
-    UtilityParams(),
-    params,
-    state,
+# One call scores the market (skill and content similarity, willingness from
+# cues and history) and runs every method on the same utility matrix; the
+# random baseline draws with the seed.
+result = match_market(
+    market, histories, caps, UtilityParams(), WillingnessParams(), methods=METHODS, seed=7
 )
-matrix = result.matrix
-
-assignments = {
-    "swati": result.assignment,
-    "skill-only": assign_skill_only(matrix, caps),
-    "random": assign_random(matrix, caps, seed=7),
-}
 print(f"{'method':12} {'total':>8} {'avg':>6} {'coverage':>9} {'pairs':>6}")
-for name, assignment in assignments.items():
+for name, assignment in result.assignments.items():
     report = quality(assignment, corpus.n_tasks, method=name)
     print(
         f"{name:12} {report.total_utility:8.2f} {report.avg_utility:6.2f} "

@@ -13,13 +13,16 @@ from .assignment import (
     AssignedPair,
     CapacityMap,
     EpochResult,
+    METHODS,
     UtilityForm,
     UtilityMatrix,
     UtilityParams,
+    assign,
     assign_optimal_bruteforce,
     assign_random,
     assign_skill_only,
     assign_swati,
+    match_market,
     run_epoch,
     similarity_components,
     utility_matrix_from_components,

@@ -20,6 +20,7 @@ import enum
 import hashlib
 import json
 import random
+import time
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping, Optional, Sequence
@@ -27,12 +28,9 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from .errors import ConfigError, DimensionError, InstanceTooLargeError
-from .extraction import Profile, TaskSpec
+from .extraction import Market, Profile, TaskSpec
 from .similarity import cosine_matrix, jaccard_matrix
-from .willingness import WillingnessParams, WillingnessState
-
-# re-exported so that every scoring stage of ``match`` is reachable from here
-from .willingness import willingness_matrix  # noqa: F401
+from .willingness import History, WillingnessParams, WillingnessState, willingness_matrix
 
 
 class UtilityForm(enum.Enum):
@@ -47,8 +45,9 @@ class UtilityParams:
     form: UtilityForm = UtilityForm.PRODUCT
 
     def __post_init__(self):
+        # a range test rejects NaN and the infinities too
         if not 0.0 <= self.skill_weight <= 1.0 or not 0.0 <= self.content_weight <= 1.0:
-            raise ConfigError("utility weights must lie in [0, 1]")
+            raise ConfigError("utility weights must be finite numbers in [0, 1]")
         if abs(self.skill_weight + self.content_weight - 1.0) > 1e-12:
             raise ConfigError("skill_weight + content_weight must equal 1")
 
@@ -89,9 +88,6 @@ class Assignment:
     def total_utility(self) -> float:
         return float(sum(p.utility for p in self.pairs))
 
-    def task_ids(self) -> set[str]:
-        return {p.task_id for p in self.pairs}
-
 
 @dataclass(frozen=True)
 class UtilityMatrix:
@@ -108,7 +104,8 @@ class UtilityMatrix:
             arr = getattr(self, name)
             if arr.shape != shape:
                 raise DimensionError(f"{name} has shape {arr.shape}, expected {shape}")
-            if arr.size and (arr.min() < 0.0 or arr.max() > 1.0):
+            # written so that NaN fails it too
+            if arr.size and not (arr.min() >= 0.0 and arr.max() <= 1.0):
                 raise ValueError(f"{name} entries must lie in [0, 1]")
 
     @cached_property
@@ -344,11 +341,36 @@ def assignment_digest(assignment: Assignment) -> bytes:
     return hashlib.sha256(canonical_assignment_bytes(assignment)).digest()
 
 
+METHODS = ("swati", "skill", "random")
+
+
+def assign(
+    method: str,
+    matrix: UtilityMatrix,
+    caps: CapacityMap,
+    seed: Optional[int] = None,
+    epoch: int = 0,
+) -> Assignment:
+    """Run one of ``METHODS`` on the matrix; ``random`` draws with ``seed``."""
+    if method == "swati":
+        return assign_swati(matrix, caps, epoch=epoch)
+    if method == "skill":
+        return assign_skill_only(matrix, caps, epoch=epoch)
+    if method != "random":
+        raise ConfigError(f"unknown method {method!r}; choose from {', '.join(METHODS)}")
+    if type(seed) is not int:  # a float seed is hashed, and NaN hashes by identity
+        raise ConfigError(f"method 'random' needs an integer seed (--seed or config), got {seed!r}")
+    return assign_random(matrix, caps, seed, epoch=epoch)
+
+
 @dataclass
 class EpochResult:
-    assignment: Assignment
     matrix: UtilityMatrix
+    assignments: dict[str, Assignment]
     state: WillingnessState
+    # wall seconds of "similarity", "willingness" (before the last epoch's
+    # smoothing), "utility" (that smoothing and the matrix) and each method
+    seconds: dict[str, float]
 
 
 def run_epoch(
@@ -362,17 +384,65 @@ def run_epoch(
     willingness_params: WillingnessParams,
     state: WillingnessState,
     epoch: int = 0,
+    methods: Sequence[str] = ("swati",),
+    seed: Optional[int] = None,
 ) -> EpochResult:
-    """One decision epoch: smooth willingness against state -> utilities -> greedy.
+    """One decision epoch: smooth willingness against state -> utilities -> each method.
 
     ``skill`` and ``content`` are the market's ``similarity_components`` and
     ``w_hat`` its raw ``willingness_matrix``; all three are fixed across epochs.
     """
+    clock = time.perf_counter
+    start = clock()
     volunteers = [p.id for p in profiles]
     tasks = [t.id for t in taskspecs]
     willingness = state.smooth(volunteers, tasks, w_hat, willingness_params)
     matrix = utility_matrix_from_components(
         volunteers, tasks, skill, content, willingness, utility_params
     )
-    assignment = assign_swati(matrix, caps, epoch=epoch)
-    return EpochResult(assignment=assignment, matrix=matrix, state=state)
+    seconds = {"utility": clock() - start}
+    assignments = {}
+    for method in methods:
+        start = clock()
+        assignments[method] = assign(method, matrix, caps, seed, epoch)
+        seconds[method] = clock() - start
+    return EpochResult(matrix=matrix, assignments=assignments, state=state, seconds=seconds)
+
+
+def match_market(
+    market: Market,
+    histories: Optional[Mapping[str, History]],
+    caps: CapacityMap,
+    utility_params: UtilityParams,
+    willingness_params: WillingnessParams,
+    methods: Sequence[str] = ("swati",),
+    epochs: int = 1,
+    seed: Optional[int] = None,
+) -> EpochResult:
+    """Score a market once, smooth its willingness over ``epochs``, run each method once.
+
+    Earlier epochs only advance the smoothing state, since their assignments
+    would never be read; every method assigns the last epoch's utilities.
+    """
+    if epochs < 1:
+        raise ConfigError("epochs must be >= 1")
+    profiles, taskspecs = market.profiles, market.taskspecs
+    clock = time.perf_counter
+    t0 = clock()
+    skill, content = similarity_components(profiles, taskspecs)
+    t1 = clock()
+    # a Jaccard score is positive exactly where the pair shares a skill
+    w_hat = willingness_matrix(profiles, taskspecs, histories, skill > 0, willingness_params)
+    volunteers = [p.id for p in profiles]
+    tasks = [t.id for t in taskspecs]
+    state = WillingnessState(volunteers, tasks)
+    for _ in range(epochs - 1):
+        state.smooth(volunteers, tasks, w_hat, willingness_params)
+    t2 = clock()
+    result = run_epoch(
+        profiles, taskspecs, skill, content, w_hat, caps, utility_params,
+        willingness_params, state, epoch=epochs - 1, methods=methods, seed=seed,
+    )
+    result.seconds["similarity"] = t1 - t0
+    result.seconds["willingness"] = t2 - t1
+    return result

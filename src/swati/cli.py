@@ -15,13 +15,7 @@ import sys
 from typing import Optional, Sequence
 
 from . import __version__
-from .assignment import (
-    assign_random,
-    assign_skill_only,
-    run_epoch,
-    similarity_components,
-    willingness_matrix,
-)
+from .assignment import METHODS, match_market
 from .config import EngineConfig, input_digest, load_config
 from .corpus import (
     SyntheticConfig,
@@ -42,9 +36,7 @@ from .metrics import (
     write_quality_csv,
     write_timing_csv,
 )
-from .willingness import WillingnessState, load_history
-
-METHOD_CHOICES = ("swati", "skill", "random")
+from .willingness import load_history
 
 
 def _write_manifest(out_dir: str, command: str, cfg: EngineConfig, **extra) -> None:
@@ -191,49 +183,20 @@ def cmd_extract(args) -> int:
 
 def cmd_match(args) -> int:
     cfg = load_config(args.config)
-    if args.epochs < 1:
-        raise ConfigError("epochs must be >= 1")
-    if args.method == "random":
-        seed = args.seed if args.seed is not None else cfg.random_method_seed
-        if seed is None:
-            raise ConfigError("method 'random' needs a seed (--seed or config)")
-    else:
-        seed = args.seed
+    seed = args.seed
+    if seed is None and args.method == "random":
+        seed = cfg.random_method_seed
 
     ontology = cfg.load_ontology()
     corpus = load_corpus(args.corpus, strict=args.strict)
     market = build_market(corpus, ontology, cfg.vectorizer, _extractor(cfg))
     histories = load_history(cfg.history_path) if cfg.history_path else None
-
-    skill, content = similarity_components(market.profiles, market.taskspecs)
-    # a Jaccard score is positive exactly where the pair shares a skill
-    w_hat = willingness_matrix(
-        market.profiles, market.taskspecs, histories, skill > 0, cfg.willingness
+    result = match_market(
+        market, histories, cfg.capacities, cfg.utility, cfg.willingness,
+        methods=(args.method,), epochs=args.epochs, seed=seed,
     )
-    state = WillingnessState(
-        [p.id for p in market.profiles], [t.id for t in market.taskspecs]
-    )
-    result = None
-    for epoch in range(args.epochs):
-        result = run_epoch(
-            market.profiles,
-            market.taskspecs,
-            skill,
-            content,
-            w_hat,
-            cfg.capacities,
-            cfg.utility,
-            cfg.willingness,
-            state,
-            epoch=epoch,
-        )
     matrix = result.matrix
-    if args.method == "swati":
-        assignment = result.assignment
-    elif args.method == "skill":
-        assignment = assign_skill_only(matrix, cfg.capacities, epoch=args.epochs - 1)
-    else:
-        assignment = assign_random(matrix, cfg.capacities, seed, epoch=args.epochs - 1)
+    assignment = result.assignments[args.method]
 
     out = _ensure_out(args.out)
     with open(os.path.join(out, "assignment.jsonl"), "w", encoding="utf-8") as fh:
@@ -302,11 +265,10 @@ def cmd_bench(args) -> int:
         raise ConfigError(f"--sizes must be comma-separated integers, got {args.sizes!r}")
     if not sizes:
         raise ConfigError("--sizes must name at least one market size")
-    methods = list(METHOD_CHOICES)
     ontology = cfg.load_ontology()
     result = bench_scaling(
         sizes,
-        methods,
+        METHODS,
         seed=args.seed,
         repetitions=args.repetitions,
         ontology=ontology,
@@ -398,7 +360,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_match = sub.add_parser("match", help="compute an assignment and commit it")
     common(p_match, corpus=True)
-    p_match.add_argument("--method", choices=METHOD_CHOICES, default="swati")
+    p_match.add_argument("--method", choices=METHODS, default="swati")
     p_match.add_argument("--epochs", type=int, default=1)
     p_match.add_argument("--seed", type=int, help="seed for method 'random'")
     p_match.set_defaults(func=cmd_match)

@@ -107,6 +107,9 @@ def build_config(raw: Optional[dict] = None) -> EngineConfig:
             content_weight=raw["utility"]["content_weight"],
             form=UtilityForm(raw["utility"].get("form", "product")),
         )
+        # a remote section that is not an object, or has unknown keys, is a TypeError
+        remote = raw["extractor"].get("remote")
+        remote = RemoteExtractorConfig(**remote) if remote else None
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -132,9 +135,7 @@ def build_config(raw: Optional[dict] = None) -> EngineConfig:
     kind = extractor.get("kind", "rule")
     if kind not in ("rule", "remote"):
         raise ConfigError(f"unknown extractor kind {kind!r}")
-    remote = None
-    if extractor.get("remote"):
-        remote = RemoteExtractorConfig(**extractor["remote"])
+    if remote is not None:
         remote = RemoteExtractorConfig.from_env(remote, dict(os.environ))
     if kind == "remote" and remote is None:
         raise ConfigError("extractor.kind is 'remote' but extractor.remote is not set")

@@ -14,6 +14,7 @@ is carried through to diagnostics but deliberately plays no role in matching.
 from __future__ import annotations
 
 import json
+import math
 import re
 import string
 from dataclasses import dataclass
@@ -323,7 +324,13 @@ class RemoteExtractorConfig:
     retries: int = 2
     schema_version: str = SCHEMA_VERSION
     api_key: Optional[str] = None
-    max_in_flight: int = 4
+
+    def __post_init__(self):
+        timeout, retries = self.timeout, self.retries
+        if type(timeout) not in (int, float) or not 0.0 < timeout < math.inf:
+            raise ConfigError(f"remote timeout must be a positive number, got {timeout!r}")
+        if type(retries) is not int or retries < 0:
+            raise ConfigError(f"remote retries must be an integer >= 0, got {retries!r}")
 
     @classmethod
     def from_env(cls, base: "RemoteExtractorConfig", env: dict) -> "RemoteExtractorConfig":
@@ -342,7 +349,6 @@ class RemoteExtractorConfig:
             retries=retries,
             schema_version=base.schema_version,
             api_key=api_key,
-            max_in_flight=base.max_in_flight,
         )
 
 
@@ -382,16 +388,6 @@ def extract_remote(doc: Document, cfg: RemoteExtractorConfig) -> ExtractionResul
             last_violation = exc
     assert last_violation is not None
     raise last_violation
-
-
-def extract_remote_batch(
-    docs: Sequence[Document], cfg: RemoteExtractorConfig
-) -> list[ExtractionResult]:
-    """Extract many documents concurrently, bounded by ``cfg.max_in_flight``."""
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=max(1, cfg.max_in_flight)) as pool:
-        return list(pool.map(lambda doc: extract_remote(doc, cfg), docs))
 
 
 def load_prompt_template() -> str:

@@ -20,24 +20,12 @@ import time
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .assignment import (
-    Assignment,
-    CapacityMap,
-    UtilityParams,
-    assign_random,
-    assign_skill_only,
-    assign_swati,
-    similarity_components,
-    utility_matrix_from_components,
-    willingness_matrix,
-)
+from .assignment import METHODS, Assignment, CapacityMap, UtilityParams, match_market
 from .corpus import SyntheticConfig, generate_synthetic
 from .errors import ConfigError, InconsistentInputError
 from .extraction import build_market
 from .ontology import Ontology, load_builtin_ontology
 from .willingness import WillingnessParams
-
-METHODS = ("random", "skill", "swati")
 
 _STAGES_BY_METHOD = {
     "random": ("assignment",),
@@ -150,53 +138,26 @@ def bench_scaling(
         cfg = SyntheticConfig(seed=seed + idx, n_volunteers=size, n_tasks=size)
         corpus = generate_synthetic(cfg, ontology)
         caps = CapacityMap()
-        stage_times: dict[str, list[float]] = {
-            "extraction": [],
-            "similarity": [],
-            "willingness": [],
-        }
+        stage_times = {"extraction": [], "similarity": [], "willingness": []}
         assign_times: dict[str, list[float]] = {m: [] for m in methods}
-        last_assignments: dict[str, Assignment] = {}
 
         for _ in range(repetitions):
             t0 = time.perf_counter()
             market = build_market(corpus, ontology)
-            t1 = time.perf_counter()
-            skill, content = similarity_components(market.profiles, market.taskspecs)
-            t2 = time.perf_counter()
-            will = willingness_matrix(
-                market.profiles, market.taskspecs, None, skill > 0, willingness_params
+            stage_times["extraction"].append(time.perf_counter() - t0)
+            run = match_market(
+                market, None, caps, utility_params, willingness_params,
+                methods=methods, seed=seed + idx,
             )
-            t3 = time.perf_counter()
-            volunteer_ids = [p.id for p in market.profiles]
-            task_ids = [t.id for t in market.taskspecs]
-            stage_times["extraction"].append(t1 - t0)
-            stage_times["similarity"].append(t2 - t1)
-            stage_times["willingness"].append(t3 - t2)
-
+            stage_times["similarity"].append(run.seconds["similarity"])
+            stage_times["willingness"].append(run.seconds["willingness"])
+            # every method is charged the utility matrix it is assigned on
             for method in methods:
-                t4 = time.perf_counter()
-                matrix = utility_matrix_from_components(
-                    volunteer_ids, task_ids, skill, content, will, utility_params
-                )
-                if method == "swati":
-                    assignment = assign_swati(matrix, caps)
-                elif method == "skill":
-                    assignment = assign_skill_only(matrix, caps)
-                else:
-                    assignment = assign_random(matrix, caps, seed=seed + idx)
-                assign_times[method].append(time.perf_counter() - t4)
-                last_assignments[method] = assignment
+                assign_times[method].append(run.seconds["utility"] + run.seconds[method])
 
         for method in methods:
-            stages = {
-                stage: (
-                    assign_times[method]
-                    if stage == "assignment"
-                    else list(stage_times[stage])
-                )
-                for stage in _STAGES_BY_METHOD[method]
-            }
+            times = {**stage_times, "assignment": assign_times[method]}
+            stages = {stage: list(times[stage]) for stage in _STAGES_BY_METHOD[method]}
             result.timings.append(
                 TimingReport(
                     market_size=size,
@@ -205,9 +166,9 @@ def bench_scaling(
                     repetitions=repetitions,
                 )
             )
-            report = quality(last_assignments[method], size, method=method)
+            report = quality(run.assignments[method], size, method=method)
             result.quality.append((size, report))
-            for threshold, fraction in utility_cdf(last_assignments[method], cdf_bins):
+            for threshold, fraction in utility_cdf(run.assignments[method], cdf_bins):
                 result.cdf.append((size, method, threshold, fraction))
     return result
 

@@ -51,6 +51,9 @@ class WillingnessParams:
     sigmoid_center: float = 0.5
 
     def __post_init__(self):
+        numbers = (self.history_weight, self.smoothing, self.sigmoid_gain, self.sigmoid_center)
+        if not all(map(math.isfinite, (*numbers, *self.cue_weights))):
+            raise ConfigError("willingness parameters must be finite numbers")
         if not 0.0 <= self.history_weight <= 1.0:
             raise ConfigError("history_weight must lie in [0, 1]")
         if not 0.0 <= self.smoothing <= 1.0:
@@ -93,7 +96,8 @@ class WillingnessState:
         value = w_hat
         if self.values is not None:
             value = params.smoothing * self.values + (1.0 - params.smoothing) * w_hat
-        if value.size and (value.min() < 0.0 or value.max() > 1.0):
+        # written so that NaN fails it too
+        if value.size and not (value.min() >= 0.0 and value.max() <= 1.0):
             raise ValueError("willingness out of [0, 1]")
         self.values = value
         return value

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from swati.assignment import (
+    METHODS,
     Assignment,
     AssignedPair,
     CapacityMap,
@@ -26,8 +27,7 @@ from swati.assignment import (
     assign_random,
     assign_skill_only,
     assign_swati,
-    run_epoch,
-    similarity_components,
+    match_market,
     utility_matrix_from_components,
     validate_assignment,
 )
@@ -50,7 +50,6 @@ from swati.willingness import (
     WillingnessState,
     histories_from_records,
     raw_willingness,
-    willingness_matrix,
 )
 from swati.corpus import Corpus, Document
 
@@ -88,29 +87,13 @@ def market_runs(builtin_ontology):
             generate_synthetic_history(cfg, corpus, builtin_ontology)
         )
         market = build_market(corpus, builtin_ontology)
-        caps = CapacityMap()
-        skill, content = similarity_components(market.profiles, market.taskspecs)
-        w_hat = willingness_matrix(
-            market.profiles, market.taskspecs, histories, skill > 0, WillingnessParams()
-        )
-        result = run_epoch(
-            market.profiles,
-            market.taskspecs,
-            skill,
-            content,
-            w_hat,
-            caps,
-            UtilityParams(),
-            WillingnessParams(),
-            WillingnessState(
-                [p.id for p in market.profiles], [t.id for t in market.taskspecs]
-            ),
+        result = match_market(
+            market, histories, CapacityMap(), UtilityParams(), WillingnessParams(),
+            methods=METHODS, seed=seed,
         )
         runs[seed] = {
             "matrix": result.matrix,
-            "swati": result.assignment,
-            "skill": assign_skill_only(result.matrix, caps),
-            "random": assign_random(result.matrix, caps, seed=seed),
+            **result.assignments,
             "elapsed": time.perf_counter() - start,
         }
     return runs

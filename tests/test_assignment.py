@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from swati.assignment import (
+    METHODS,
     Assignment,
     AssignedPair,
     CapacityMap,
@@ -18,6 +19,7 @@ from swati.assignment import (
     assign_swati,
     assignment_digest,
     canonical_assignment_bytes,
+    match_market,
     run_epoch,
     similarity_components,
     utility_matrix_from_components,
@@ -64,13 +66,8 @@ def _state(profiles, taskspecs):
     return WillingnessState([p.id for p in profiles], [t.id for t in taskspecs])
 
 
-def _run_epoch(market, histories, params, state, epoch=0):
-    skill, content = similarity_components(market.profiles, market.taskspecs)
-    w_hat = willingness_matrix(market.profiles, market.taskspecs, histories, skill > 0, params)
-    return run_epoch(
-        market.profiles, market.taskspecs, skill, content, w_hat, CapacityMap(),
-        UtilityParams(), params, state, epoch=epoch,
-    )
+def _match(market, histories, params, epochs=1):
+    return match_market(market, histories, CapacityMap(), UtilityParams(), params, epochs=epochs)
 
 
 # --- utility computation ----------------------------------------------------
@@ -96,6 +93,12 @@ def test_compute_utility_zero_willingness_separates_forms():
 def test_compute_utility_hand_value():
     params = UtilityParams()
     assert _utility(0.6, 0.4, 0.5, params) == pytest.approx(0.25, abs=1e-12)
+
+
+@pytest.mark.parametrize("bad", [1.5, -0.1, np.nan])
+def test_matrix_rejects_values_outside_unit_interval(bad):
+    with pytest.raises(ValueError):
+        _matrix([[0.5, bad]])
 
 
 def test_utility_params_validation():
@@ -207,7 +210,7 @@ def test_hoisted_raw_willingness_reproduces_epoch_states(builtin_ontology):
         )
         assert np.array_equal(state.values, expected)
         assert result.matrix.willingness is state.values
-        assert result.assignment.epoch == epoch
+        assert result.assignments["swati"].epoch == epoch
 
 
 def _constant_willingness_matrix(profiles, taskspecs, w):
@@ -268,11 +271,8 @@ def test_swati_lexicographic_tie_break():
 
 def test_swati_deterministic(builtin_ontology):
     market = _tiny_market(seed=17, n=5, m=5, builtin=builtin_ontology)
-    a, b = (
-        _run_epoch(market, None, WillingnessParams(), _state(market.profiles, market.taskspecs))
-        for _ in range(2)
-    )
-    assert a.assignment == b.assignment
+    a, b = (_match(market, None, WillingnessParams()) for _ in range(2))
+    assert a.assignments == b.assignments
 
 
 def test_swati_scaling_invariance():
@@ -494,9 +494,8 @@ def test_run_epoch_digest_is_stable(builtin_ontology):
     market, histories = _epoch_inputs(builtin_ontology)
     digests = []
     for _ in range(2):
-        state = _state(market.profiles, market.taskspecs)
-        result = _run_epoch(market, histories, WillingnessParams(), state)
-        digests.append(assignment_digest(result.assignment))
+        result = _match(market, histories, WillingnessParams())
+        digests.append(assignment_digest(result.assignments["swati"]))
     assert digests[0] == digests[1]
 
 
@@ -504,11 +503,64 @@ def test_run_epoch_digest_is_stable(builtin_ontology):
 def test_static_inputs_make_epochs_identical(builtin_ontology, smoothing):
     market, histories = _epoch_inputs(builtin_ontology)
     params = WillingnessParams(smoothing=smoothing)
-    state = _state(market.profiles, market.taskspecs)
-    first = _run_epoch(market, histories, params, state, epoch=0)
-    second = _run_epoch(market, histories, params, state, epoch=1)
-    assert _pairs(first.assignment) == _pairs(second.assignment)
+    first = _match(market, histories, params, epochs=1)
+    second = _match(market, histories, params, epochs=2)
+    assert _pairs(first.assignments["swati"]) == _pairs(second.assignments["swati"])
     assert np.allclose(first.matrix.willingness, second.matrix.willingness)
+
+
+def test_match_market_equals_the_epoch_loop(builtin_ontology):
+    """Only the last epoch is assigned; it matches assigning after every epoch."""
+    market, histories = _epoch_inputs(builtin_ontology, n=9, m=7)
+    params = WillingnessParams(smoothing=0.6)
+    caps = CapacityMap(default=2)
+    result = match_market(
+        market, histories, caps, UtilityParams(), params, methods=METHODS, epochs=3, seed=4
+    )
+    skill, content = similarity_components(market.profiles, market.taskspecs)
+    w_hat = willingness_matrix(market.profiles, market.taskspecs, histories, skill > 0, params)
+    state = _state(market.profiles, market.taskspecs)
+    for epoch in range(3):
+        expected = run_epoch(
+            market.profiles, market.taskspecs, skill, content, w_hat, caps, UtilityParams(),
+            params, state, epoch=epoch, methods=METHODS, seed=4,
+        )
+    assert np.array_equal(result.matrix.utilities, expected.matrix.utilities)
+    assert result.assignments == expected.assignments
+    assert list(result.assignments) == list(METHODS)
+    assert all(a.epoch == 2 for a in result.assignments.values())
+    assert len(result.state) == skill.size
+
+
+@pytest.mark.parametrize("method, epochs, calls", [("swati", 3, 1), ("skill", 3, 0)])
+def test_match_market_runs_one_greedy(builtin_ontology, monkeypatch, method, epochs, calls):
+    import swati.assignment as assignment
+
+    seen = []
+    original = assignment.assign_swati
+    monkeypatch.setattr(
+        assignment, "assign_swati", lambda *a, **k: seen.append(1) or original(*a, **k)
+    )
+    market, histories = _epoch_inputs(builtin_ontology)
+    match_market(
+        market, histories, CapacityMap(), UtilityParams(), WillingnessParams(),
+        methods=(method,), epochs=epochs,
+    )
+    assert len(seen) == calls
+
+
+@pytest.mark.parametrize(
+    "methods, epochs, seed",
+    [(("swati",), 0, None), (("random",), 1, None), (("greedy",), 1, 1)],
+    ids=["zero_epochs", "random_without_seed", "unknown_method"],
+)
+def test_match_market_rejects_bad_requests(builtin_ontology, methods, epochs, seed):
+    market, histories = _epoch_inputs(builtin_ontology)
+    with pytest.raises(ConfigError):
+        match_market(
+            market, histories, CapacityMap(), UtilityParams(), WillingnessParams(),
+            methods=methods, epochs=epochs, seed=seed,
+        )
 
 
 def test_canonical_bytes_round_trip():

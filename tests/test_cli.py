@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 
 import pytest
 
@@ -131,6 +132,22 @@ def test_match_random_requires_seed(tmp_path, capsys):
     assert "seed" in err["detail"]
 
 
+def test_match_random_rejects_non_integer_config_seed(tmp_path, capsys):
+    gen = _gen(tmp_path)
+    capsys.readouterr()
+    config_path = tmp_path / "config.json"
+    # Python seeds a float by its hash, and NaN hashes differently on every run
+    config_path.write_text(json.dumps({"seeds": {"random_method": math.nan}}))
+    rc = main(
+        ["match", "--config", str(config_path), "--corpus", str(gen / "corpus.jsonl"),
+         "--method", "random", "--out", str(tmp_path / "match")]
+    )
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError"
+    assert "seed" in err["detail"]
+
+
 def test_match_random_with_seed(tmp_path):
     gen = _gen(tmp_path)
     out = tmp_path / "match"
@@ -206,9 +223,29 @@ def test_bad_config_is_machine_readable_error(tmp_path, capsys):
     assert err["error"] == "ConfigError"
 
 
+CONFIG_VALUE_ERRORS = {
+    "willingness_center_nan": {"willingness": {"sigmoid_center": math.nan}},
+    "cue_weight_nan": {"willingness": {"cue_weights": [math.nan, 0.25, 0.25, 0.25, 0.25]}},
+    "willingness_gain_infinite": {"willingness": {"sigmoid_gain": math.inf}},
+    "utility_weight_nan": {"utility": {"skill_weight": math.nan}},
+    "remote_unknown_key": {"extractor": {"remote": {"endpoint": "http://localhost:9", "bogus": 1}}},
+    "remote_max_in_flight": {
+        "extractor": {"remote": {"endpoint": "http://localhost:9", "max_in_flight": 4}}
+    },
+    "remote_not_an_object": {"extractor": {"remote": "http://localhost:9"}},
+    "remote_negative_timeout": {
+        "extractor": {"remote": {"endpoint": "http://localhost:9", "timeout": -1}}
+    },
+    "remote_negative_retries": {
+        "extractor": {"remote": {"endpoint": "http://localhost:9", "retries": -1}}
+    },
+}
+
+
 @pytest.mark.parametrize(
     "case",
-    ["remote_retries_not_a_number", "capacities_file_not_json", "default_capacity_not_int"],
+    ["remote_retries_not_a_number", "capacities_file_not_json", "default_capacity_not_int",
+     *CONFIG_VALUE_ERRORS],
 )
 def test_config_value_errors_are_machine_readable(tmp_path, capsys, monkeypatch, case):
     if case == "remote_retries_not_a_number":
@@ -218,8 +255,11 @@ def test_config_value_errors_are_machine_readable(tmp_path, capsys, monkeypatch,
         caps_path = tmp_path / "caps.json"
         caps_path.write_text("{not json")
         raw = {"capacities": {"path": str(caps_path)}}
-    else:
+    elif case == "default_capacity_not_int":
         raw = {"capacities": {"default": "x"}}
+    else:
+        # json writes NaN and Infinity, which Python's json reads back
+        raw = CONFIG_VALUE_ERRORS[case]
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps(raw))
     rc = main(["gen", "--config", str(config_path), "--out", str(tmp_path / "gen"), "--seed", "1"])

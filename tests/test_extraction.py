@@ -304,16 +304,6 @@ def test_remote_timeout(scripted_server):
         extract_remote(_doc("Knows CV well"), _remote_cfg(scripted_server, timeout=0.15))
 
 
-def test_remote_batch_preserves_order(scripted_server):
-    docs = [_doc("Knows CV well", doc_id=f"d{i}") for i in range(6)]
-    scripted_server.script.extend([(200, _valid_payload(), 0.0)] * 6)
-    from swati.extraction import extract_remote_batch
-
-    results = extract_remote_batch(docs, _remote_cfg(scripted_server, max_in_flight=3))
-    assert [r.doc_id for r in results] == [f"d{i}" for i in range(6)]
-    assert len(scripted_server.requests) == 6
-
-
 def test_remote_env_overrides():
     base = RemoteExtractorConfig(endpoint="http://x/e", timeout=5.0, retries=1)
     cfg = RemoteExtractorConfig.from_env(

@@ -210,6 +210,8 @@ def test_state_rejects_out_of_range():
     state = WillingnessState(["v"], ["t"])
     with pytest.raises(ValueError):
         state.smooth(["v"], ["t"], np.array([[1.5]]), WillingnessParams())
+    with pytest.raises(ValueError):
+        state.smooth(["v"], ["t"], np.array([[np.nan]]), WillingnessParams())
     assert len(state) == 0
 
 
