@@ -1,7 +1,7 @@
-"""Golden sha256 digests of ``swati match`` artifacts.
+"""Golden sha256 digests of ``swati match`` and ``swati extract`` artifacts.
 
-Refactors of the scoring and matching code must leave every artifact
-byte-identical; a digest change here has to be intentional and recorded with
+Refactors of the extraction, scoring and matching code must leave every
+artifact byte-identical; a digest change here has to be intentional and recorded with
 its reason. Each ``match`` runs as a fresh ``python -m swati.cli`` process
 with relative paths (so ``manifest.json``'s config digest does not depend on
 the temporary directory) and one BLAS thread, because the content cosine's
@@ -219,3 +219,50 @@ def test_match_artifacts_match_golden_digests(tmp_path, seed):
             data = (tmp_path / name / artifact).read_bytes()
             digests[f"{name}/{artifact}"] = hashlib.sha256(data).hexdigest()
     assert digests == GOLDEN[seed]
+
+
+EXTRACT_ARTIFACTS = ("extraction.jsonl", "extraction_stats.json", "manifest.json")
+
+# ``extract`` writes evidence spans, proficiency and cue scores, which no
+# ``match`` artifact carries; it runs on a 60-volunteer, 48-task corpus.
+EXTRACT_GOLDEN = {
+    1: {
+        "extraction.jsonl":
+            "3861656ee235dabfd7b13b51a5e9e4d1c029a974c6508afc1015811ac1356a37",
+        "extraction_stats.json":
+            "46a3bc32920ec0b08f8919dd6817285ba56b961d0e280dfd5a4fa382b98dfac2",
+        "manifest.json":
+            "0e84b041b3ab13c498a361d82c568122a0cde44bc4e51f424e07abac2f184c08",
+    },
+    2: {
+        "extraction.jsonl":
+            "6bc86a52c0e0ddecb28b48a051667a178c958def30b6904397952397e3ceee4b",
+        "extraction_stats.json":
+            "a1657ef426c9abd39a0265580c3565144edec4367f9939d81b9a5e89a301e77d",
+        "manifest.json":
+            "7a5ba15e7d00a6dff6e61d591cfa72ccb05ad3712a8f752917d0436a37ed2659",
+    },
+    3: {
+        "extraction.jsonl":
+            "90658e977309b31f4d913f6863fe50b8feed8ca1680e906049079631f1915b7f",
+        "extraction_stats.json":
+            "0d6d167a76e6b9302599cd75e324b8063dc5686146cc45016968542bcf6ba2a4",
+        "manifest.json":
+            "b559b49dc9d7aefd702bef6e77c49b748cee921b5bf591aab3e011fc0c039d3b",
+    },
+}
+
+
+@pytest.mark.parametrize("seed", (1, 2, 3))
+def test_extract_artifacts_match_golden_digests(tmp_path, seed, monkeypatch):
+    # extraction makes no BLAS call, so everything runs in-process
+    monkeypatch.chdir(tmp_path)
+    gen = ["gen", "--out", "gen", "--seed", str(seed),
+           "--n-volunteers", "60", "--n-tasks", "48"]
+    assert cli_main(gen) == 0
+    assert cli_main(["extract", "--corpus", "gen/corpus.jsonl", "--out", "ex"]) == 0
+    digests = {
+        artifact: hashlib.sha256((tmp_path / "ex" / artifact).read_bytes()).hexdigest()
+        for artifact in EXTRACT_ARTIFACTS
+    }
+    assert digests == EXTRACT_GOLDEN[seed]
