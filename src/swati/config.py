@@ -17,7 +17,7 @@ from importlib import resources
 from typing import Optional
 
 from .assignment import CapacityMap, UtilityForm, UtilityParams
-from .errors import ConfigError
+from .errors import ConfigError, ParseError, parse_json
 from .extraction import RemoteExtractorConfig
 from .ontology import BUILTIN_ONTOLOGY, Ontology, load_ontology
 from .similarity import VectorizerSettings
@@ -82,7 +82,22 @@ def _merge(base: dict, override: dict) -> dict:
     return merged
 
 
+def _read_json(path: str, what: str) -> object:
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{what} file {path} is not valid UTF-8") from exc
+    try:
+        return parse_json(text)
+    except ParseError as exc:
+        raise ConfigError(f"{what} file {path}: {exc}") from exc
+
+
 def _require_file(path: Optional[str], what: str) -> None:
+    # open() and os.path.exists() take an integer as a file descriptor
+    if path is not None and not isinstance(path, str):
+        raise ConfigError(f"{what} path must be a string, got {path!r}")
     if path is not None and path != BUILTIN_ONTOLOGY and not os.path.exists(path):
         raise ConfigError(f"{what} file not found: {path}")
 
@@ -92,7 +107,12 @@ def build_config(raw: Optional[dict] = None) -> EngineConfig:
     unknown = sorted(set(raw) - set(DEFAULT_CONFIG))
     if unknown:
         raise ConfigError(f"unknown config keys {unknown}")
+    for key, default in DEFAULT_CONFIG.items():
+        if isinstance(default, dict) and not isinstance(raw[key], dict):
+            raise ConfigError(f"config section {key!r} must be an object")
 
+    if raw["ontology"] is None:
+        raise ConfigError("ontology must name a file or builtin:cs")
     _require_file(raw["ontology"], "ontology")
     _require_file(raw["capacities"].get("path"), "capacities")
     _require_file(raw["history_path"], "history")
@@ -116,15 +136,7 @@ def build_config(raw: Optional[dict] = None) -> EngineConfig:
     caps_raw = raw["capacities"]
     mapping = {}
     if caps_raw.get("path"):
-        with open(caps_raw["path"], encoding="utf-8") as fh:
-            try:
-                mapping = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"capacities file is not valid JSON: {exc.msg}") from exc
-            except UnicodeDecodeError as exc:
-                raise ConfigError(
-                    f"capacities file {caps_raw['path']} is not valid UTF-8"
-                ) from exc
+        mapping = _read_json(caps_raw["path"], "capacities")
         if not isinstance(mapping, dict) or not all(
             isinstance(k, str) and isinstance(v, int) for k, v in mapping.items()
         ):
@@ -159,13 +171,7 @@ def load_config(path: Optional[str]) -> EngineConfig:
     """Read a config file; ``None`` loads the built-in defaults."""
     if path is None:
         return build_config()
-    with open(path, encoding="utf-8") as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config is not valid JSON: {exc.msg}") from exc
-        except UnicodeDecodeError as exc:
-            raise ConfigError(f"config file {path} is not valid UTF-8") from exc
+    raw = _read_json(path, "config")
     if not isinstance(raw, dict):
         raise ConfigError("config root must be an object")
     return build_config(raw)

@@ -20,7 +20,7 @@ import random
 import warnings
 from dataclasses import dataclass, field
 
-from .errors import ConfigError, DuplicateIdError, ParseError
+from .errors import ConfigError, DuplicateIdError, ParseError, parse_json
 from .ontology import Ontology, normalize_skill
 
 VOLUNTEER = "volunteer"
@@ -134,11 +134,7 @@ def load_corpus(path: str, strict: bool = False) -> Corpus:
             for line_no, line in enumerate(fh, start=1):
                 if not line.strip():
                     continue
-                try:
-                    obj = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise ParseError(f"invalid JSON: {exc.msg}", line_no) from exc
-                doc = _parse_document(obj, line_no, strict)
+                doc = _parse_document(parse_json(line, line_no), line_no, strict)
                 if doc.id in seen:
                     raise DuplicateIdError(doc.id, line_no)
                 seen[doc.id] = line_no

@@ -4,6 +4,8 @@ Unreadable files surface as the builtin ``OSError``/``IOError``; everything
 domain-specific gets a class here so callers can catch narrowly.
 """
 
+import json
+
 
 class EngineError(Exception):
     """Base class for all engine errors."""
@@ -17,6 +19,20 @@ class ParseError(EngineError):
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
+
+
+def parse_json(text: str, line: int | None = None) -> object:
+    """``json.loads`` that raises ``ParseError`` for any text it cannot read.
+
+    Besides malformed JSON, ``json`` raises ``ValueError`` for an integer of
+    more than 4,300 digits and ``RecursionError`` for very deep nesting.
+    """
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"invalid JSON: {exc.msg}", line) from exc
+    except (ValueError, RecursionError) as exc:
+        raise ParseError(f"invalid JSON: {exc}", line) from exc
 
 
 class DuplicateIdError(ParseError):

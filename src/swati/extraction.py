@@ -7,8 +7,9 @@ model endpoint. Downstream code never cares which one produced a result.
 The rule-based scanner walks the document's whitespace tokens and matches
 ontology aliases as whole-token sequences, longest match first, without
 overlaps. Proficiency and preference cues come from fixed trigger lexicons
-shipped in ``data/cue_lexicons.json`` so runs are reproducible; proficiency
-is carried through to diagnostics but deliberately plays no role in matching.
+shipped in ``data/cue_lexicons.json`` so runs are reproducible, all found by
+one regular-expression scan per document; proficiency is carried through to
+diagnostics but deliberately plays no role in matching.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import re
 import string
 from dataclasses import dataclass
 from importlib import resources
+from itertools import islice
 from typing import Optional, Sequence
 
 import numpy as np
@@ -58,14 +60,40 @@ CUE_STEP: float = _LEX["cue_step"]
 _PROF = _LEX["proficiency"]
 
 
-def _phrase_regex(terms: Sequence[str]) -> re.Pattern:
-    parts = [re.escape(t).replace(r"\ ", r"\s+") for t in terms]
-    return re.compile(r"\b(?:" + "|".join(parts) + r")\b", re.IGNORECASE)
+def _alternation(terms: Sequence[str]) -> str:
+    return "|".join(re.escape(t).replace(r"\ ", r"\s+") for t in terms)
 
 
-_CUE_RES = {name: _phrase_regex(terms) for name, terms in _LEX["lexicons"].items()}
-_EXPERTISE_RE = _phrase_regex(_PROF["expertise_terms"])
-_YEARS_RE = re.compile(r"\b(\d+)\s*\+\s*years?\b", re.IGNORECASE)
+# Phrases found by one scan: each cue lexicon, the expertise terms and "N+ years".
+_PHRASES = {
+    **{name: _alternation(terms) for name, terms in _LEX["lexicons"].items()},
+    "expertise": _alternation(_PROF["expertise_terms"]),
+    "years": r"\d+\s*\+\s*years?",
+}
+_FIRST_CHARS = {
+    re.escape(term[0])
+    for terms in (*_LEX["lexicons"].values(), _PROF["expertise_terms"])
+    for term in terms
+}
+# The scan stops only where some phrase starts (the character class lets the
+# regex engine skip other positions fast); there one optional lookahead per
+# phrase records that phrase's match, so phrases that overlap (e.g. "hands-on"
+# and "on-call" in "hands-on-call") are all seen.
+_PHRASE_SOURCE = (
+    r"\b(?=[\d" + "".join(sorted(_FIRST_CHARS)) + "])"
+    + r"(?=(?:" + "|".join(_PHRASES.values()) + r")\b)"
+    + "".join(f"(?:(?=(?P<{name}>{alt})\\b))?" for name, alt in _PHRASES.items())
+)
+_PHRASE_RE = re.compile(_PHRASE_SOURCE, re.IGNORECASE)
+# For ASCII text: lowercasing keeps offsets and word boundaries, and matching the
+# lowercased text without IGNORECASE is faster. On other text it can do neither
+# ('İ'.lower() is two characters, the second not a word character), and
+# IGNORECASE also matches letters such as 'ſ' that lowercasing leaves alone.
+_PHRASE_RE_ASCII = re.compile(_PHRASE_SOURCE)
+_PHRASE_GROUPS = tuple((name, _PHRASE_RE.groupindex[name]) for name in _PHRASES)
+_TOKEN_RE = re.compile(r"\S+")
+# whitespace that str.strip(_STRIP_CHARS), and so normalize_skill, leaves in place
+_UNSTRIPPED_SPACE_RE = re.compile(r"[^\S" + re.escape(string.whitespace) + "]")
 
 
 @dataclass(frozen=True)
@@ -123,10 +151,6 @@ class TaskSpec:
     content_vector: SparseVector
 
 
-def _tokens_with_spans(text: str) -> list[tuple[int, int]]:
-    return [(m.start(), m.end()) for m in re.finditer(r"\S+", text)]
-
-
 def _trim_span(text: str, start: int, end: int) -> tuple[int, int]:
     while start < end and text[start] in _STRIP_CHARS:
         start += 1
@@ -142,46 +166,96 @@ def _span_distance(a: tuple[int, int], b: tuple[int, int]) -> int:
 
 
 def find_alias_mentions(text: str, ontology: Ontology) -> list[tuple[int, int, str]]:
-    """All non-overlapping alias matches as (start, end, canonical), longest first."""
-    tokens = _tokens_with_spans(text)
-    # each token without its leading punctuation, lowercased; empty when the
-    # token is punctuation only
-    heads = [text[start:end].lstrip(_STRIP_CHARS).lower() for start, end in tokens]
-    matches = []
-    i = 0
-    while i < len(tokens):
-        matched = False
-        max_len = min(ontology.max_alias_tokens, len(tokens) - i)
-        if heads[i] and heads[i] not in ontology.alias_first_words:
+    """All non-overlapping alias matches as (start, end, canonical), longest first.
+
+    The key of a span is ``normalize_skill`` of its text. It is built from the
+    document's tokens, lowercased once: a one-token span's key is its stripped
+    token, and a longer span's key is its tokens joined by one space and
+    stripped, unless the document has whitespace that the strip does not
+    remove (then the span's text is normalized).
+    """
+    words = text.lower().split()  # the \S+ tokens: lower() adds no whitespace
+    keys = [word.strip(_STRIP_CHARS) for word in words]
+    index, first_keys = ontology.alias_index, ontology.alias_first_keys
+    joinable = _UNSTRIPPED_SPACE_RE.search(text) is None
+    # Token offsets. The scan needs them only to normalize span texts; otherwise
+    # they are found afterwards, up to the last match.
+    spans = [] if joinable else [m.span() for m in _TOKEN_RE.finditer(text)]
+    if joinable:
+        # Only these tokens can start a match: a punctuation-only token (its
+        # spans strip to spans of the next tokens), a token whose key is an
+        # alias, and one that can start a multi-word alias. Any other token's
+        # spans have its own key or start with a word that starts no alias.
+        starts = [
+            i for i, key in enumerate(keys) if not key or key in index or key in first_keys
+        ]
+    else:
+        starts = range(len(words))
+    found = []  # (first token, last token, canonical) of each match
+    resume = 0  # tokens before this one belong to the last match
+    for i in starts:
+        if i < resume:
+            continue
+        max_len = min(ontology.max_alias_tokens, len(words) - i)
+        if keys[i] and keys[i] not in first_keys:
             # A span reaching a later token that has content normalizes to a
-            # key of two or more words starting with heads[i], which no alias
-            # has. Spans whose extra tokens are punctuation only normalize to
-            # the token's own key, so they stay candidates.
+            # key of two or more words whose first word no alias key starts
+            # with. Spans whose extra tokens are punctuation only stay
+            # candidates.
             reach = 1
-            while reach < max_len and not heads[i + reach]:
+            while reach < max_len and not keys[i + reach]:
                 reach += 1
             max_len = reach
         for length in range(max_len, 0, -1):
-            start, end = tokens[i][0], tokens[i + length - 1][1]
-            canonical = ontology.alias_index.get(normalize_skill(text[start:end]))
+            last = i + length - 1
+            if length == 1:
+                key = keys[i]
+            elif joinable:
+                key = " ".join(words[i : last + 1]).strip(_STRIP_CHARS)
+            else:
+                key = normalize_skill(text[spans[i][0] : spans[last][1]])
+            canonical = index.get(key)
             if canonical is not None:
-                start, end = _trim_span(text, start, end)
-                matches.append((start, end, canonical))
-                i += length
-                matched = True
+                found.append((i, last, canonical))
+                resume = last + 1
                 break
-        if not matched:
-            i += 1
-    return matches
-
-
-def _proficiency_phrases(text: str) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
-    """Spans of the expertise phrases and of the qualifying years phrases."""
-    expertise = [m.span() for m in _EXPERTISE_RE.finditer(text)]
-    years = [
-        m.span() for m in _YEARS_RE.finditer(text) if int(m.group(1)) >= _PROF["min_years"]
+    if joinable and found:
+        spans = [m.span() for m in islice(_TOKEN_RE.finditer(text), found[-1][1] + 1)]
+    return [
+        (*_trim_span(text, spans[first][0], spans[last][1]), canonical)
+        for first, last, canonical in found
     ]
-    return expertise, years
+
+
+def _scan_phrases(
+    text: str,
+) -> tuple[dict[str, int], list[tuple[int, int]], list[tuple[int, int]]]:
+    """Count each cue lexicon's matches and find the proficiency phrases, in one scan.
+
+    Each phrase keeps its own non-overlapping matches, exactly as a separate
+    ``finditer`` per phrase would. Returns the cue counts, the expertise spans
+    and the spans of the "N+ years" phrases with N >= ``min_years``.
+    """
+    if text.isascii():
+        hits = _PHRASE_RE_ASCII.finditer(text.lower())
+    else:
+        hits = _PHRASE_RE.finditer(text)
+    ends = dict.fromkeys(_PHRASES, 0)  # where each phrase's last match ended
+    found: dict[str, list[tuple[int, int]]] = {name: [] for name in _PHRASES}
+    for hit in hits:
+        regs = hit.regs
+        for name, group in _PHRASE_GROUPS:
+            start, end = regs[group]
+            if start >= ends[name]:  # an unmatched group has start -1
+                ends[name] = end
+                found[name].append((start, end))
+    counts = {name: len(found[name]) for name in _LEX["lexicons"]}
+    years = [
+        (start, end)
+        for start, end in found["years"]
+        if int(text[start:end].partition("+")[0]) >= _PROF["min_years"]
+    ]
+    return counts, found["expertise"], years
 
 
 def _proficiency(
@@ -213,7 +287,7 @@ def extract_rule_based(doc: Document, ontology: Ontology) -> ExtractionResult:
     """Deterministic extractor: alias scan plus lexicon-driven cue scores."""
     text = doc.text
     found = find_alias_mentions(text, ontology)
-    expertise, years = _proficiency_phrases(text)
+    counts, expertise, years = _scan_phrases(text)
     mentions = tuple(
         SkillMention(
             raw=text[start:end],
@@ -222,7 +296,6 @@ def extract_rule_based(doc: Document, ontology: Ontology) -> ExtractionResult:
         )
         for start, end, _ in found
     )
-    counts = {name: len(rx.findall(text)) for name, rx in _CUE_RES.items()}
     cues = PreferenceCues(
         domain_affinity=_domain_affinity({c for _, _, c in found}, ontology),
         prior_exposure=min(1.0, CUE_STEP * counts["prior_exposure"]),
@@ -239,7 +312,10 @@ def extract_rule_based(doc: Document, ontology: Ontology) -> ExtractionResult:
 def _require_number(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SchemaViolationError(path, "must be a number")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # an integer too large for a float
+        raise SchemaViolationError(path, "out of [0, 1]") from None
 
 
 def validate_extraction(raw_response: object, doc: Document) -> ExtractionResult:

@@ -269,7 +269,10 @@ def _decode_record(frame: bytes) -> LedgerRecord:
         raw, off = _read_exact(frame, off, 4, what)
         length = struct.unpack(">I", raw)[0]
         data, off = _read_exact(frame, off, length, what)
-        return data.decode("utf-8"), off
+        try:
+            return data.decode("utf-8"), off
+        except UnicodeDecodeError:
+            raise ParseError(f"{what} is not valid UTF-8") from None
 
     task_id, off = read_lp(off, "task_id")
     event, off = read_lp(off, "event")
@@ -310,10 +313,10 @@ def load_ledger(path: str) -> Ledger:
         data = fh.read()
     if data[:4] != _MAGIC:
         raise ParseError("not a ledger file")
-    if struct.unpack(">H", data[4:6])[0] != _VERSION:
+    raw, offset = _read_exact(data, 4, 2, "ledger header")
+    if struct.unpack(">H", raw)[0] != _VERSION:
         raise ParseError("unsupported ledger version")
     records = []
-    offset = 6
     while offset < len(data):
         raw, offset = _read_exact(data, offset, 4, "frame length")
         length = struct.unpack(">I", raw)[0]

@@ -12,13 +12,12 @@ deterministic and auditable.
 
 from __future__ import annotations
 
-import json
 import string
 from dataclasses import dataclass
 from importlib import resources
 from typing import Iterable, Optional
 
-from .errors import AliasConflictError, CycleError, ParseError, UnknownSkillError
+from .errors import AliasConflictError, CycleError, ParseError, UnknownSkillError, parse_json
 
 _STRIP_CHARS = string.punctuation + string.whitespace
 
@@ -73,9 +72,10 @@ class Ontology:
         self.max_alias_tokens = max(
             (len(key.split()) for key in self.alias_index), default=0
         )
-        # a span of two or more words can match only if it starts with one of these
-        self.alias_first_words = frozenset(
-            key.split(" ", 1)[0] for key in self.alias_index if " " in key
+        # a span of two or more words can match only if its first token, stripped
+        # like a whole key, is one of these
+        self.alias_first_keys = frozenset(
+            key.split(" ", 1)[0].rstrip(_STRIP_CHARS) for key in self.alias_index if " " in key
         )
 
     def _check_acyclic(self) -> None:
@@ -168,11 +168,7 @@ def load_ontology(path: str) -> Ontology:
     for line_no, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON: {exc.msg}", line_no) from exc
-        entries.append(_parse_entry(obj, line_no))
+        entries.append(_parse_entry(parse_json(line, line_no), line_no))
     return Ontology(entries)
 
 

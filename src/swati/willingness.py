@@ -12,14 +12,13 @@ maps to roughly [0.12, 0.88]; a plain logistic on [0, 1] would compress into
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, ParseError
+from .errors import ConfigError, DimensionError, ParseError, parse_json
 from .extraction import Profile, TaskSpec
 from .similarity import skill_incidence, skill_index
 
@@ -228,10 +227,7 @@ def _json_lines(fh) -> Iterator[tuple[int, object]]:
     for line_no, line in enumerate(fh, start=1):
         if not line.strip():
             continue
-        try:
-            yield line_no, json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON: {exc.msg}", line_no) from exc
+        yield line_no, parse_json(line, line_no)
 
 
 def load_history(path: str) -> dict[str, History]:

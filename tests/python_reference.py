@@ -1,15 +1,16 @@
-"""Pure-Python paths that the numpy greedy and the alias scan replaced.
+"""Pure-Python paths that the numpy greedy and the one-scan extractor replaced.
 
-The global-sort greedy and the span-by-span alias scan are kept only as
-references that tests compare the optimized code against, result for result.
+The global-sort greedy, the span-by-span alias scan and the per-lexicon cue
+counts are kept only as references that tests compare the optimized code
+against, result for result.
 """
+
+import re
 
 from swati.assignment import AssignedPair, Assignment
 from swati.extraction import (
-    _CUE_RES,
-    _EXPERTISE_RE,
+    _LEX,
     _PROF,
-    _YEARS_RE,
     CUE_STEP,
     PROXIMITY_WINDOW,
     ExtractionResult,
@@ -17,10 +18,19 @@ from swati.extraction import (
     SkillMention,
     _domain_affinity,
     _span_distance,
-    _tokens_with_spans,
     _trim_span,
 )
 from swati.ontology import normalize_skill
+
+
+def _phrase_regex(terms):
+    parts = [re.escape(t).replace(r"\ ", r"\s+") for t in terms]
+    return re.compile(r"\b(?:" + "|".join(parts) + r")\b", re.IGNORECASE)
+
+
+_CUE_RES = {name: _phrase_regex(terms) for name, terms in _LEX["lexicons"].items()}
+_EXPERTISE_RE = _phrase_regex(_PROF["expertise_terms"])
+_YEARS_RE = re.compile(r"\b(\d+)\s*\+\s*years?\b", re.IGNORECASE)
 
 
 def greedy(matrix, sort_scores, caps, epoch):
@@ -49,7 +59,7 @@ def greedy(matrix, sort_scores, caps, epoch):
 
 def find_alias_mentions(text, ontology):
     """Try every span of up to ``max_alias_tokens`` tokens at every token, longest first."""
-    tokens = _tokens_with_spans(text)
+    tokens = [(m.start(), m.end()) for m in re.finditer(r"\S+", text)]
     matches = []
     i = 0
     while i < len(tokens):

@@ -267,6 +267,55 @@ def test_config_value_errors_are_machine_readable(tmp_path, capsys, monkeypatch,
     assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
 
 
+MALFORMED_SECTIONS = {
+    "vectorizer": 1,
+    "willingness_empty_list": [],
+    "willingness_pairs": [["smoothing", 0.1]],
+    "utility": "product",
+    "capacities": 1,
+    "extractor": "rule",
+    "synthetic": 1,
+    "seeds": 1,
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_SECTIONS))
+def test_config_sections_must_be_objects(tmp_path, capsys, case):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({case.split("_")[0]: MALFORMED_SECTIONS[case]}))
+    rc = main(["gen", "--config", str(config_path), "--out", str(tmp_path / "gen"), "--seed", "1"])
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError"
+    assert "must be an object" in err["detail"]
+    assert not (tmp_path / "gen").exists()
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [{"ontology": 1}, {"ontology": None}, {"history_path": 2}, {"capacities": {"path": 1}}],
+    ids=["ontology_fd", "ontology_null", "history_fd", "capacities_fd"],
+)
+def test_config_paths_must_be_strings(tmp_path, capsys, raw):
+    # an integer path would be read as an open file descriptor
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(raw))
+    rc = main(["gen", "--config", str(config_path), "--out", str(tmp_path / "gen"), "--seed", "1"])
+    assert rc == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+
+
+@pytest.mark.parametrize("blob", [b"SWLG", b"SWLG\x00"], ids=["magic_only", "half_version"])
+def test_verify_rejects_a_truncated_header(tmp_path, capsys, blob):
+    path = tmp_path / "ledger.bin"
+    path.write_bytes(blob)
+    rc = main(["verify", str(path)])
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ParseError"
+    assert "truncated" in err["detail"]
+
+
 def test_bench_smoke(tmp_path):
     out = tmp_path / "bench"
     rc = main(["bench", "--sizes", "4,8", "--seed", "2", "--out", str(out)])

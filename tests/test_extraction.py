@@ -15,6 +15,7 @@ from swati.errors import (
     VectorizerNotFittedError,
 )
 from swati.extraction import (
+    _LEX,
     ExtractionResult,
     PreferenceCues,
     RemoteExtractorConfig,
@@ -422,26 +423,40 @@ def test_extraction_stats_empty():
 
 # --- equivalence with the span-by-span scan -----------------------------------
 
-_OTHER_WORDS = ["expert", "proficient", "5+", "years", "12", "year", "worked", "the", "and"]
+_OTHER_WORDS = [
+    "expert", "Advanced", "proficient", "5+", "years", "12", "year", "5+ years",
+    "3+years", "12 + Years", "2+ year", "worked", "the", "and", "hands-on-call",
+]
+# Letters whose lowercase is longer ('İ'), or another letter ('ẞ', the Kelvin
+# sign), or that IGNORECASE matches to an ASCII letter ('ſ', 'ı').
+_NON_ASCII = ["İ", "ẞ", "\u212a", "ſ", "ı"]
 _PUNCT_TOKENS = ["--", ",", "(", ")", "...", "/", "&", "+", "-"]
+_CUE_TERMS = sorted(
+    {term for terms in _LEX["lexicons"].values() for term in terms}
+    | set(_LEX["proficiency"]["expertise_terms"])
+)
 
 
 def _texts(ontology):
-    """Texts of alias keys and their words, other words and punctuation-only tokens.
+    """Texts of alias keys and their words, cue terms, other words and punctuation.
 
-    Words get leading and trailing punctuation and a case change; tokens are
-    separated by mixed whitespace.
+    Words get leading and trailing punctuation or non-ASCII letters and a case
+    change; tokens are separated by mixed whitespace, some of which
+    ``str.strip`` keeps.
     """
     keys = sorted(ontology.alias_index)
     words = sorted({word for key in keys for word in key.split()})
     word = st.tuples(
-        st.sampled_from(["", "(", "\"", "--", "*"]),
-        st.sampled_from(keys) | st.sampled_from(words) | st.sampled_from(_OTHER_WORDS),
-        st.sampled_from(["", ",", ".", ")", ":", "...", "'s"]),
+        st.sampled_from(["", "(", "\"", "--", "*", *_NON_ASCII]),
+        st.sampled_from(keys)
+        | st.sampled_from(words)
+        | st.sampled_from(_OTHER_WORDS)
+        | st.sampled_from(_CUE_TERMS),
+        st.sampled_from(["", ",", ".", ")", ":", "...", "'s", *_NON_ASCII]),
         st.sampled_from([str, str.upper, str.title]),
     ).map(lambda t: t[0] + t[3](t[1]) + t[2])
-    token = word | st.sampled_from(_PUNCT_TOKENS)
-    separator = st.sampled_from([" ", "  ", "\t", "\n", " \n "])
+    token = word | st.sampled_from(_PUNCT_TOKENS + _NON_ASCII)
+    separator = st.sampled_from([" ", "  ", "\t", "\n", " \n ", "\u00a0", " \u3000 ", "\x1c"])
     return st.lists(st.tuples(token, separator), min_size=1, max_size=40).map(
         lambda parts: "".join(tok + sep for tok, sep in parts)
     )
@@ -454,6 +469,21 @@ def test_rule_based_matches_span_by_span_scan(mini_ontology, builtin_ontology, w
     ontology = mini_ontology if which == "mini" else builtin_ontology
     doc = Document("v1", "volunteer", data.draw(_texts(ontology)))
     assert extract_rule_based(doc, ontology) == ref.extract_rule_based(doc, ontology)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "hands-on-call",  # both prior_exposure and availability count
+        "HANDS-ON-CALL part-time, full-time\ton-call community \n service",
+        "İexpert java",  # 'İ' is a word character; its lowercase ends in one that is not
+        "expertİ java ſhipped ınterested wee\u212aends 5+ years",
+        "java\u00a0--\u00a0yolo v8 \u00a0machine\u00a0learning",
+    ],
+)
+def test_rule_based_matches_reference_on_overlaps_and_non_ascii(mini_ontology, text):
+    doc = Document("v1", "volunteer", text)
+    assert extract_rule_based(doc, mini_ontology) == ref.extract_rule_based(doc, mini_ontology)
 
 
 def test_punctuation_run_after_a_single_word_alias(mini_ontology):
