@@ -20,7 +20,6 @@ import re
 import string
 from dataclasses import dataclass
 from importlib import resources
-from itertools import islice
 from typing import Optional, Sequence
 
 import numpy as np
@@ -86,8 +85,10 @@ _PHRASE_SOURCE = (
 )
 _PHRASE_RE = re.compile(_PHRASE_SOURCE, re.IGNORECASE)
 # For ASCII text: lowercasing keeps offsets and word boundaries, and matching the
-# lowercased text without IGNORECASE is faster. On other text it can do neither
-# ('İ'.lower() is two characters, the second not a word character), and
+# lowercased text without IGNORECASE is faster. That equals IGNORECASE matching
+# only while every phrase term is lowercase ASCII, as the shipped lexicons are
+# (a test checks this). On other text lowercasing can move offsets and word
+# boundaries ('İ'.lower() is two characters, the second not a word character), and
 # IGNORECASE also matches letters such as 'ſ' that lowercasing leaves alone.
 _PHRASE_RE_ASCII = re.compile(_PHRASE_SOURCE)
 _PHRASE_GROUPS = tuple((name, _PHRASE_RE.groupindex[name]) for name in _PHRASES)
@@ -176,21 +177,16 @@ def find_alias_mentions(text: str, ontology: Ontology) -> list[tuple[int, int, s
     """
     words = text.lower().split()  # the \S+ tokens: lower() adds no whitespace
     keys = [word.strip(_STRIP_CHARS) for word in words]
+    spans = [m.span() for m in _TOKEN_RE.finditer(text)]
     index, first_keys = ontology.alias_index, ontology.alias_first_keys
     joinable = _UNSTRIPPED_SPACE_RE.search(text) is None
-    # Token offsets. The scan needs them only to normalize span texts; otherwise
-    # they are found afterwards, up to the last match.
-    spans = [] if joinable else [m.span() for m in _TOKEN_RE.finditer(text)]
-    if joinable:
-        # Only these tokens can start a match: a punctuation-only token (its
-        # spans strip to spans of the next tokens), a token whose key is an
-        # alias, and one that can start a multi-word alias. Any other token's
-        # spans have its own key or start with a word that starts no alias.
-        starts = [
-            i for i, key in enumerate(keys) if not key or key in index or key in first_keys
-        ]
-    else:
-        starts = range(len(words))
+    # Only these tokens can start a match: a punctuation-only token (its spans
+    # strip to spans of the next tokens), a token whose key is an alias, and one
+    # that can start a multi-word alias. Any other token's spans have its own
+    # key or a key whose first word starts no alias.
+    starts = [
+        i for i, key in enumerate(keys) if not key or key in index or key in first_keys
+    ]
     found = []  # (first token, last token, canonical) of each match
     resume = 0  # tokens before this one belong to the last match
     for i in starts:
@@ -219,8 +215,6 @@ def find_alias_mentions(text: str, ontology: Ontology) -> list[tuple[int, int, s
                 found.append((i, last, canonical))
                 resume = last + 1
                 break
-    if joinable and found:
-        spans = [m.span() for m in islice(_TOKEN_RE.finditer(text), found[-1][1] + 1)]
     return [
         (*_trim_span(text, spans[first][0], spans[last][1]), canonical)
         for first, last, canonical in found
@@ -455,7 +449,7 @@ def extract_remote(doc: Document, cfg: RemoteExtractorConfig) -> ExtractionResul
             raise TransportError(f"endpoint returned status {resp.status_code}")
         try:
             body = resp.json()
-        except ValueError:
+        except (ValueError, RecursionError):  # RecursionError: very deep nesting
             last_violation = SchemaViolationError("", "response is not valid JSON")
             continue
         try:

@@ -230,7 +230,7 @@ class _ScriptedHandler(BaseHTTPRequestHandler):
         )
         if delay:
             time.sleep(delay)
-        payload = json.dumps(body).encode()
+        payload = body if isinstance(body, bytes) else json.dumps(body).encode()
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(payload)))
@@ -285,6 +285,14 @@ def test_remote_schema_violation_after_retries(scripted_server):
     with pytest.raises(SchemaViolationError):
         extract_remote(_doc("Knows CV well"), _remote_cfg(scripted_server, retries=2))
     assert len(scripted_server.requests) == 3
+
+
+@pytest.mark.parametrize("body", [b"not json", b"[" * 5000], ids=["garbage", "deep"])
+def test_remote_unreadable_json_is_schema_violation(scripted_server, body):
+    scripted_server.script.extend([(200, body, 0.0)] * 2)
+    with pytest.raises(SchemaViolationError, match="not valid JSON"):
+        extract_remote(_doc("Knows CV well"), _remote_cfg(scripted_server, retries=1))
+    assert len(scripted_server.requests) == 2
 
 
 def test_remote_bad_status_is_transport_error(scripted_server):
@@ -484,6 +492,12 @@ def test_rule_based_matches_span_by_span_scan(mini_ontology, builtin_ontology, w
 def test_rule_based_matches_reference_on_overlaps_and_non_ascii(mini_ontology, text):
     doc = Document("v1", "volunteer", text)
     assert extract_rule_based(doc, mini_ontology) == ref.extract_rule_based(doc, mini_ontology)
+
+
+def test_phrase_terms_are_lowercase_ascii():
+    # ASCII text is lowercased and matched case-sensitively, which counts the
+    # same as IGNORECASE only for lowercase ASCII terms
+    assert all(term.isascii() and term == term.lower() for term in _CUE_TERMS)
 
 
 def test_punctuation_run_after_a_single_word_alias(mini_ontology):
