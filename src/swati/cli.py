@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 from typing import Optional, Sequence
 
 from . import __version__
@@ -26,7 +27,7 @@ from .corpus import (
     save_corpus,
     save_history,
 )
-from .errors import ConfigError, EngineError
+from .errors import ConfigError, EngineError, write_jsonl
 from .extraction import build_market, extract_remote, extract_rule_based, extraction_stats
 from .ledger import Ledger, export_ledger_text, load_ledger, save_ledger, verify
 from .metrics import (
@@ -39,16 +40,17 @@ from .metrics import (
 from .willingness import load_history
 
 
-def _write_manifest(out_dir: str, command: str, cfg: EngineConfig, **extra) -> None:
-    manifest = {
-        "command": command,
-        "config_digest": cfg.digest(),
-        "version": __version__,
-        **extra,
-    }
-    with open(os.path.join(out_dir, "manifest.json"), "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, sort_keys=True, indent=2)
+def _write_json(path: str, obj: dict) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh, sort_keys=True, indent=2)
         fh.write("\n")
+
+
+def _write_manifest(out_dir: str, command: str, cfg: EngineConfig, **extra) -> None:
+    _write_json(
+        os.path.join(out_dir, "manifest.json"),
+        {"command": command, "config_digest": cfg.digest(), "version": __version__, **extra},
+    )
 
 
 def _ensure_out(path: str) -> str:
@@ -58,15 +60,15 @@ def _ensure_out(path: str) -> str:
 
 def _synthetic_config(cfg: EngineConfig, args) -> SyntheticConfig:
     syn = cfg.synthetic
-    seed = args.seed if args.seed is not None else syn.get("seed")
+    seed = args.seed if args.seed is not None else syn["seed"]
     if seed is None:
         raise ConfigError("synthetic generation needs a seed (--seed or config)")
     return SyntheticConfig(
         seed=seed,
         n_volunteers=syn["n_volunteers"] if args.n_volunteers is None else args.n_volunteers,
         n_tasks=syn["n_tasks"] if args.n_tasks is None else args.n_tasks,
-        skills_per_volunteer=tuple(syn["skills_per_volunteer"]),
-        skills_per_task=tuple(syn["skills_per_task"]),
+        skills_per_volunteer=syn["skills_per_volunteer"],
+        skills_per_task=syn["skills_per_task"],
         cue_density=syn["cue_density"],
         vocabulary_ref=cfg.ontology_path,
     )
@@ -98,11 +100,7 @@ def cmd_gen(args) -> int:
         input_digests={"ontology": input_digest(cfg.ontology_path)},
         seeds={"synthetic": syn_cfg.seed},
         outputs={"corpus": "corpus.jsonl", "history": "history.jsonl"},
-        stats={
-            "n_volunteers": stats.n_volunteers,
-            "n_tasks": stats.n_tasks,
-            "mean_text_length": stats.mean_text_length,
-        },
+        stats=asdict(stats),
     )
     print(f"wrote {stats.n_volunteers} volunteers, {stats.n_tasks} tasks to {corpus_path}")
     return 0
@@ -120,49 +118,13 @@ def cmd_extract(args) -> int:
     for doc in corpus.documents():
         result = extractor(doc, ontology)
         results.append(result)
-        skills, unresolved = ontology.canonicalize_report(
-            m.raw for m in result.mentions
-        )
+        skills, unresolved = ontology.canonicalize_report(m.raw for m in result.mentions)
         records.append(
-            {
-                "doc_id": doc.id,
-                "kind": doc.kind,
-                "skills": sorted(skills),
-                "unresolved": unresolved,
-                "mentions": [
-                    {
-                        "raw": m.raw,
-                        "evidence": list(m.evidence),
-                        "proficiency": m.proficiency,
-                    }
-                    for m in result.mentions
-                ],
-                "cues": {
-                    "domain_affinity": result.cues.domain_affinity,
-                    "prior_exposure": result.cues.prior_exposure,
-                    "stated_interest": result.cues.stated_interest,
-                    "volunteering_history": result.cues.volunteering_history,
-                    "availability": result.cues.availability,
-                },
-            }
+            dict(asdict(result), kind=doc.kind, skills=sorted(skills), unresolved=unresolved)
         )
-    with open(os.path.join(out, "extraction.jsonl"), "w", encoding="utf-8") as fh:
-        for record in records:
-            fh.write(json.dumps(record, sort_keys=True))
-            fh.write("\n")
+    write_jsonl(os.path.join(out, "extraction.jsonl"), records)
     stats = extraction_stats(results, ontology)
-    with open(os.path.join(out, "extraction_stats.json"), "w", encoding="utf-8") as fh:
-        json.dump(
-            {
-                "total_skills": stats.total_skills,
-                "unique_vocabulary": stats.unique_vocabulary,
-                "avg_per_doc": stats.avg_per_doc,
-            },
-            fh,
-            sort_keys=True,
-            indent=2,
-        )
-        fh.write("\n")
+    _write_json(os.path.join(out, "extraction_stats.json"), asdict(stats))
     _write_manifest(
         out,
         "extract",
@@ -199,25 +161,15 @@ def cmd_match(args) -> int:
     assignment = result.assignments[args.method]
 
     out = _ensure_out(args.out)
-    with open(os.path.join(out, "assignment.jsonl"), "w", encoding="utf-8") as fh:
-        for pair in assignment.pairs:
-            i, j = matrix.position(pair.volunteer_id, pair.task_id)
-            fh.write(
-                json.dumps(
-                    {
-                        "volunteer_id": pair.volunteer_id,
-                        "task_id": pair.task_id,
-                        "utility": pair.utility,
-                        "components": {
-                            "skill": float(matrix.skill[i, j]),
-                            "content": float(matrix.content[i, j]),
-                            "willingness": float(matrix.willingness[i, j]),
-                        },
-                    },
-                    sort_keys=True,
-                )
-            )
-            fh.write("\n")
+    rows = []
+    for pair in assignment.pairs:
+        i, j = matrix.position(pair.volunteer_id, pair.task_id)
+        components = {
+            name: float(getattr(matrix, name)[i, j])
+            for name in ("skill", "content", "willingness")
+        }
+        rows.append({**vars(pair), "components": components})
+    write_jsonl(os.path.join(out, "assignment.jsonl"), rows)
 
     report = quality(assignment, corpus.n_tasks, method=args.method)
     write_quality_csv(os.path.join(out, "quality.csv"), [report])
@@ -284,11 +236,7 @@ def cmd_bench(args) -> int:
                 f"{size},{report.method},{report.total_utility:.6f},"
                 f"{report.avg_utility:.6f},{report.coverage:.6f},{report.pair_count}\n"
             )
-    for size in sizes:
-        per_method = {}
-        for s, method, threshold, fraction in result.cdf:
-            if s == size:
-                per_method.setdefault(method, []).append((threshold, fraction))
+    for size, per_method in result.cdf.items():
         write_cdf_csv(os.path.join(out, f"cdf_{size}.csv"), per_method)
     _write_manifest(
         out,

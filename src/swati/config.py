@@ -114,37 +114,37 @@ def build_config(raw: Optional[dict] = None) -> EngineConfig:
     if raw["ontology"] is None:
         raise ConfigError("ontology must name a file or builtin:cs")
     _require_file(raw["ontology"], "ontology")
-    _require_file(raw["capacities"].get("path"), "capacities")
+    _require_file(raw["capacities"]["path"], "capacities")
     _require_file(raw["history_path"], "history")
 
     try:
         vectorizer = VectorizerSettings(**raw["vectorizer"])
         will = dict(raw["willingness"])
-        will["cue_weights"] = tuple(will.get("cue_weights", (0.2,) * 5))
+        will["cue_weights"] = tuple(will["cue_weights"])
         willingness = WillingnessParams(**will)
         utility = UtilityParams(
             skill_weight=raw["utility"]["skill_weight"],
             content_weight=raw["utility"]["content_weight"],
-            form=UtilityForm(raw["utility"].get("form", "product")),
+            form=UtilityForm(raw["utility"]["form"]),
         )
         # a remote section that is not an object, or has unknown keys, is a TypeError
-        remote = raw["extractor"].get("remote")
+        remote = raw["extractor"]["remote"]
         remote = RemoteExtractorConfig(**remote) if remote else None
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
 
     caps_raw = raw["capacities"]
     mapping = {}
-    if caps_raw.get("path"):
+    if caps_raw["path"]:
         mapping = _read_json(caps_raw["path"], "capacities")
         if not isinstance(mapping, dict) or not all(
             isinstance(k, str) and isinstance(v, int) for k, v in mapping.items()
         ):
             raise ConfigError("capacities file must map volunteer ids to integers")
-    capacities = CapacityMap(mapping, default=caps_raw.get("default", 1))
+    capacities = CapacityMap(mapping, default=caps_raw["default"])
 
     extractor = raw["extractor"]
-    kind = extractor.get("kind", "rule")
+    kind = extractor["kind"]
     if kind not in ("rule", "remote"):
         raise ConfigError(f"unknown extractor kind {kind!r}")
     if remote is not None:
@@ -163,7 +163,7 @@ def build_config(raw: Optional[dict] = None) -> EngineConfig:
         remote=remote,
         history_path=raw["history_path"],
         synthetic=raw["synthetic"],
-        random_method_seed=raw["seeds"].get("random_method"),
+        random_method_seed=raw["seeds"]["random_method"],
     )
 
 

@@ -15,12 +15,11 @@ the range midpoint.
 
 from __future__ import annotations
 
-import json
 import random
 import warnings
 from dataclasses import dataclass, field
 
-from .errors import ConfigError, DuplicateIdError, ParseError, parse_json
+from .errors import ConfigError, DuplicateIdError, ParseError, read_jsonl, write_jsonl
 from .ontology import Ontology, normalize_skill
 
 VOLUNTEER = "volunteer"
@@ -74,6 +73,10 @@ class CorpusStats:
     mean_text_length: float
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class SyntheticConfig:
     seed: int
@@ -85,16 +88,22 @@ class SyntheticConfig:
     vocabulary_ref: str = "builtin:cs"
 
     def __post_init__(self):
+        if not all(map(_is_int, (self.seed, self.n_volunteers, self.n_tasks))):
+            raise ConfigError("synthetic seed and counts must be integers")
         if self.n_volunteers <= 0 or self.n_tasks <= 0:
             raise ConfigError("volunteer and task counts must be positive")
-        for name, rng in (
-            ("skills_per_volunteer", self.skills_per_volunteer),
-            ("skills_per_task", self.skills_per_task),
-        ):
+        for name in ("skills_per_volunteer", "skills_per_task"):
+            rng = getattr(self, name)
+            if not isinstance(rng, (list, tuple)) or len(rng) != 2 or not all(map(_is_int, rng)):
+                raise ConfigError(f"{name} must be two integers [lo, hi], got {rng!r}")
             lo, hi = rng
             if lo < 1 or hi < lo:
                 raise ConfigError(f"{name} range {rng} is empty or infeasible")
-        if not 0.0 <= self.cue_density <= 1.0:
+            object.__setattr__(self, name, tuple(rng))  # a config file gives a list
+        density = self.cue_density
+        if isinstance(density, bool) or not isinstance(density, (int, float)):
+            raise ConfigError(f"cue_density must be a number, got {density!r}")
+        if not 0.0 <= density <= 1.0:
             raise ConfigError("cue_density must lie in [0, 1]")
 
 
@@ -128,32 +137,18 @@ def load_corpus(path: str, strict: bool = False) -> Corpus:
     """Read a JSONL corpus, preserving file order. Raises on the first bad line."""
     volunteers: list[Document] = []
     tasks: list[Document] = []
-    seen: dict[str, int] = {}
-    try:
-        with open(path, encoding="utf-8") as fh:
-            for line_no, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
-                doc = _parse_document(parse_json(line, line_no), line_no, strict)
-                if doc.id in seen:
-                    raise DuplicateIdError(doc.id, line_no)
-                seen[doc.id] = line_no
-                (volunteers if doc.kind == VOLUNTEER else tasks).append(doc)
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"corpus file {path} is not valid UTF-8") from exc
+    seen: set[str] = set()
+    for line_no, obj in read_jsonl(path, "corpus"):
+        doc = _parse_document(obj, line_no, strict)
+        if doc.id in seen:
+            raise DuplicateIdError(doc.id, line_no)
+        seen.add(doc.id)
+        (volunteers if doc.kind == VOLUNTEER else tasks).append(doc)
     return Corpus(volunteers=tuple(volunteers), tasks=tuple(tasks))
 
 
 def save_corpus(corpus: Corpus, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for doc in corpus.documents():
-            fh.write(
-                json.dumps(
-                    {"id": doc.id, "kind": doc.kind, "text": doc.text, "meta": doc.meta},
-                    sort_keys=True,
-                )
-            )
-            fh.write("\n")
+    write_jsonl(path, map(vars, corpus.documents()))
 
 
 def corpus_stats(corpus: Corpus) -> CorpusStats:
@@ -271,19 +266,9 @@ _CUE_SENTENCE_POOLS = [
 _PRIMARY_DOMAIN_BIAS = 0.85
 
 
-def _contains_alias(text: str, ontology: Ontology) -> str | None:
-    """Return an alias key occurring in `text` as a token sequence, if any."""
-    tokens = text.split()
-    max_len = ontology.max_alias_tokens
-    for i in range(len(tokens)):
-        for length in range(1, min(max_len, len(tokens) - i) + 1):
-            key = normalize_skill(" ".join(tokens[i : i + length]))
-            if key and key in ontology.alias_index:
-                return key
-    return None
-
-
 def _check_templates(ontology: Ontology) -> None:
+    from .extraction import find_alias_mentions  # extraction imports this module
+
     pools = [
         _VOLUNTEER_INTROS,
         _EXPOSURE_SENTENCES,
@@ -298,11 +283,12 @@ def _check_templates(ontology: Ontology) -> None:
     ]
     for pool in pools:
         for sentence in pool:
-            hit = _contains_alias(sentence, ontology)
-            if hit is not None:
+            found = find_alias_mentions(sentence, ontology)
+            if found:
+                start, end, _ = found[0]
                 raise ConfigError(
-                    f"ontology alias {hit!r} collides with generator template "
-                    f"{sentence!r}; generated skill sets would not be exact"
+                    f"ontology alias {normalize_skill(sentence[start:end])!r} collides with "
+                    f"generator template {sentence!r}; generated skill sets would not be exact"
                 )
 
 
@@ -334,6 +320,26 @@ def _alias_phrase(rng: random.Random, entries) -> tuple[str, list[str]]:
     return ", ".join(words), canonicals
 
 
+def _cue_sentences(rng: random.Random, cue_density: float) -> list[str]:
+    # One latent engagement level drives every cue category, and its
+    # distribution is bimodal: markets contain genuinely reluctant and
+    # genuinely keen volunteers, not a uniform middle.
+    mode = rng.random()
+    if mode < 0.45:
+        engagement = 0.25 * rng.random()
+    elif mode < 0.9:
+        engagement = 0.75 + 0.25 * rng.random()
+    else:
+        engagement = rng.random()
+    sentences = []
+    for pool in _CUE_SENTENCE_POOLS:
+        if rng.random() < cue_density * (0.25 + 1.5 * engagement):
+            bucket = min(len(pool) - 1, int((1.0 - engagement) * len(pool)))
+            idx = min(len(pool) - 1, max(0, bucket + rng.randrange(-1, 2)))
+            sentences.append(pool[idx])
+    return sentences
+
+
 def generate_synthetic(cfg: SyntheticConfig, ontology: Ontology) -> Corpus:
     """Deterministically synthesize a volunteer/task market from an ontology."""
     if len(ontology) == 0:
@@ -362,76 +368,37 @@ def generate_synthetic(cfg: SyntheticConfig, ontology: Ontology) -> Corpus:
 
     rng = random.Random(cfg.seed)
     width = max(3, len(str(max(cfg.n_volunteers, cfg.n_tasks) - 1)))
-
-    volunteers = []
-    lo, hi = cfg.skills_per_volunteer
-    for i in range(cfg.n_volunteers):
-        count = _cycle_count(i, lo, hi)
-        primary, entries = _sample_entries(rng, by_root, outside_root, roots, count)
-        phrase, canonicals = _alias_phrase(rng, entries)
-        sentences = [
-            rng.choice(_VOLUNTEER_INTROS),
-            rng.choice(_SKILL_LEADS).format(phrase),
-        ]
-        # One latent engagement level drives every cue category, and its
-        # distribution is bimodal: markets contain genuinely reluctant and
-        # genuinely keen volunteers, not a uniform middle.
-        mode = rng.random()
-        if mode < 0.45:
-            engagement = 0.25 * rng.random()
-        elif mode < 0.9:
-            engagement = 0.75 + 0.25 * rng.random()
-        else:
-            engagement = rng.random()
-        for pool in _CUE_SENTENCE_POOLS:
-            if rng.random() < cfg.cue_density * (0.25 + 1.5 * engagement):
-                bucket = min(len(pool) - 1, int((1.0 - engagement) * len(pool)))
-                idx = min(len(pool) - 1, max(0, bucket + rng.randrange(-1, 2)))
-                sentences.append(pool[idx])
-        sentences.extend(rng.sample(_CONTEXT_SENTENCES, 3))
-        if rng.random() < 0.5:
-            sentences.append(rng.choice(_VOLUNTEER_CLOSERS))
-        volunteers.append(
-            Document(
-                id=f"v{i:0{width}d}",
-                kind=VOLUNTEER,
-                text=" ".join(sentences),
-                meta={
-                    "source": "synthetic",
-                    "vocabulary_ref": cfg.vocabulary_ref,
-                    "domain": primary,
-                    "planted_skills": "|".join(sorted(canonicals)),
-                },
+    volunteers: list[Document] = []
+    tasks: list[Document] = []
+    for docs, kind, n, (lo, hi), intros, leads, closers in (
+        (volunteers, VOLUNTEER, cfg.n_volunteers, cfg.skills_per_volunteer,
+         _VOLUNTEER_INTROS, _SKILL_LEADS, _VOLUNTEER_CLOSERS),
+        (tasks, TASK, cfg.n_tasks, cfg.skills_per_task,
+         _TASK_INTROS, _REQUIREMENT_LEADS, _TASK_CLOSERS),
+    ):
+        for i in range(n):
+            count = _cycle_count(i, lo, hi)
+            primary, entries = _sample_entries(rng, by_root, outside_root, roots, count)
+            phrase, canonicals = _alias_phrase(rng, entries)
+            sentences = [rng.choice(intros), rng.choice(leads).format(phrase)]
+            if kind == VOLUNTEER:
+                sentences.extend(_cue_sentences(rng, cfg.cue_density))
+            sentences.extend(rng.sample(_CONTEXT_SENTENCES, 3))
+            if rng.random() < 0.5:
+                sentences.append(rng.choice(closers))
+            docs.append(
+                Document(
+                    id=f"{kind[0]}{i:0{width}d}",  # v000..., t000...
+                    kind=kind,
+                    text=" ".join(sentences),
+                    meta={
+                        "source": "synthetic",
+                        "vocabulary_ref": cfg.vocabulary_ref,
+                        "domain": primary,
+                        "planted_skills": "|".join(sorted(canonicals)),
+                    },
+                )
             )
-        )
-
-    tasks = []
-    lo, hi = cfg.skills_per_task
-    for j in range(cfg.n_tasks):
-        count = _cycle_count(j, lo, hi)
-        primary, entries = _sample_entries(rng, by_root, outside_root, roots, count)
-        phrase, canonicals = _alias_phrase(rng, entries)
-        sentences = [
-            rng.choice(_TASK_INTROS),
-            rng.choice(_REQUIREMENT_LEADS).format(phrase),
-        ]
-        sentences.extend(rng.sample(_CONTEXT_SENTENCES, 3))
-        if rng.random() < 0.5:
-            sentences.append(rng.choice(_TASK_CLOSERS))
-        tasks.append(
-            Document(
-                id=f"t{j:0{width}d}",
-                kind=TASK,
-                text=" ".join(sentences),
-                meta={
-                    "source": "synthetic",
-                    "vocabulary_ref": cfg.vocabulary_ref,
-                    "domain": primary,
-                    "planted_skills": "|".join(sorted(canonicals)),
-                },
-            )
-        )
-
     return Corpus(volunteers=tuple(volunteers), tasks=tuple(tasks))
 
 
@@ -470,7 +437,4 @@ def generate_synthetic_history(
 
 
 def save_history(records: list[dict], path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for record in records:
-            fh.write(json.dumps(record, sort_keys=True))
-            fh.write("\n")
+    write_jsonl(path, records)

@@ -1,10 +1,12 @@
-"""Exception types shared across the engine.
+"""Exception types shared across the engine, and the JSON readers and writer.
 
 Unreadable files surface as the builtin ``OSError``/``IOError``; everything
-domain-specific gets a class here so callers can catch narrowly.
+domain-specific gets a class here so callers can catch narrowly. Every JSON
+and JSONL input is parsed here, so each ends in ``ParseError`` the same way.
 """
 
 import json
+from typing import Iterable, Iterator
 
 
 class EngineError(Exception):
@@ -33,6 +35,30 @@ def parse_json(text: str, line: int | None = None) -> object:
         raise ParseError(f"invalid JSON: {exc.msg}", line) from exc
     except (ValueError, RecursionError) as exc:
         raise ParseError(f"invalid JSON: {exc}", line) from exc
+
+
+def read_jsonl(path, what: str) -> Iterator[tuple[int, object]]:
+    """Yield (1-based line number, value) for each non-blank line of a JSONL file.
+
+    Lines end at ``\n``, ``\r`` or ``\r\n`` only, so a raw U+2028 inside a
+    JSON string stays in its line. ``what`` names the file in the error
+    raised for bytes that are not UTF-8.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for line_no, line in enumerate(fh, start=1):
+                if line.strip():
+                    yield line_no, parse_json(line, line_no)
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{what} file {path} is not valid UTF-8") from exc
+
+
+def write_jsonl(path: str, rows: Iterable[object]) -> None:
+    """Write each row as one ``json.dumps(row, sort_keys=True)`` line."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for row in rows:
+            fh.write(json.dumps(row, sort_keys=True))
+            fh.write("\n")
 
 
 class DuplicateIdError(ParseError):

@@ -18,7 +18,8 @@ import json
 import math
 import re
 import string
-from dataclasses import dataclass
+import unicodedata
+from dataclasses import dataclass, replace
 from importlib import resources
 from typing import Optional, Sequence
 
@@ -32,10 +33,8 @@ from .errors import (
     TransportError,
     VectorizerNotFittedError,
 )
-from .ontology import Ontology, normalize_skill
+from .ontology import _STRIP_CHARS, Ontology, normalize_skill
 from .similarity import SparseVector, VectorizerModel, vectorize
-
-_STRIP_CHARS = string.punctuation + string.whitespace
 
 SCHEMA_VERSION = "v1"
 
@@ -247,9 +246,18 @@ def _scan_phrases(
     years = [
         (start, end)
         for start, end in found["years"]
-        if int(text[start:end].partition("+")[0]) >= _PROF["min_years"]
+        if _at_least_min_years(text[start:end].partition("+")[0])
     ]
     return counts, found["expertise"], years
+
+
+def _at_least_min_years(number: str) -> bool:
+    """``int(number) >= min_years`` without converting: ``int`` refuses 4,301 digits."""
+    digits = number.strip()
+    if not digits.isascii():  # \d also matches other scripts' decimal digits
+        digits = "".join(str(unicodedata.decimal(c)) for c in digits)
+    digits, bound = digits.lstrip("0"), str(_PROF["min_years"]).lstrip("0")
+    return (len(digits), digits) >= (len(bound), bound)
 
 
 def _proficiency(
@@ -413,13 +421,7 @@ class RemoteExtractorConfig:
                 f"SWATI_REMOTE_TIMEOUT/SWATI_REMOTE_RETRIES must be numbers: {exc}"
             ) from exc
         api_key = env.get("SWATI_REMOTE_API_KEY", base.api_key)
-        return cls(
-            endpoint=base.endpoint,
-            timeout=timeout,
-            retries=retries,
-            schema_version=base.schema_version,
-            api_key=api_key,
-        )
+        return replace(base, timeout=timeout, retries=retries, api_key=api_key)
 
 
 def extract_remote(doc: Document, cfg: RemoteExtractorConfig) -> ExtractionResult:
@@ -460,15 +462,22 @@ def extract_remote(doc: Document, cfg: RemoteExtractorConfig) -> ExtractionResul
     raise last_violation
 
 
-def load_prompt_template() -> str:
-    return (
-        resources.files("swati.data")
-        .joinpath(f"extraction_prompt_{SCHEMA_VERSION}.txt")
-        .read_text("utf-8")
-    )
-
-
 # --- profile construction and statistics ----------------------------------
+
+
+def _skills_and_vector(
+    caller: str,
+    doc: Document,
+    ex: ExtractionResult,
+    ontology: Ontology,
+    vec: Optional[VectorizerModel],
+) -> tuple[frozenset[str], SparseVector]:
+    if vec is None:
+        raise VectorizerNotFittedError(f"{caller} requires a fitted vectorizer")
+    if ex.doc_id != doc.id:
+        raise ValueError(f"extraction {ex.doc_id!r} does not match document {doc.id!r}")
+    skills = ontology.canonicalize_set(m.raw for m in ex.mentions)
+    return frozenset(skills), vectorize(vec, doc.text)
 
 
 def build_profile(
@@ -477,18 +486,9 @@ def build_profile(
     ontology: Ontology,
     vec: Optional[VectorizerModel],
 ) -> Profile:
-    if vec is None:
-        raise VectorizerNotFittedError("build_profile requires a fitted vectorizer")
-    if ex.doc_id != doc.id:
-        raise ValueError(f"extraction {ex.doc_id!r} does not match document {doc.id!r}")
-    skills = ontology.canonicalize_set(m.raw for m in ex.mentions)
-    return Profile(
-        id=doc.id,
-        skills=frozenset(skills),
-        content_vector=vectorize(vec, doc.text),
-        cues=ex.cues,
-        history_ref=doc.meta.get("history_ref", doc.id),
-    )
+    skills, vector = _skills_and_vector("build_profile", doc, ex, ontology, vec)
+    history_ref = doc.meta.get("history_ref", doc.id)
+    return Profile(doc.id, skills, vector, ex.cues, history_ref)
 
 
 def build_taskspec(
@@ -497,25 +497,14 @@ def build_taskspec(
     ontology: Ontology,
     vec: Optional[VectorizerModel],
 ) -> TaskSpec:
-    if vec is None:
-        raise VectorizerNotFittedError("build_taskspec requires a fitted vectorizer")
-    if ex.doc_id != doc.id:
-        raise ValueError(f"extraction {ex.doc_id!r} does not match document {doc.id!r}")
-    skills = ontology.canonicalize_set(m.raw for m in ex.mentions)
-    return TaskSpec(
-        id=doc.id,
-        required_skills=frozenset(skills),
-        content_vector=vectorize(vec, doc.text),
-    )
+    skills, vector = _skills_and_vector("build_taskspec", doc, ex, ontology, vec)
+    return TaskSpec(doc.id, skills, vector)
 
 
 @dataclass(frozen=True)
 class Market:
     profiles: tuple[Profile, ...]
     taskspecs: tuple[TaskSpec, ...]
-    volunteer_results: tuple[ExtractionResult, ...]
-    task_results: tuple[ExtractionResult, ...]
-    vectorizer: VectorizerModel
 
 
 def build_market(corpus, ontology: Ontology, settings=None, extractor=None) -> Market:
@@ -532,22 +521,17 @@ def build_market(corpus, ontology: Ontology, settings=None, extractor=None) -> M
     if settings is None:
         settings = VectorizerSettings()
     vec = fit_vectorizer(corpus, settings)
-    volunteer_results = tuple(extractor(doc, ontology) for doc in corpus.volunteers)
-    task_results = tuple(extractor(doc, ontology) for doc in corpus.tasks)
-    profiles = tuple(
-        build_profile(doc, res, ontology, vec)
-        for doc, res in zip(corpus.volunteers, volunteer_results)
-    )
-    taskspecs = tuple(
-        build_taskspec(doc, res, ontology, vec)
-        for doc, res in zip(corpus.tasks, task_results)
-    )
+    volunteer_results = [extractor(doc, ontology) for doc in corpus.volunteers]
+    task_results = [extractor(doc, ontology) for doc in corpus.tasks]
     return Market(
-        profiles=profiles,
-        taskspecs=taskspecs,
-        volunteer_results=volunteer_results,
-        task_results=task_results,
-        vectorizer=vec,
+        profiles=tuple(
+            build_profile(doc, res, ontology, vec)
+            for doc, res in zip(corpus.volunteers, volunteer_results)
+        ),
+        taskspecs=tuple(
+            build_taskspec(doc, res, ontology, vec)
+            for doc, res in zip(corpus.tasks, task_results)
+        ),
     )
 
 

@@ -30,7 +30,7 @@ from __future__ import annotations
 import enum
 import hashlib
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Optional
 
 from .assignment import Assignment, assignment_digest
@@ -39,6 +39,7 @@ from .errors import (
     IllegalTransitionError,
     ParseError,
     UnknownTaskError,
+    write_jsonl,
 )
 
 ZERO_DIGEST = b"\x00" * 32
@@ -76,39 +77,23 @@ class LedgerRecord:
     hash: bytes
 
     def core_bytes(self) -> bytes:
-        return _encode_core(
-            self.index,
+        """The hashed encoding of every field but ``hash`` (see the module docstring)."""
+        volunteer, digest = self.volunteer_id, self.assignment_digest
+        return b"".join((
+            struct.pack(">Q", self.index),
             self.prev_hash,
-            self.task_id,
-            self.event,
-            self.volunteer_id,
-            self.epoch,
-            self.assignment_digest,
-            self.timestamp,
-        )
+            _lp(self.task_id),
+            _lp(self.event),
+            b"\x00" if volunteer is None else b"\x01" + _lp(volunteer),
+            struct.pack(">Q", self.epoch),
+            b"\x00" if digest is None else b"\x01" + digest,
+            struct.pack(">Q", self.timestamp),
+        ))
 
 
 def _lp(value: str) -> bytes:
     data = value.encode("utf-8")
     return struct.pack(">I", len(data)) + data
-
-
-def _encode_core(
-    index: int,
-    prev_hash: bytes,
-    task_id: str,
-    event: str,
-    volunteer_id: Optional[str],
-    epoch: int,
-    digest: Optional[bytes],
-    timestamp: int,
-) -> bytes:
-    parts = [struct.pack(">Q", index), prev_hash, _lp(task_id), _lp(event)]
-    parts.append(b"\x00" if volunteer_id is None else b"\x01" + _lp(volunteer_id))
-    parts.append(struct.pack(">Q", epoch))
-    parts.append(b"\x00" if digest is None else b"\x01" + digest)
-    parts.append(struct.pack(">Q", timestamp))
-    return b"".join(parts)
 
 
 @dataclass(frozen=True)
@@ -140,23 +125,11 @@ class Ledger:
         epoch: int,
         digest: Optional[bytes],
     ) -> LedgerRecord:
-        index = len(self.records)
-        prev_hash = self.head()
-        timestamp = self._clock
-        core = _encode_core(
-            index, prev_hash, task_id, event, volunteer_id, epoch, digest, timestamp
+        unsigned = LedgerRecord(
+            len(self.records), self.head(), task_id, event, volunteer_id, epoch, digest,
+            self._clock, hash=b"",
         )
-        record = LedgerRecord(
-            index=index,
-            prev_hash=prev_hash,
-            task_id=task_id,
-            event=event,
-            volunteer_id=volunteer_id,
-            epoch=epoch,
-            assignment_digest=digest,
-            timestamp=timestamp,
-            hash=hashlib.sha256(core).digest(),
-        )
+        record = replace(unsigned, hash=hashlib.sha256(unsigned.core_bytes()).digest())
         self.records.append(record)
         self._clock += 1
         self.state_index[task_id] = TaskState(event)
@@ -327,28 +300,8 @@ def load_ledger(path: str) -> Ledger:
 
 def export_ledger_text(ledger: Ledger, path: str) -> None:
     """Human-inspectable JSONL mirror of the binary log (hex digests)."""
-    import json
-
-    with open(path, "w", encoding="utf-8") as fh:
-        for record in ledger.records:
-            fh.write(
-                json.dumps(
-                    {
-                        "index": record.index,
-                        "prev_hash": record.prev_hash.hex(),
-                        "task_id": record.task_id,
-                        "event": record.event,
-                        "volunteer_id": record.volunteer_id,
-                        "epoch": record.epoch,
-                        "assignment_digest": (
-                            record.assignment_digest.hex()
-                            if record.assignment_digest
-                            else None
-                        ),
-                        "timestamp": record.timestamp,
-                        "hash": record.hash.hex(),
-                    },
-                    sort_keys=True,
-                )
-            )
-            fh.write("\n")
+    write_jsonl(path, (
+        {key: value.hex() if isinstance(value, bytes) else value
+         for key, value in vars(record).items()}
+        for record in ledger.records
+    ))

@@ -105,7 +105,8 @@ class TimingReport:
 class BenchResult:
     timings: list[TimingReport] = field(default_factory=list)
     quality: list[tuple[int, QualityReport]] = field(default_factory=list)
-    cdf: list[tuple[int, str, float, float]] = field(default_factory=list)
+    # size -> method -> utility_cdf points
+    cdf: dict[int, dict[str, list[tuple[float, float]]]] = field(default_factory=dict)
 
 
 def bench_scaling(
@@ -123,8 +124,8 @@ def bench_scaling(
     Stages are re-run and re-timed per repetition; methods run sequentially so
     their timings do not interfere.
     """
-    if list(sizes) != sorted(sizes):
-        raise ConfigError("sizes must be ascending")
+    if list(sizes) != sorted(set(sizes)):  # ``BenchResult.cdf`` holds one entry per size
+        raise ConfigError("sizes must be strictly ascending")
     if repetitions < 3:
         raise ConfigError("need at least 3 repetitions")
     for method in methods:
@@ -168,8 +169,8 @@ def bench_scaling(
             )
             report = quality(run.assignments[method], size, method=method)
             result.quality.append((size, report))
-            for threshold, fraction in utility_cdf(run.assignments[method], cdf_bins):
-                result.cdf.append((size, method, threshold, fraction))
+            points = utility_cdf(run.assignments[method], cdf_bins)
+            result.cdf.setdefault(size, {})[method] = points
     return result
 
 

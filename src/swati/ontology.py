@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import Iterable, Optional
 
-from .errors import AliasConflictError, CycleError, ParseError, UnknownSkillError, parse_json
+from .errors import AliasConflictError, CycleError, ParseError, UnknownSkillError, read_jsonl
 
 _STRIP_CHARS = string.punctuation + string.whitespace
 
@@ -155,21 +155,9 @@ def load_ontology(path: str) -> Ontology:
     ``builtin:cs`` loads the bundled CS/IT starter vocabulary.
     """
     if path == BUILTIN_ONTOLOGY:
-        text = (
-            resources.files("swati.data").joinpath("ontology_cs.jsonl").read_text("utf-8")
-        )
-    else:
-        try:
-            with open(path, encoding="utf-8") as fh:
-                text = fh.read()
-        except UnicodeDecodeError as exc:
-            raise ParseError(f"ontology file {path} is not valid UTF-8") from exc
-    entries = []
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        entries.append(_parse_entry(parse_json(line, line_no), line_no))
-    return Ontology(entries)
+        path = resources.files("swati.data").joinpath("ontology_cs.jsonl")
+    entries = read_jsonl(path, "ontology")
+    return Ontology(_parse_entry(obj, line_no) for line_no, obj in entries)
 
 
 def load_builtin_ontology() -> Ontology:

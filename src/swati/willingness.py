@@ -14,11 +14,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, ParseError, parse_json
+from .errors import ConfigError, DimensionError, ParseError, read_jsonl
 from .extraction import Profile, TaskSpec
 from .similarity import skill_incidence, skill_index
 
@@ -223,17 +223,6 @@ def histories_from_records(records: Iterable[dict]) -> dict[str, History]:
     return _group_records(enumerate(records, start=1))
 
 
-def _json_lines(fh) -> Iterator[tuple[int, object]]:
-    for line_no, line in enumerate(fh, start=1):
-        if not line.strip():
-            continue
-        yield line_no, parse_json(line, line_no)
-
-
 def load_history(path: str) -> dict[str, History]:
     """Read history records from JSONL: {volunteer_id, task_skills[], accepted}."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return _group_records(_json_lines(fh))
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"history file {path} is not valid UTF-8") from exc
+    return _group_records(read_jsonl(path, "history"))

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+from importlib import resources
 
 import pytest
 
@@ -408,6 +409,46 @@ def test_gen_rejects_zero_counts(tmp_path, capsys, flag):
     assert rc == 2
     assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
     assert not (out / "corpus.jsonl").exists()
+
+
+BAD_SYNTHETIC = {
+    "range_int": {"skills_per_volunteer": 3},
+    "range_three": {"skills_per_task": [1, 2, 3]},
+    "range_strings": {"skills_per_volunteer": ["a", "b"]},
+    "range_float": {"skills_per_task": [1.5, 2]},
+    "count_string": {"n_volunteers": "5"},
+    "count_float": {"n_tasks": 2.5},
+    "count_bool": {"n_volunteers": True},
+    "seed_string": {"seed": "x"},
+    "seed_float": {"seed": 1.5},
+    "cue_density_string": {"cue_density": "high"},
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_SYNTHETIC))
+def test_synthetic_values_are_type_checked(tmp_path, capsys, case):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"synthetic": BAD_SYNTHETIC[case]}))
+    out = tmp_path / "gen"
+    rc = main(["gen", "--config", str(config_path), "--out", str(out)])
+    assert rc == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+    assert not out.exists()
+
+
+def test_gen_rejects_an_ontology_alias_in_a_generator_template(tmp_path, capsys):
+    builtin = resources.files("swati.data").joinpath("ontology_cs.jsonl").read_text("utf-8")
+    onto = tmp_path / "onto.jsonl"
+    onto.write_text(builtin + json.dumps({"canonical": "Theming", "aliases": ["theme"]}) + "\n")
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"ontology": str(onto)}))
+    out = tmp_path / "gen"
+    rc = main(["gen", "--config", str(config_path), "--out", str(out), "--seed", "1"])
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError"
+    assert "ontology alias 'theme' collides with generator template" in err["detail"]
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 import json
 import threading
 import time
+from importlib import resources
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
@@ -16,6 +17,8 @@ from swati.errors import (
 )
 from swati.extraction import (
     _LEX,
+    CUE_NAMES,
+    SCHEMA_VERSION,
     ExtractionResult,
     PreferenceCues,
     RemoteExtractorConfig,
@@ -26,7 +29,6 @@ from swati.extraction import (
     extract_remote,
     extract_rule_based,
     extraction_stats,
-    load_prompt_template,
     validate_extraction,
 )
 from swati.ontology import Ontology, SkillEntry
@@ -75,6 +77,18 @@ def test_years_pattern_boosts_proficiency(mini_ontology):
     # below the 3-year threshold the bonus does not apply
     result = extract_rule_based(_doc("2+ years with SQL"), mini_ontology)
     assert result.mentions[0].proficiency == pytest.approx(0.5)
+
+
+@pytest.mark.parametrize(
+    "number, proficiency",
+    [("1" * 5000, 0.7), ("0" * 5000 + "3", 0.7), ("0" * 5000 + "2", 0.5),
+     ("003", 0.7), ("10", 0.7), ("\u0663", 0.7), ("\u0662", 0.5)],
+    ids=["huge", "zeros-3", "zeros-2", "003", "10", "arabic-indic-3", "arabic-indic-2"],
+)
+def test_years_pattern_compares_numbers_of_any_length(mini_ontology, number, proficiency):
+    # int() refuses strings of more than 4,300 digits
+    result = extract_rule_based(_doc(f"{number}+ years with SQL"), mini_ontology)
+    assert result.mentions[0].proficiency == pytest.approx(proficiency)
 
 
 def test_expertise_outside_window_ignored(mini_ontology):
@@ -213,6 +227,76 @@ def test_validator_rejects_non_object():
         validate_extraction([1, 2], _doc("Knows CV well"))
 
 
+# --- the published wire schema agrees with the validator ---------------------
+
+_SCHEMA = json.loads(
+    resources.files("swati.data").joinpath(f"extraction_schema_{SCHEMA_VERSION}.json")
+    .read_text("utf-8")
+)
+# level -> (schema node, its object in a payload, the validator's path prefix)
+_LEVELS = {
+    "response": (_SCHEMA, lambda p: p, ""),
+    "skill": (_SCHEMA["properties"]["skills"]["items"], lambda p: p["skills"][0], "mentions[0]."),
+    "cues": (_SCHEMA["properties"]["cues"], lambda p: p["cues"], "cues."),
+}
+_NUMBERS = [
+    (level, key)
+    for level, (node, _, _) in _LEVELS.items()
+    for key, prop in node["properties"].items()
+    if prop.get("type") == "number"
+]
+
+
+def _rejected_path(payload):
+    with pytest.raises(SchemaViolationError) as err:
+        validate_extraction(payload, _doc("Knows CV well"))
+    return err.value.path
+
+
+def test_schema_states_the_validators_key_sets_and_ranges():
+    for node, _, _ in _LEVELS.values():
+        assert node["additionalProperties"] is False
+        assert sorted(node["required"]) == sorted(node["properties"])
+    assert _LEVELS["cues"][0]["required"] == list(CUE_NAMES)
+    assert _NUMBERS == [("skill", "proficiency"), *(("cues", name) for name in CUE_NAMES)]
+    for level, key in _NUMBERS:
+        prop = _LEVELS[level][0]["properties"][key]
+        assert (prop["minimum"], prop["maximum"]) == (0, 1)
+
+
+@pytest.mark.parametrize(
+    "level, key",
+    [(level, key) for level, (node, _, _) in _LEVELS.items() for key in node["required"]],
+)
+def test_validator_requires_each_schema_key(level, key):
+    _, container, prefix = _LEVELS[level]
+    payload = _valid_payload()
+    del container(payload)[key]
+    assert _rejected_path(payload) == prefix + key
+
+
+@pytest.mark.parametrize("level", sorted(_LEVELS))
+def test_validator_rejects_keys_the_schema_does_not_name(level):
+    _, container, prefix = _LEVELS[level]
+    payload = _valid_payload()
+    container(payload)["bogus"] = 0.5
+    assert _rejected_path(payload) == prefix + "bogus"
+
+
+@pytest.mark.parametrize("level, key", _NUMBERS)
+def test_validator_enforces_each_schema_range(level, key):
+    node, container, prefix = _LEVELS[level]
+    prop = node["properties"][key]
+    for value in (prop["minimum"], prop["maximum"]):
+        payload = _valid_payload()
+        container(payload)[key] = value
+        validate_extraction(payload, _doc("Knows CV well"))
+    for value in (prop["minimum"] - 0.01, prop["maximum"] + 0.01):
+        payload = _valid_payload()
+        container(payload)[key] = value
+        assert _rejected_path(payload) == prefix + key
+
+
 # --- remote extractor -------------------------------------------------------
 
 
@@ -323,7 +407,11 @@ def test_remote_env_overrides():
 
 
 def test_prompt_template_is_packaged():
-    template = load_prompt_template()
+    # the prompt is the contract handed to endpoint operators; the engine never reads it
+    template = (
+        resources.files("swati.data").joinpath(f"extraction_prompt_{SCHEMA_VERSION}.txt")
+        .read_text("utf-8")
+    )
     assert "{doc_id}" in template and "{text}" in template
 
 

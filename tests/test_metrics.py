@@ -124,11 +124,16 @@ def test_bench_scaling_shapes_and_stages(builtin_ontology, tmp_path):
         rows = list(csv.reader(fh))
     assert rows[0] == ["size", "method", "stage", "rep", "seconds"]
     assert len(rows) > 6
+    assert list(result.cdf) == [4, 8]
+    assert list(result.cdf[8]) == ["random", "skill", "swati"]
+    assert all(len(points) == 20 for points in result.cdf[8].values())
 
 
 def test_bench_validates_inputs(builtin_ontology):
     with pytest.raises(ConfigError):
         bench_scaling([8, 4], ["random"], seed=1, ontology=builtin_ontology)
+    with pytest.raises(ConfigError):  # one CDF per size
+        bench_scaling([4, 4], ["random"], seed=1, ontology=builtin_ontology)
     with pytest.raises(ConfigError):
         bench_scaling([4], ["random"], seed=1, repetitions=2, ontology=builtin_ontology)
     with pytest.raises(ConfigError):

@@ -130,6 +130,16 @@ def test_load_ontology_from_file(tmp_path):
     assert onto.rollup("Object Detection", 1) == "Computer Vision"
 
 
+def test_load_ontology_keeps_a_raw_line_separator_inside_an_alias(tmp_path):
+    # JSON allows a raw U+2028 in a string; only \n, \r and \r\n end a line
+    path = tmp_path / "onto.jsonl"
+    entry = {"canonical": "Go", "aliases": ["go\u2028lang"]}
+    path.write_text(json.dumps(entry, ensure_ascii=False) + "\n", encoding="utf-8")
+    onto = load_ontology(str(path))
+    assert len(onto) == 1
+    assert onto.resolve("go lang") == "Go"
+
+
 def test_load_ontology_reports_bad_line(tmp_path):
     path = tmp_path / "onto.jsonl"
     path.write_text('{"canonical": "A"}\nnot json\n')
