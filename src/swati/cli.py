@@ -118,7 +118,9 @@ def cmd_extract(args) -> int:
     for doc in corpus.documents():
         result = extractor(doc, ontology)
         results.append(result)
-        skills, unresolved = ontology.canonicalize_report(m.raw for m in result.mentions)
+        skills, unresolved = ontology.canonicalize_report(
+            m.raw for m in result.mentions
+        )
         records.append(
             dict(asdict(result), kind=doc.kind, skills=sorted(skills), unresolved=unresolved)
         )

@@ -320,24 +320,21 @@ def _alias_phrase(rng: random.Random, entries) -> tuple[str, list[str]]:
     return ", ".join(words), canonicals
 
 
-def _cue_sentences(rng: random.Random, cue_density: float) -> list[str]:
-    # One latent engagement level drives every cue category, and its
-    # distribution is bimodal: markets contain genuinely reluctant and
-    # genuinely keen volunteers, not a uniform middle.
-    mode = rng.random()
-    if mode < 0.45:
-        engagement = 0.25 * rng.random()
-    elif mode < 0.9:
-        engagement = 0.75 + 0.25 * rng.random()
-    else:
-        engagement = rng.random()
-    sentences = []
-    for pool in _CUE_SENTENCE_POOLS:
-        if rng.random() < cue_density * (0.25 + 1.5 * engagement):
-            bucket = min(len(pool) - 1, int((1.0 - engagement) * len(pool)))
-            idx = min(len(pool) - 1, max(0, bucket + rng.randrange(-1, 2)))
-            sentences.append(pool[idx])
-    return sentences
+def _synthetic_doc(
+    doc_id: str,
+    kind: str,
+    sentences: list[str],
+    primary: str,
+    canonicals: list[str],
+    cfg: SyntheticConfig,
+) -> Document:
+    meta = {
+        "source": "synthetic",
+        "vocabulary_ref": cfg.vocabulary_ref,
+        "domain": primary,
+        "planted_skills": "|".join(sorted(canonicals)),
+    }
+    return Document(id=doc_id, kind=kind, text=" ".join(sentences), meta=meta)
 
 
 def generate_synthetic(cfg: SyntheticConfig, ontology: Ontology) -> Corpus:
@@ -368,37 +365,55 @@ def generate_synthetic(cfg: SyntheticConfig, ontology: Ontology) -> Corpus:
 
     rng = random.Random(cfg.seed)
     width = max(3, len(str(max(cfg.n_volunteers, cfg.n_tasks) - 1)))
-    volunteers: list[Document] = []
-    tasks: list[Document] = []
-    for docs, kind, n, (lo, hi), intros, leads, closers in (
-        (volunteers, VOLUNTEER, cfg.n_volunteers, cfg.skills_per_volunteer,
-         _VOLUNTEER_INTROS, _SKILL_LEADS, _VOLUNTEER_CLOSERS),
-        (tasks, TASK, cfg.n_tasks, cfg.skills_per_task,
-         _TASK_INTROS, _REQUIREMENT_LEADS, _TASK_CLOSERS),
-    ):
-        for i in range(n):
-            count = _cycle_count(i, lo, hi)
-            primary, entries = _sample_entries(rng, by_root, outside_root, roots, count)
-            phrase, canonicals = _alias_phrase(rng, entries)
-            sentences = [rng.choice(intros), rng.choice(leads).format(phrase)]
-            if kind == VOLUNTEER:
-                sentences.extend(_cue_sentences(rng, cfg.cue_density))
-            sentences.extend(rng.sample(_CONTEXT_SENTENCES, 3))
-            if rng.random() < 0.5:
-                sentences.append(rng.choice(closers))
-            docs.append(
-                Document(
-                    id=f"{kind[0]}{i:0{width}d}",  # v000..., t000...
-                    kind=kind,
-                    text=" ".join(sentences),
-                    meta={
-                        "source": "synthetic",
-                        "vocabulary_ref": cfg.vocabulary_ref,
-                        "domain": primary,
-                        "planted_skills": "|".join(sorted(canonicals)),
-                    },
-                )
-            )
+    volunteers = []
+    lo, hi = cfg.skills_per_volunteer
+    for i in range(cfg.n_volunteers):
+        count = _cycle_count(i, lo, hi)
+        primary, entries = _sample_entries(rng, by_root, outside_root, roots, count)
+        phrase, canonicals = _alias_phrase(rng, entries)
+        sentences = [
+            rng.choice(_VOLUNTEER_INTROS),
+            rng.choice(_SKILL_LEADS).format(phrase),
+        ]
+        # One latent engagement level drives every cue category, and its
+        # distribution is bimodal: markets contain genuinely reluctant and
+        # genuinely keen volunteers, not a uniform middle.
+        mode = rng.random()
+        if mode < 0.45:
+            engagement = 0.25 * rng.random()
+        elif mode < 0.9:
+            engagement = 0.75 + 0.25 * rng.random()
+        else:
+            engagement = rng.random()
+        for pool in _CUE_SENTENCE_POOLS:
+            if rng.random() < cfg.cue_density * (0.25 + 1.5 * engagement):
+                bucket = min(len(pool) - 1, int((1.0 - engagement) * len(pool)))
+                idx = min(len(pool) - 1, max(0, bucket + rng.randrange(-1, 2)))
+                sentences.append(pool[idx])
+        sentences.extend(rng.sample(_CONTEXT_SENTENCES, 3))
+        if rng.random() < 0.5:
+            sentences.append(rng.choice(_VOLUNTEER_CLOSERS))
+        volunteers.append(
+            _synthetic_doc(f"v{i:0{width}d}", VOLUNTEER, sentences, primary, canonicals, cfg)
+        )
+
+    tasks = []
+    lo, hi = cfg.skills_per_task
+    for j in range(cfg.n_tasks):
+        count = _cycle_count(j, lo, hi)
+        primary, entries = _sample_entries(rng, by_root, outside_root, roots, count)
+        phrase, canonicals = _alias_phrase(rng, entries)
+        sentences = [
+            rng.choice(_TASK_INTROS),
+            rng.choice(_REQUIREMENT_LEADS).format(phrase),
+        ]
+        sentences.extend(rng.sample(_CONTEXT_SENTENCES, 3))
+        if rng.random() < 0.5:
+            sentences.append(rng.choice(_TASK_CLOSERS))
+        tasks.append(
+            _synthetic_doc(f"t{j:0{width}d}", TASK, sentences, primary, canonicals, cfg)
+        )
+
     return Corpus(volunteers=tuple(volunteers), tasks=tuple(tasks))
 
 

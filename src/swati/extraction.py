@@ -253,9 +253,8 @@ def _scan_phrases(
 
 def _at_least_min_years(number: str) -> bool:
     """``int(number) >= min_years`` without converting: ``int`` refuses 4,301 digits."""
-    digits = number.strip()
-    if not digits.isascii():  # \d also matches other scripts' decimal digits
-        digits = "".join(str(unicodedata.decimal(c)) for c in digits)
+    # \d also matches other scripts' decimal digits
+    digits = "".join(str(unicodedata.decimal(c)) for c in number.strip())
     digits, bound = digits.lstrip("0"), str(_PROF["min_years"]).lstrip("0")
     return (len(digits), digits) >= (len(bound), bound)
 
@@ -487,8 +486,13 @@ def build_profile(
     vec: Optional[VectorizerModel],
 ) -> Profile:
     skills, vector = _skills_and_vector("build_profile", doc, ex, ontology, vec)
-    history_ref = doc.meta.get("history_ref", doc.id)
-    return Profile(doc.id, skills, vector, ex.cues, history_ref)
+    return Profile(
+        id=doc.id,
+        skills=skills,
+        content_vector=vector,
+        cues=ex.cues,
+        history_ref=doc.meta.get("history_ref", doc.id),
+    )
 
 
 def build_taskspec(
@@ -498,7 +502,7 @@ def build_taskspec(
     vec: Optional[VectorizerModel],
 ) -> TaskSpec:
     skills, vector = _skills_and_vector("build_taskspec", doc, ex, ontology, vec)
-    return TaskSpec(doc.id, skills, vector)
+    return TaskSpec(id=doc.id, required_skills=skills, content_vector=vector)
 
 
 @dataclass(frozen=True)

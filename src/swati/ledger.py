@@ -126,8 +126,15 @@ class Ledger:
         digest: Optional[bytes],
     ) -> LedgerRecord:
         unsigned = LedgerRecord(
-            len(self.records), self.head(), task_id, event, volunteer_id, epoch, digest,
-            self._clock, hash=b"",
+            index=len(self.records),
+            prev_hash=self.head(),
+            task_id=task_id,
+            event=event,
+            volunteer_id=volunteer_id,
+            epoch=epoch,
+            assignment_digest=digest,
+            timestamp=self._clock,
+            hash=b"",
         )
         record = replace(unsigned, hash=hashlib.sha256(unsigned.core_bytes()).digest())
         self.records.append(record)
