@@ -108,8 +108,13 @@ def build_config(raw: Optional[dict] = None) -> EngineConfig:
     if unknown:
         raise ConfigError(f"unknown config keys {unknown}")
     for key, default in DEFAULT_CONFIG.items():
-        if isinstance(default, dict) and not isinstance(raw[key], dict):
+        if not isinstance(default, dict):
+            continue
+        if not isinstance(raw[key], dict):
             raise ConfigError(f"config section {key!r} must be an object")
+        unknown = sorted(set(raw[key]) - set(default))
+        if unknown:
+            raise ConfigError(f"unknown keys {unknown} in config section {key!r}")
 
     if raw["ontology"] is None:
         raise ConfigError("ontology must name a file or builtin:cs")

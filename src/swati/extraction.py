@@ -18,6 +18,7 @@ import json
 import math
 import re
 import string
+import time
 import unicodedata
 from dataclasses import dataclass, replace
 from importlib import resources
@@ -423,11 +424,20 @@ class RemoteExtractorConfig:
         return replace(base, timeout=timeout, retries=retries, api_key=api_key)
 
 
-def extract_remote(doc: Document, cfg: RemoteExtractorConfig) -> ExtractionResult:
+# Backoff before retrying a 5xx reply: 0.5 s, doubling, at most 4 s.
+_BACKOFF_FIRST_S = 0.5
+_BACKOFF_MAX_S = 4.0
+
+
+def extract_remote(
+    doc: Document, cfg: RemoteExtractorConfig, sleep=time.sleep
+) -> ExtractionResult:
     """POST the document to a schema-constrained endpoint and parse the reply.
 
-    Schema-invalid responses are retried up to ``cfg.retries`` times; transport
-    failures and timeouts are surfaced immediately. No local state is touched.
+    Schema-invalid responses and 5xx statuses are retried, ``cfg.retries``
+    times in all; a 5xx retry first waits with bounded exponential backoff
+    through ``sleep``. Other statuses, transport failures and timeouts are
+    surfaced immediately. No local state is touched.
     """
     import requests  # only the remote extractor needs it; it is slow to import
 
@@ -436,8 +446,12 @@ def extract_remote(doc: Document, cfg: RemoteExtractorConfig) -> ExtractionResul
         headers["Authorization"] = f"Bearer {cfg.api_key}"
     payload = {"doc_id": doc.id, "text": doc.text, "schema_version": cfg.schema_version}
 
-    last_violation: Optional[SchemaViolationError] = None
+    last_error: Optional[Exception] = None
+    backoff = _BACKOFF_FIRST_S
     for _ in range(1 + cfg.retries):
+        if isinstance(last_error, TransportError):
+            sleep(backoff)
+            backoff = min(2 * backoff, _BACKOFF_MAX_S)
         try:
             resp = requests.post(
                 cfg.endpoint, json=payload, headers=headers, timeout=cfg.timeout
@@ -446,19 +460,22 @@ def extract_remote(doc: Document, cfg: RemoteExtractorConfig) -> ExtractionResul
             raise RemoteTimeoutError(f"no response within {cfg.timeout}s") from exc
         except requests.RequestException as exc:
             raise TransportError(str(exc)) from exc
+        if 500 <= resp.status_code < 600:
+            last_error = TransportError(f"endpoint returned status {resp.status_code}")
+            continue
         if resp.status_code != 200:
             raise TransportError(f"endpoint returned status {resp.status_code}")
         try:
             body = resp.json()
         except (ValueError, RecursionError):  # RecursionError: very deep nesting
-            last_violation = SchemaViolationError("", "response is not valid JSON")
+            last_error = SchemaViolationError("", "response is not valid JSON")
             continue
         try:
             return validate_extraction(body, doc)
         except SchemaViolationError as exc:
-            last_violation = exc
-    assert last_violation is not None
-    raise last_violation
+            last_error = exc
+    assert last_error is not None
+    raise last_error
 
 
 # --- profile construction and statistics ----------------------------------
@@ -470,13 +487,14 @@ def _skills_and_vector(
     ex: ExtractionResult,
     ontology: Ontology,
     vec: Optional[VectorizerModel],
+    vector: Optional[SparseVector],
 ) -> tuple[frozenset[str], SparseVector]:
     if vec is None:
         raise VectorizerNotFittedError(f"{caller} requires a fitted vectorizer")
     if ex.doc_id != doc.id:
         raise ValueError(f"extraction {ex.doc_id!r} does not match document {doc.id!r}")
     skills = ontology.canonicalize_set(m.raw for m in ex.mentions)
-    return frozenset(skills), vectorize(vec, doc.text)
+    return frozenset(skills), vectorize(vec, doc.text) if vector is None else vector
 
 
 def build_profile(
@@ -484,8 +502,14 @@ def build_profile(
     ex: ExtractionResult,
     ontology: Ontology,
     vec: Optional[VectorizerModel],
+    vector: Optional[SparseVector] = None,
 ) -> Profile:
-    skills, vector = _skills_and_vector("build_profile", doc, ex, ontology, vec)
+    """The volunteer's profile.
+
+    ``vector`` is ``doc``'s content vector under ``vec`` when the caller has
+    it already; otherwise it is computed here.
+    """
+    skills, vector = _skills_and_vector("build_profile", doc, ex, ontology, vec, vector)
     return Profile(
         id=doc.id,
         skills=skills,
@@ -500,8 +524,10 @@ def build_taskspec(
     ex: ExtractionResult,
     ontology: Ontology,
     vec: Optional[VectorizerModel],
+    vector: Optional[SparseVector] = None,
 ) -> TaskSpec:
-    skills, vector = _skills_and_vector("build_taskspec", doc, ex, ontology, vec)
+    """The task's spec; ``vector`` as in ``build_profile``."""
+    skills, vector = _skills_and_vector("build_taskspec", doc, ex, ontology, vec, vector)
     return TaskSpec(id=doc.id, required_skills=skills, content_vector=vector)
 
 
@@ -514,27 +540,32 @@ class Market:
 def build_market(corpus, ontology: Ontology, settings=None, extractor=None) -> Market:
     """Extract every document and assemble matching-ready profiles and specs.
 
-    The vectorizer is fitted jointly over volunteers and tasks. ``extractor``
-    defaults to the rule-based reference; any callable with the same signature
-    (remote client, stub) slots in unchanged.
+    The vectorizer is fitted jointly over volunteers and tasks. Each document
+    is tokenized once: its term counts give both the document frequencies and
+    its content vector. ``extractor`` defaults to the rule-based reference;
+    any callable with the same signature (remote client, stub) slots in
+    unchanged.
     """
-    from .similarity import VectorizerSettings, fit_vectorizer
+    from .similarity import VectorizerSettings, count_terms, fit_vectorizer, term_vectors
 
     if extractor is None:
         extractor = extract_rule_based
     if settings is None:
         settings = VectorizerSettings()
-    vec = fit_vectorizer(corpus, settings)
+    terms = count_terms((doc.text for doc in corpus.documents()), settings)
+    vec = fit_vectorizer(corpus, settings, terms)
     volunteer_results = [extractor(doc, ontology) for doc in corpus.volunteers]
     task_results = [extractor(doc, ontology) for doc in corpus.tasks]
+    # one iterator, volunteers first: zip draws a vector only after a document
+    vectors = term_vectors(vec, terms)
     return Market(
         profiles=tuple(
-            build_profile(doc, res, ontology, vec)
-            for doc, res in zip(corpus.volunteers, volunteer_results)
+            build_profile(doc, res, ontology, vec, vector)
+            for doc, res, vector in zip(corpus.volunteers, volunteer_results, vectors)
         ),
         taskspecs=tuple(
-            build_taskspec(doc, res, ontology, vec)
-            for doc, res in zip(corpus.tasks, task_results)
+            build_taskspec(doc, res, ontology, vec, vector)
+            for doc, res, vector in zip(corpus.tasks, task_results, vectors)
         ),
     )
 

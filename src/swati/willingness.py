@@ -27,6 +27,9 @@ from .similarity import skill_incidence, skill_index
 # shares no skill with the task, since the profile-level signal then says
 # little about this particular pairing.
 _NO_OVERLAP_AFFINITY_FACTOR = 0.5
+# Most history records scored at once by ``tendency_matrix``: bounds the
+# records x skills and records x tasks matrices of one block of volunteers.
+_WALK_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -137,24 +140,44 @@ def tendency_matrix(
     with no relevant records the overall acceptance fraction is used, and with
     no history at all the uninformative prior 0.5. Every fraction is a
     quotient of exact integer counts.
+
+    Volunteers are scored in blocks of at most ``_WALK_BLOCK`` history records
+    (a volunteer with more records is a block of its own). A block's relevance
+    is one float32 product of 0/1 incidence matrices: each entry is a sum of
+    non-negative 0/1 terms, so it is positive exactly when a record and a task
+    share a skill, in any summation order.
     """
     task_skills = [t.required_skills for t in taskspecs]
     index = skill_index(task_skills)
-    tasks_t = skill_incidence(task_skills, index).T
+    tasks_t = skill_incidence(task_skills, index, np.float32).T
     out = np.full((len(profiles), len(taskspecs)), 0.5)
+    rows, walks = [], []
     for i, profile in enumerate(profiles):
         history = histories.get(profile.history_ref or profile.id) if histories else None
-        if history is None or not history.records:
-            continue
-        records = history.records
-        relevant = (skill_incidence([r.task_skills for r in records], index) @ tasks_t) > 0
-        accepted = np.array([r.accepted for r in records], dtype=np.float64)
-        n_relevant = relevant.sum(axis=0).astype(np.float64)
-        n_accepted = accepted @ relevant
-        overall = accepted.sum() / len(records)
-        out[i] = np.divide(
-            n_accepted, n_relevant, out=np.full(len(taskspecs), overall), where=n_relevant > 0
+        if history is not None and history.records:
+            rows.append(i)
+            walks.append(history.records)
+    start = 0
+    while start < len(rows):
+        stop, size = start + 1, len(walks[start])
+        while stop < len(rows) and size + len(walks[stop]) <= _WALK_BLOCK:
+            size += len(walks[stop])
+            stop += 1
+        records = [r for walk in walks[start:stop] for r in walk]
+        lengths = np.array([len(walk) for walk in walks[start:stop]])
+        offsets = np.concatenate(([0], np.cumsum(lengths[:-1])))
+        accepted = np.array([r.accepted for r in records])
+        incidence = skill_incidence([r.task_skills for r in records], index, np.float32)
+        relevant = (incidence @ tasks_t) > 0
+        n_relevant = np.add.reduceat(relevant, offsets, axis=0, dtype=np.int64)
+        n_accepted = np.add.reduceat(
+            relevant & accepted[:, None], offsets, axis=0, dtype=np.int64
         )
+        overall = np.add.reduceat(accepted, offsets, dtype=np.int64) / lengths
+        block = np.repeat(overall[:, None], len(taskspecs), axis=1)
+        np.divide(n_accepted, n_relevant, out=block, where=n_relevant > 0)
+        out[rows[start:stop]] = block
+        start = stop
     return out
 
 
@@ -162,11 +185,13 @@ def raw_willingness(g, f, params: WillingnessParams) -> np.ndarray:
     """Mix history tendency and cue score, then squash through the logistic.
 
     Accepts scalars or arrays. ``math.exp`` runs per element because
-    ``np.exp`` differs from it in the last bit on some inputs.
+    ``np.exp`` differs from it in the last bit on some inputs. It reads the
+    elements through a ``memoryview``, so they never all exist as Python
+    floats at once.
     """
     mixed = params.history_weight * np.asarray(g) + (1.0 - params.history_weight) * np.asarray(f)
     z = params.sigmoid_gain * (mixed - params.sigmoid_center)
-    e = np.fromiter(map(math.exp, (-z).ravel().tolist()), dtype=np.float64, count=z.size)
+    e = np.fromiter(map(math.exp, memoryview((-z).ravel())), dtype=np.float64, count=z.size)
     return 1.0 / (1.0 + e.reshape(z.shape))
 
 

@@ -292,6 +292,28 @@ def test_config_sections_must_be_objects(tmp_path, capsys, case):
     assert not (tmp_path / "gen").exists()
 
 
+MISSPELT_KEYS = {
+    "utility": {"skil_weight": 0.5},
+    "seeds": {"random_metod": 3},
+    "capacities": {"defualt": 2},
+    "extractor": {"knd": "rule"},
+    "synthetic": {"n_volunters": 3},
+}
+
+
+@pytest.mark.parametrize("section", sorted(MISSPELT_KEYS))
+def test_unknown_keys_in_a_config_section_are_rejected(tmp_path, capsys, section):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({section: MISSPELT_KEYS[section]}))
+    rc = main(["gen", "--config", str(config_path), "--out", str(tmp_path / "gen"), "--seed", "1"])
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError"
+    assert repr(next(iter(MISSPELT_KEYS[section]))) in err["detail"]
+    assert repr(section) in err["detail"]
+    assert not (tmp_path / "gen").exists()
+
+
 @pytest.mark.parametrize(
     "raw",
     [{"ontology": 1}, {"ontology": None}, {"history_path": 2}, {"capacities": {"path": 1}}],

@@ -380,9 +380,56 @@ def test_remote_unreadable_json_is_schema_violation(scripted_server, body):
 
 
 def test_remote_bad_status_is_transport_error(scripted_server):
-    scripted_server.script.append((500, {}, 0.0))
-    with pytest.raises(TransportError):
-        extract_remote(_doc("Knows CV well"), _remote_cfg(scripted_server))
+    # a 5xx on every try: retried, with backoff, until the budget is spent
+    scripted_server.script.extend([(500, {}, 0.0)] * 3)
+    waits = []
+    with pytest.raises(TransportError, match="status 500"):
+        extract_remote(_doc("Knows CV well"), _remote_cfg(scripted_server), sleep=waits.append)
+    assert len(scripted_server.requests) == 3
+    assert waits == [0.5, 1.0]
+
+
+def test_remote_retries_a_5xx_then_succeeds(scripted_server):
+    scripted_server.script.extend([(503, {}, 0.0), (200, _valid_payload(), 0.0)])
+    waits = []
+    result = extract_remote(
+        _doc("Knows CV well"), _remote_cfg(scripted_server, retries=2), sleep=waits.append
+    )
+    assert len(result.mentions) == 1
+    assert len(scripted_server.requests) == 2
+    assert waits == [0.5]
+
+
+def test_remote_5xx_backoff_is_bounded(scripted_server):
+    scripted_server.script.extend([(502, {}, 0.0)] * 7)
+    waits = []
+    with pytest.raises(TransportError, match="status 502"):
+        extract_remote(
+            _doc("Knows CV well"), _remote_cfg(scripted_server, retries=6), sleep=waits.append
+        )
+    assert waits == [0.5, 1.0, 2.0, 4.0, 4.0, 4.0]
+
+
+def test_remote_4xx_is_not_retried(scripted_server):
+    scripted_server.script.extend([(400, {}, 0.0), (200, _valid_payload(), 0.0)])
+    waits = []
+    with pytest.raises(TransportError, match="status 400"):
+        extract_remote(
+            _doc("Knows CV well"), _remote_cfg(scripted_server, retries=2), sleep=waits.append
+        )
+    assert len(scripted_server.requests) == 1
+    assert waits == []
+
+
+def test_remote_schema_retry_does_not_wait(scripted_server):
+    bad = _valid_payload()
+    bad["skills"][0]["proficiency"] = 1.4
+    scripted_server.script.extend([(200, bad, 0.0), (200, _valid_payload(), 0.0)])
+    waits = []
+    extract_remote(
+        _doc("Knows CV well"), _remote_cfg(scripted_server, retries=1), sleep=waits.append
+    )
+    assert waits == []
 
 
 def test_remote_unreachable_endpoint():

@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from swati import similarity
 from swati.corpus import Corpus, Document, SyntheticConfig, generate_synthetic
 from swati.errors import EmptyCorpusError
+from swati.extraction import build_market
 from swati.similarity import (
     SparseVector,
     VectorizerModel,
@@ -14,6 +16,7 @@ from swati.similarity import (
     cosine_matrix,
     fit_vectorizer,
     jaccard_matrix,
+    skill_incidence,
     tokenize,
     vectorize,
 )
@@ -184,6 +187,71 @@ def test_vectorize_norm_invariant_over_corpus(builtin_ontology):
         vec = vectorize(model, doc.text)
         if not vec.is_empty():
             assert abs(np.linalg.norm(vec.weights) - 1.0) <= 1e-9
+
+
+def _vectorize_per_document(model, text):
+    """The vectorizer's formula on one text: raw counts times idf, L2-normalized."""
+    counts = {}
+    for term in tokenize(text, model.settings):
+        if term in model.vocabulary:
+            counts[model.vocabulary[term]] = counts.get(model.vocabulary[term], 0) + 1
+    if not counts:
+        return SparseVector.empty()
+    indices = np.array(sorted(counts), dtype=np.int64)
+    weights = np.array([counts[i] for i in indices], dtype=np.float64) * model.idf[indices]
+    return SparseVector(indices, weights / np.linalg.norm(weights))
+
+
+def test_build_market_tokenizes_each_document_once(builtin_ontology, monkeypatch):
+    corpus = generate_synthetic(
+        SyntheticConfig(seed=3, n_volunteers=12, n_tasks=9), builtin_ontology
+    )
+    seen = []
+
+    def counting_tokenize(text, settings=VectorizerSettings()):
+        seen.append(text)
+        return tokenize(text, settings)
+
+    monkeypatch.setattr(similarity, "tokenize", counting_tokenize)
+    market = build_market(corpus, builtin_ontology)
+    monkeypatch.undo()
+    assert sorted(seen) == sorted(doc.text for doc in corpus.documents())
+    model = fit_vectorizer(corpus)
+    built = [item.content_vector for item in (*market.profiles, *market.taskspecs)]
+    for doc, vector in zip(corpus.documents(), built, strict=True):
+        expected = _vectorize_per_document(model, doc.text)
+        assert np.array_equal(vector.indices, expected.indices)
+        assert vector.weights.tobytes() == expected.weights.tobytes()
+
+
+def test_vectorize_drops_unknown_terms_and_keeps_counts():
+    model = fit_vectorizer(_micro_corpus())
+    for text in ["zebra apple zebra banana apple", "quagga", "", "damson damson cherry"]:
+        got, expected = vectorize(model, text), _vectorize_per_document(model, text)
+        assert np.array_equal(got.indices, expected.indices)
+        assert got.weights.tobytes() == expected.weights.tobytes()
+
+
+def _incidence_row_by_row(skill_sets, index):
+    out = np.zeros((len(skill_sets), len(index)))
+    for i, skills in enumerate(skill_sets):
+        for skill in skills:
+            if skill in index:
+                out[i, index[skill]] = 1.0
+    return out
+
+
+@given(
+    st.lists(st.frozensets(st.sampled_from("abcdefg"), max_size=5), max_size=8),
+    st.frozensets(st.sampled_from("abcdeh"), max_size=6),
+)
+def test_skill_incidence_equals_row_by_row(skill_sets, indexed):
+    # skills f and g are never in the index; h is indexed but never named
+    index = {skill: k for k, skill in enumerate(sorted(indexed))}
+    expected = _incidence_row_by_row(skill_sets, index)
+    assert np.array_equal(skill_incidence(skill_sets, index), expected)
+    assert skill_incidence(skill_sets, index).dtype == np.float64
+    assert np.array_equal(skill_incidence(skill_sets, index, np.float32), expected)
 
 
 def test_sparse_vector_invariants_enforced():

@@ -1,11 +1,14 @@
 import json
 import math
+import random
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from swati import willingness
 from swati.errors import ConfigError, DimensionError, ParseError
 from swati.extraction import PreferenceCues, Profile, TaskSpec
 from swati.similarity import SparseVector
@@ -21,6 +24,8 @@ from swati.willingness import (
     tendency_matrix,
     willingness_matrix,
 )
+
+import scalar_reference as ref
 
 # Logistic endpoints for gain 4, center 0.5, evaluated by hand:
 # sigma(2) and sigma(-2).
@@ -117,6 +122,86 @@ def test_history_tendency_fallback_overall():
     )
     history = History("v1", records)
     assert _history_tendency(history, _task({"A"})) == pytest.approx(0.8, abs=1e-12)
+
+
+def _reference_tendency(profiles, taskspecs, histories):
+    return np.array(
+        [
+            [ref.history_tendency(histories.get(p.history_ref or p.id), t) for t in taskspecs]
+            for p in profiles
+        ]
+    )
+
+
+# tasks name A-D; records also name X and Y, which no task names
+_TASK_SKILLS = st.frozensets(st.sampled_from("ABCD"), max_size=3)
+_RECORDS = st.lists(
+    st.builds(HistoryRecord, st.frozensets(st.sampled_from("ABCDXY"), max_size=3), st.booleans()),
+    max_size=12,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_tendency_matrix_equals_per_pair_reference(data):
+    block = data.draw(st.integers(1, 5), label="block")
+    histories = {
+        ref_id: History(ref_id, tuple(records))
+        for ref_id, records in data.draw(
+            st.dictionaries(st.sampled_from(["h0", "h1", "h2", "h3"]), _RECORDS), label="histories"
+        ).items()
+    }
+    # a volunteer without history, one sharing another's history, one under its own id
+    refs = data.draw(
+        st.lists(st.sampled_from(["h0", "h1", "h2", "h3", "none"]), min_size=1, max_size=6)
+    )
+    profiles = [
+        Profile(id=hid, skills=frozenset(), content_vector=SparseVector.empty(),
+                cues=PreferenceCues(), history_ref=None if k % 2 else hid)
+        for k, hid in enumerate(refs)
+    ]
+    tasks = [
+        TaskSpec(id=f"t{j}", required_skills=skills, content_vector=SparseVector.empty())
+        for j, skills in enumerate(data.draw(st.lists(_TASK_SKILLS, min_size=1, max_size=5)))
+    ]
+    with mock.patch.object(willingness, "_WALK_BLOCK", block):
+        got = tendency_matrix(profiles, tasks, histories)
+    assert np.array_equal(got, _reference_tendency(profiles, tasks, histories))
+
+
+def test_tendency_matrix_blocks_at_full_size():
+    """Block edges at the module's block size: one history longer than a block,
+    histories that fill several blocks, a shared history, no history, records
+    that no task names, and a task without skills."""
+    rng = random.Random(7)
+
+    def records(n, skills="ABCDXY"):
+        return tuple(
+            HistoryRecord(frozenset(rng.sample(skills, rng.randint(0, 2))), rng.random() < 0.6)
+            for _ in range(n)
+        )
+
+    size = willingness._WALK_BLOCK
+    histories = {
+        "long": History("long", records(size + 37)),
+        "irrelevant": History("irrelevant", records(9, "XY")),
+        **{f"h{k}": History(f"h{k}", records(size // 3 + k)) for k in range(8)},
+    }
+    profiles = [
+        Profile(id=vid, skills=frozenset(), content_vector=SparseVector.empty(),
+                cues=PreferenceCues(), history_ref=hid)
+        for vid, hid in [("v0", "h0"), ("long", None), ("v2", "h1"), ("v3", "h1"),
+                         ("v4", "none"), ("irrelevant", None),
+                         *((f"w{k}", f"h{k}") for k in range(2, 8))]
+    ]
+    tasks = [
+        TaskSpec(id=f"t{j}", required_skills=frozenset(skills), content_vector=SparseVector.empty())
+        for j, skills in enumerate(["A", "AB", "", "CD", "D", "ABCD"])
+    ]
+    got = tendency_matrix(profiles, tasks, histories)
+    assert np.array_equal(got, _reference_tendency(profiles, tasks, histories))
+    assert np.all(got[4] == 0.5)  # no history
+    assert np.all(got[5] == got[5, 0])  # nothing relevant: the overall fraction
 
 
 def test_raw_willingness_center():
