@@ -21,7 +21,7 @@ import hashlib
 import json
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Mapping, Optional, Sequence
 
@@ -45,6 +45,7 @@ class UtilityParams:
     form: UtilityForm = UtilityForm.PRODUCT
 
     def __post_init__(self):
+        object.__setattr__(self, "form", UtilityForm(self.form))  # a config gives the value
         # a range test rejects NaN and the infinities too
         if not 0.0 <= self.skill_weight <= 1.0 or not 0.0 <= self.content_weight <= 1.0:
             raise ConfigError("utility weights must be finite numbers in [0, 1]")
@@ -176,9 +177,7 @@ def _id_ranks(ids: Sequence[str]) -> np.ndarray:
 _WALK_BLOCK = 4096
 
 
-def _greedy(
-    matrix: UtilityMatrix, sort_scores: np.ndarray, caps: CapacityMap, epoch: int
-) -> Assignment:
+def _greedy(matrix: UtilityMatrix, sort_scores: np.ndarray, caps: CapacityMap) -> Assignment:
     """Walk all pairs by (-score, volunteer id, task id), taking each feasible one.
 
     ``np.lexsort`` is stable, so pairs tied on all three keys (duplicate ids)
@@ -209,27 +208,25 @@ def _greedy(
                 AssignedPair(matrix.volunteers[i], matrix.tasks[j], float(matrix.utilities[i, j]))
             )
             if len(pairs) == m:
-                return Assignment(pairs=tuple(pairs), epoch=epoch)
-    return Assignment(pairs=tuple(pairs), epoch=epoch)
+                return Assignment(pairs=tuple(pairs))
+    return Assignment(pairs=tuple(pairs))
 
 
-def assign_swati(matrix: UtilityMatrix, caps: CapacityMap, epoch: int = 0) -> Assignment:
+def assign_swati(matrix: UtilityMatrix, caps: CapacityMap) -> Assignment:
     """Greedy matching by descending utility under capacity constraints."""
-    return _greedy(matrix, matrix.utilities, caps, epoch)
+    return _greedy(matrix, matrix.utilities, caps)
 
 
-def assign_skill_only(matrix: UtilityMatrix, caps: CapacityMap, epoch: int = 0) -> Assignment:
+def assign_skill_only(matrix: UtilityMatrix, caps: CapacityMap) -> Assignment:
     """Greedy matching by skill similarity alone.
 
     Reported pair utilities are still the full utility values, so baselines
     and the main method compare on a single objective.
     """
-    return _greedy(matrix, matrix.skill, caps, epoch)
+    return _greedy(matrix, matrix.skill, caps)
 
 
-def assign_random(
-    matrix: UtilityMatrix, caps: CapacityMap, seed: int, epoch: int = 0
-) -> Assignment:
+def assign_random(matrix: UtilityMatrix, caps: CapacityMap, seed: int) -> Assignment:
     """Assign each task (in id order) to a uniformly random free volunteer."""
     rng = random.Random(seed)
     vol_order = sorted(range(len(matrix.volunteers)), key=lambda i: matrix.volunteers[i])
@@ -245,15 +242,13 @@ def assign_random(
         pairs.append(
             AssignedPair(matrix.volunteers[i], matrix.tasks[j], float(matrix.utilities[i, j]))
         )
-    return Assignment(pairs=tuple(pairs), epoch=epoch)
+    return Assignment(pairs=tuple(pairs))
 
 
 _BRUTE_FORCE_LIMIT = 8
 
 
-def assign_optimal_bruteforce(
-    matrix: UtilityMatrix, caps: CapacityMap, epoch: int = 0
-) -> Assignment:
+def assign_optimal_bruteforce(matrix: UtilityMatrix, caps: CapacityMap) -> Assignment:
     """Exhaustive maximum-total-utility matching for tiny instances.
 
     Ties prefer leaving a task unassigned, then the lowest volunteer id,
@@ -302,7 +297,7 @@ def assign_optimal_bruteforce(
                 )
             )
             state = state[:choice] + (state[choice] - 1,) + state[choice + 1 :]
-    return Assignment(pairs=tuple(pairs), epoch=epoch)
+    return Assignment(pairs=tuple(pairs))
 
 
 def validate_assignment(
@@ -345,22 +340,18 @@ METHODS = ("swati", "skill", "random")
 
 
 def assign(
-    method: str,
-    matrix: UtilityMatrix,
-    caps: CapacityMap,
-    seed: Optional[int] = None,
-    epoch: int = 0,
+    method: str, matrix: UtilityMatrix, caps: CapacityMap, seed: Optional[int] = None
 ) -> Assignment:
     """Run one of ``METHODS`` on the matrix; ``random`` draws with ``seed``."""
     if method == "swati":
-        return assign_swati(matrix, caps, epoch=epoch)
+        return assign_swati(matrix, caps)
     if method == "skill":
-        return assign_skill_only(matrix, caps, epoch=epoch)
+        return assign_skill_only(matrix, caps)
     if method != "random":
         raise ConfigError(f"unknown method {method!r}; choose from {', '.join(METHODS)}")
     if type(seed) is not int:  # a float seed is hashed, and NaN hashes by identity
         raise ConfigError(f"method 'random' needs an integer seed (--seed or config), got {seed!r}")
-    return assign_random(matrix, caps, seed, epoch=epoch)
+    return assign_random(matrix, caps, seed)
 
 
 @dataclass
@@ -391,6 +382,7 @@ def run_epoch(
 
     ``skill`` and ``content`` are the market's ``similarity_components`` and
     ``w_hat`` its raw ``willingness_matrix``; all three are fixed across epochs.
+    Each assignment is labelled with ``epoch``.
     """
     clock = time.perf_counter
     start = clock()
@@ -404,7 +396,7 @@ def run_epoch(
     assignments = {}
     for method in methods:
         start = clock()
-        assignments[method] = assign(method, matrix, caps, seed, epoch)
+        assignments[method] = replace(assign(method, matrix, caps, seed), epoch=epoch)
         seconds[method] = clock() - start
     return EpochResult(matrix=matrix, assignments=assignments, state=state, seconds=seconds)
 

@@ -59,19 +59,12 @@ def _ensure_out(path: str) -> str:
 
 
 def _synthetic_config(cfg: EngineConfig, args) -> SyntheticConfig:
-    syn = cfg.synthetic
-    seed = args.seed if args.seed is not None else syn["seed"]
-    if seed is None:
-        raise ConfigError("synthetic generation needs a seed (--seed or config)")
-    return SyntheticConfig(
-        seed=seed,
-        n_volunteers=syn["n_volunteers"] if args.n_volunteers is None else args.n_volunteers,
-        n_tasks=syn["n_tasks"] if args.n_tasks is None else args.n_tasks,
-        skills_per_volunteer=syn["skills_per_volunteer"],
-        skills_per_task=syn["skills_per_task"],
-        cue_density=syn["cue_density"],
-        vocabulary_ref=cfg.ontology_path,
-    )
+    overrides = {
+        key: getattr(args, key)
+        for key in ("seed", "n_volunteers", "n_tasks")
+        if getattr(args, key) is not None
+    }
+    return SyntheticConfig(**{**cfg.synthetic, **overrides}, vocabulary_ref=cfg.ontology_path)
 
 
 def _extractor(cfg: EngineConfig):

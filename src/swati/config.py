@@ -1,10 +1,10 @@
 """Engine configuration: one JSON file drives every command.
 
-All tunables live here (similarity weights, willingness parameters,
+All tunables are read here (similarity weights, willingness parameters,
 capacities, extractor choice, synthetic-generation defaults) so a config file
-plus explicit seeds fully determines a run. Referenced files must exist at
-load time; numeric ranges are validated by the parameter dataclasses they
-feed.
+plus explicit seeds fully determines a run. A section's defaults are those of
+the parameter class it feeds, which also validates its values. Referenced
+files must exist at load time.
 """
 
 from __future__ import annotations
@@ -12,38 +12,32 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from importlib import resources
 from typing import Optional
 
-from .assignment import CapacityMap, UtilityForm, UtilityParams
+from .assignment import CapacityMap, UtilityParams
+from .corpus import SyntheticConfig
 from .errors import ConfigError, ParseError, parse_json
 from .extraction import RemoteExtractorConfig
 from .ontology import BUILTIN_ONTOLOGY, Ontology, load_ontology
 from .similarity import VectorizerSettings
 from .willingness import WillingnessParams
 
+# Each section a parameter class reads takes that class's own defaults.
 DEFAULT_CONFIG: dict = {
     "ontology": BUILTIN_ONTOLOGY,
-    "vectorizer": {"min_token_len": 2, "use_stopwords": True},
-    "willingness": {
-        "history_weight": 0.5,
-        "smoothing": 0.7,
-        "cue_weights": [0.2, 0.2, 0.2, 0.2, 0.2],
-        "sigmoid_gain": 4.0,
-        "sigmoid_center": 0.5,
-    },
-    "utility": {"skill_weight": 0.5, "content_weight": 0.5, "form": "product"},
-    "capacities": {"default": 1, "path": None},
+    "vectorizer": asdict(VectorizerSettings()),
+    "willingness": asdict(WillingnessParams()),
+    "utility": {**asdict(UtilityParams()), "form": UtilityParams().form.value},
+    "capacities": {"default": CapacityMap().default, "path": None},
     "extractor": {"kind": "rule", "remote": None},
     "history_path": None,
+    # the generator's vocabulary is the config's ontology
     "synthetic": {
-        "seed": 0,
-        "n_volunteers": 50,
-        "n_tasks": 50,
-        "skills_per_volunteer": [3, 5],
-        "skills_per_task": [2, 4],
-        "cue_density": 0.6,
+        key: value
+        for key, value in asdict(SyntheticConfig()).items()
+        if key != "vocabulary_ref"
     },
     "seeds": {"random_method": None},
 }
@@ -124,14 +118,8 @@ def build_config(raw: Optional[dict] = None) -> EngineConfig:
 
     try:
         vectorizer = VectorizerSettings(**raw["vectorizer"])
-        will = dict(raw["willingness"])
-        will["cue_weights"] = tuple(will["cue_weights"])
-        willingness = WillingnessParams(**will)
-        utility = UtilityParams(
-            skill_weight=raw["utility"]["skill_weight"],
-            content_weight=raw["utility"]["content_weight"],
-            form=UtilityForm(raw["utility"]["form"]),
-        )
+        willingness = WillingnessParams(**raw["willingness"])
+        utility = UtilityParams(**raw["utility"])
         # a remote section that is not an object, or has unknown keys, is a TypeError
         remote = raw["extractor"]["remote"]
         remote = RemoteExtractorConfig(**remote) if remote else None

@@ -20,7 +20,7 @@ import warnings
 from dataclasses import dataclass, field
 
 from .errors import ConfigError, DuplicateIdError, ParseError, read_jsonl, write_jsonl
-from .ontology import Ontology, normalize_skill
+from .ontology import BUILTIN_ONTOLOGY, Ontology, normalize_skill
 
 VOLUNTEER = "volunteer"
 TASK = "task"
@@ -79,13 +79,13 @@ def _is_int(value) -> bool:
 
 @dataclass(frozen=True)
 class SyntheticConfig:
-    seed: int
-    n_volunteers: int
-    n_tasks: int
-    skills_per_volunteer: tuple[int, int] = (3, 4)
-    skills_per_task: tuple[int, int] = (2, 3)
-    cue_density: float = 0.7
-    vocabulary_ref: str = "builtin:cs"
+    seed: int = 0
+    n_volunteers: int = 50
+    n_tasks: int = 50
+    skills_per_volunteer: tuple[int, int] = (3, 5)
+    skills_per_task: tuple[int, int] = (2, 4)
+    cue_density: float = 0.6
+    vocabulary_ref: str = BUILTIN_ONTOLOGY
 
     def __post_init__(self):
         if not all(map(_is_int, (self.seed, self.n_volunteers, self.n_tasks))):

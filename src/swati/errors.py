@@ -91,10 +91,6 @@ class UnknownSkillError(EngineError):
     """Canonical skill not present in the ontology."""
 
 
-class VectorizerNotFittedError(EngineError):
-    """A fitted vectorizer model is required but missing."""
-
-
 class EmptyCorpusError(EngineError):
     """Vectorizer fitting requires at least one document."""
 

@@ -27,15 +27,15 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .corpus import Document
-from .errors import (
-    ConfigError,
-    RemoteTimeoutError,
-    SchemaViolationError,
-    TransportError,
-    VectorizerNotFittedError,
-)
+from .errors import ConfigError, RemoteTimeoutError, SchemaViolationError, TransportError
 from .ontology import _STRIP_CHARS, Ontology, normalize_skill
-from .similarity import SparseVector, VectorizerModel, vectorize
+from .similarity import (
+    SparseVector,
+    VectorizerSettings,
+    count_terms,
+    fit_vectorizer,
+    term_vectors,
+)
 
 SCHEMA_VERSION = "v1"
 
@@ -481,38 +481,19 @@ def extract_remote(
 # --- profile construction and statistics ----------------------------------
 
 
-def _skills_and_vector(
-    caller: str,
-    doc: Document,
-    ex: ExtractionResult,
-    ontology: Ontology,
-    vec: Optional[VectorizerModel],
-    vector: Optional[SparseVector],
-) -> tuple[frozenset[str], SparseVector]:
-    if vec is None:
-        raise VectorizerNotFittedError(f"{caller} requires a fitted vectorizer")
+def _skills(doc: Document, ex: ExtractionResult, ontology: Ontology) -> frozenset[str]:
     if ex.doc_id != doc.id:
         raise ValueError(f"extraction {ex.doc_id!r} does not match document {doc.id!r}")
-    skills = ontology.canonicalize_set(m.raw for m in ex.mentions)
-    return frozenset(skills), vectorize(vec, doc.text) if vector is None else vector
+    return frozenset(ontology.canonicalize_set(m.raw for m in ex.mentions))
 
 
 def build_profile(
-    doc: Document,
-    ex: ExtractionResult,
-    ontology: Ontology,
-    vec: Optional[VectorizerModel],
-    vector: Optional[SparseVector] = None,
+    doc: Document, ex: ExtractionResult, ontology: Ontology, vector: SparseVector
 ) -> Profile:
-    """The volunteer's profile.
-
-    ``vector`` is ``doc``'s content vector under ``vec`` when the caller has
-    it already; otherwise it is computed here.
-    """
-    skills, vector = _skills_and_vector("build_profile", doc, ex, ontology, vec, vector)
+    """The volunteer's profile; ``vector`` is ``doc``'s content vector."""
     return Profile(
         id=doc.id,
-        skills=skills,
+        skills=_skills(doc, ex, ontology),
         content_vector=vector,
         cues=ex.cues,
         history_ref=doc.meta.get("history_ref", doc.id),
@@ -520,15 +501,10 @@ def build_profile(
 
 
 def build_taskspec(
-    doc: Document,
-    ex: ExtractionResult,
-    ontology: Ontology,
-    vec: Optional[VectorizerModel],
-    vector: Optional[SparseVector] = None,
+    doc: Document, ex: ExtractionResult, ontology: Ontology, vector: SparseVector
 ) -> TaskSpec:
-    """The task's spec; ``vector`` as in ``build_profile``."""
-    skills, vector = _skills_and_vector("build_taskspec", doc, ex, ontology, vec, vector)
-    return TaskSpec(id=doc.id, required_skills=skills, content_vector=vector)
+    """The task's spec; ``vector`` is ``doc``'s content vector."""
+    return TaskSpec(id=doc.id, required_skills=_skills(doc, ex, ontology), content_vector=vector)
 
 
 @dataclass(frozen=True)
@@ -537,7 +513,12 @@ class Market:
     taskspecs: tuple[TaskSpec, ...]
 
 
-def build_market(corpus, ontology: Ontology, settings=None, extractor=None) -> Market:
+def build_market(
+    corpus,
+    ontology: Ontology,
+    settings: VectorizerSettings = VectorizerSettings(),
+    extractor=extract_rule_based,
+) -> Market:
     """Extract every document and assemble matching-ready profiles and specs.
 
     The vectorizer is fitted jointly over volunteers and tasks. Each document
@@ -546,12 +527,6 @@ def build_market(corpus, ontology: Ontology, settings=None, extractor=None) -> M
     any callable with the same signature (remote client, stub) slots in
     unchanged.
     """
-    from .similarity import VectorizerSettings, count_terms, fit_vectorizer, term_vectors
-
-    if extractor is None:
-        extractor = extract_rule_based
-    if settings is None:
-        settings = VectorizerSettings()
     terms = count_terms((doc.text for doc in corpus.documents()), settings)
     vec = fit_vectorizer(corpus, settings, terms)
     volunteer_results = [extractor(doc, ontology) for doc in corpus.volunteers]
@@ -560,11 +535,11 @@ def build_market(corpus, ontology: Ontology, settings=None, extractor=None) -> M
     vectors = term_vectors(vec, terms)
     return Market(
         profiles=tuple(
-            build_profile(doc, res, ontology, vec, vector)
+            build_profile(doc, res, ontology, vector)
             for doc, res, vector in zip(corpus.volunteers, volunteer_results, vectors)
         ),
         taskspecs=tuple(
-            build_taskspec(doc, res, ontology, vec, vector)
+            build_taskspec(doc, res, ontology, vector)
             for doc, res, vector in zip(corpus.tasks, task_results, vectors)
         ),
     )

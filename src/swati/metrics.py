@@ -18,13 +18,13 @@ import csv
 import statistics
 import time
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .assignment import METHODS, Assignment, CapacityMap, UtilityParams, match_market
 from .corpus import SyntheticConfig, generate_synthetic
 from .errors import ConfigError, InconsistentInputError
 from .extraction import build_market
-from .ontology import Ontology, load_builtin_ontology
+from .ontology import Ontology
 from .willingness import WillingnessParams
 
 _STAGES_BY_METHOD = {
@@ -109,15 +109,23 @@ class BenchResult:
     cdf: dict[int, dict[str, list[tuple[float, float]]]] = field(default_factory=dict)
 
 
+# Bench markets have this fixed shape; the config's ``synthetic`` section is not read.
+BENCH_MARKET_SHAPE = {
+    "skills_per_volunteer": (3, 4),
+    "skills_per_task": (2, 3),
+    "cue_density": 0.7,
+}
+_CDF_BINS = 20
+
+
 def bench_scaling(
     sizes: Sequence[int],
     methods: Sequence[str],
     seed: int,
+    ontology: Ontology,
     repetitions: int = 3,
-    ontology: Optional[Ontology] = None,
     utility_params: UtilityParams = UtilityParams(),
     willingness_params: WillingnessParams = WillingnessParams(),
-    cdf_bins: int = 20,
 ) -> BenchResult:
     """Time each method over synthetic markets with |V| = |T| = size.
 
@@ -131,12 +139,12 @@ def bench_scaling(
     for method in methods:
         if method not in METHODS:
             raise ConfigError(f"unknown method {method!r}")
-    if ontology is None:
-        ontology = load_builtin_ontology()
 
     result = BenchResult()
     for idx, size in enumerate(sizes):
-        cfg = SyntheticConfig(seed=seed + idx, n_volunteers=size, n_tasks=size)
+        cfg = SyntheticConfig(
+            seed=seed + idx, n_volunteers=size, n_tasks=size, **BENCH_MARKET_SHAPE
+        )
         corpus = generate_synthetic(cfg, ontology)
         caps = CapacityMap()
         stage_times = {"extraction": [], "similarity": [], "willingness": []}
@@ -169,7 +177,7 @@ def bench_scaling(
             )
             report = quality(run.assignments[method], size, method=method)
             result.quality.append((size, report))
-            points = utility_cdf(run.assignments[method], cdf_bins)
+            points = utility_cdf(run.assignments[method], _CDF_BINS)
             result.cdf.setdefault(size, {})[method] = points
     return result
 

@@ -195,17 +195,15 @@ def skill_index(skill_sets: Sequence[frozenset[str]]) -> dict[str, int]:
     return {skill: k for k, skill in enumerate(sorted(set().union(*skill_sets)))}
 
 
-def skill_incidence(
-    skill_sets: Sequence[frozenset[str]], index: dict[str, int], dtype=np.float64
-) -> np.ndarray:
-    """0/1 matrix; row i marks the skills of ``skill_sets[i]`` found in ``index``.
+def skill_incidence(skill_sets: Sequence[frozenset[str]], index: dict[str, int]) -> np.ndarray:
+    """float32 0/1 matrix; row i marks the skills of ``skill_sets[i]`` found in ``index``.
 
     Built with one scatter from flat (row, column) lists.
     """
     rows = np.repeat(np.arange(len(skill_sets)), [len(skills) for skills in skill_sets])
     cols = np.array([index.get(s, -1) for skills in skill_sets for s in skills], dtype=np.intp)
     found = cols >= 0
-    out = np.zeros((len(skill_sets), len(index)), dtype)
+    out = np.zeros((len(skill_sets), len(index)), np.float32)
     out[rows[found], cols[found]] = 1
     return out
 
@@ -215,14 +213,15 @@ def jaccard_matrix(
 ) -> np.ndarray:
     """Pairwise Jaccard overlap; two empty sets score 0 rather than 1.
 
-    Intersections come from one product of 0/1 incidence matrices over the
-    task skills. The counts are small integers held in float64, so the BLAS
-    product is exact in any summation order and thread count, and each
-    quotient equals Python's ``int / int`` of the same counts.
+    Intersections come from one float32 product of 0/1 incidence matrices
+    over the task skills. The counts are small integers, so the BLAS product
+    is exact in any summation order and thread count; they are cast to
+    float64 before the quotient, so each quotient equals Python's
+    ``int / int`` of the same counts.
     """
     index = skill_index(task_skills)
     tasks = skill_incidence(task_skills, index)
-    inter = skill_incidence(volunteer_skills, index) @ tasks.T
+    inter = (skill_incidence(volunteer_skills, index) @ tasks.T).astype(np.float64)
     volunteer_sizes = np.array([len(s) for s in volunteer_skills], dtype=np.float64)
     union = volunteer_sizes[:, None] + tasks.sum(axis=1)[None, :] - inter
     return np.divide(inter, union, out=np.zeros_like(inter), where=union > 0)

@@ -53,6 +53,7 @@ class WillingnessParams:
     sigmoid_center: float = 0.5
 
     def __post_init__(self):
+        object.__setattr__(self, "cue_weights", tuple(self.cue_weights))  # a config gives a list
         numbers = (self.history_weight, self.smoothing, self.sigmoid_gain, self.sigmoid_center)
         if not all(map(math.isfinite, (*numbers, *self.cue_weights))):
             raise ConfigError("willingness parameters must be finite numbers")
@@ -149,7 +150,7 @@ def tendency_matrix(
     """
     task_skills = [t.required_skills for t in taskspecs]
     index = skill_index(task_skills)
-    tasks_t = skill_incidence(task_skills, index, np.float32).T
+    tasks_t = skill_incidence(task_skills, index).T
     out = np.full((len(profiles), len(taskspecs)), 0.5)
     rows, walks = [], []
     for i, profile in enumerate(profiles):
@@ -167,7 +168,7 @@ def tendency_matrix(
         lengths = np.array([len(walk) for walk in walks[start:stop]])
         offsets = np.concatenate(([0], np.cumsum(lengths[:-1])))
         accepted = np.array([r.accepted for r in records])
-        incidence = skill_incidence([r.task_skills for r in records], index, np.float32)
+        incidence = skill_incidence([r.task_skills for r in records], index)
         relevant = (incidence @ tasks_t) > 0
         n_relevant = np.add.reduceat(relevant, offsets, axis=0, dtype=np.int64)
         n_accepted = np.add.reduceat(

@@ -2,6 +2,15 @@ import pytest
 
 from swati.ontology import Ontology, SkillEntry, load_builtin_ontology
 
+# The shape of every generated test market: narrower skill ranges and denser
+# cues than ``SyntheticConfig``'s defaults. Tests pass it explicitly, so their
+# data does not move with the library's defaults.
+TEST_MARKET_SHAPE = {
+    "skills_per_volunteer": (3, 4),
+    "skills_per_task": (2, 3),
+    "cue_density": 0.7,
+}
+
 
 @pytest.fixture(scope="session")
 def builtin_ontology():

@@ -53,6 +53,8 @@ from swati.willingness import (
 )
 from swati.corpus import Corpus, Document
 
+from conftest import TEST_MARKET_SHAPE
+
 SEEDS = (1, 2, 3, 4, 5)
 
 
@@ -81,7 +83,7 @@ def market_runs(builtin_ontology):
     runs = {}
     for seed in SEEDS:
         start = time.perf_counter()
-        cfg = SyntheticConfig(seed=seed, n_volunteers=342, n_tasks=300)
+        cfg = SyntheticConfig(seed=seed, n_volunteers=342, n_tasks=300, **TEST_MARKET_SHAPE)
         corpus = generate_synthetic(cfg, builtin_ontology)
         histories = histories_from_records(
             generate_synthetic_history(cfg, corpus, builtin_ontology)
@@ -394,9 +396,8 @@ def test_c10_ledger_tamper_evidence():
 def test_c11_extraction_round_trip(builtin_ontology):
     checks = []
     for spv, n_vol in (((3, 3), 30), ((2, 4), 30)):
-        cfg = SyntheticConfig(
-            seed=31, n_volunteers=n_vol, n_tasks=10, skills_per_volunteer=spv
-        )
+        shape = {**TEST_MARKET_SHAPE, "skills_per_volunteer": spv}
+        cfg = SyntheticConfig(seed=31, n_volunteers=n_vol, n_tasks=10, **shape)
         corpus = generate_synthetic(cfg, builtin_ontology)
         results = []
         recall_ok = True

@@ -40,6 +40,7 @@ from swati.willingness import (
 
 import python_reference as ref_paths
 import scalar_reference as ref
+from conftest import TEST_MARKET_SHAPE
 
 
 def _matrix(utilities, skill=None, content=None, willingness=None, params=None):
@@ -121,7 +122,7 @@ def test_capacity_map_defaults_and_validation():
 
 def _tiny_market(seed=3, n=4, m=3, builtin=None):
     corpus = generate_synthetic(
-        SyntheticConfig(seed=seed, n_volunteers=n, n_tasks=m), builtin
+        SyntheticConfig(seed=seed, n_volunteers=n, n_tasks=m, **TEST_MARKET_SHAPE), builtin
     )
     return build_market(corpus, builtin)
 
@@ -336,9 +337,7 @@ def test_greedy_matches_global_sort_reference(seed, n, m, levels, duplicates, ma
         {v: int(rng.integers(1, max_cap + 1)) for v in matrix.volunteers},
         default=max_cap,
     )
-    assert assign_swati(matrix, caps, epoch=2) == ref_paths.greedy(
-        matrix, matrix.utilities, caps, 2
-    )
+    assert assign_swati(matrix, caps) == ref_paths.greedy(matrix, matrix.utilities, caps, 0)
     assert assign_skill_only(matrix, caps) == ref_paths.greedy(matrix, matrix.skill, caps, 0)
 
 
@@ -481,7 +480,7 @@ def test_validator_rejects_wrong_utility():
 
 
 def _epoch_inputs(builtin_ontology, seed=23, n=6, m=5):
-    cfg = SyntheticConfig(seed=seed, n_volunteers=n, n_tasks=m)
+    cfg = SyntheticConfig(seed=seed, n_volunteers=n, n_tasks=m, **TEST_MARKET_SHAPE)
     corpus = generate_synthetic(cfg, builtin_ontology)
     market = build_market(corpus, builtin_ontology)
     histories = histories_from_records(

@@ -6,6 +6,13 @@ from importlib import resources
 import pytest
 
 from swati.cli import main
+from swati.corpus import (
+    SyntheticConfig,
+    generate_synthetic,
+    generate_synthetic_history,
+    save_corpus,
+    save_history,
+)
 from swati.ledger import load_ledger
 
 
@@ -54,6 +61,25 @@ def test_gen_is_bit_reproducible(tmp_path):
     assert _sha(a / "corpus.jsonl") == _sha(b_dir / "corpus.jsonl")
     assert _sha(a / "history.jsonl") == _sha(b_dir / "history.jsonl")
     assert _sha(a / "manifest.json") != ""  # exists and hashable
+
+
+@pytest.mark.parametrize(
+    "counts",
+    [{}, {"seed": 1, "n_volunteers": 30, "n_tasks": 24}],
+    ids=["no_flags", "seed1_30x24"],
+)
+def test_gen_builds_the_library_default_market(tmp_path, builtin_ontology, counts):
+    """``swati gen`` with the default config and ``SyntheticConfig``'s defaults agree."""
+    flags = [f"--{key.replace('_', '-')}={value}" for key, value in counts.items()]
+    out = tmp_path / "gen"
+    assert main(["gen", "--out", str(out), *flags]) == 0
+    cfg = SyntheticConfig(**counts)
+    corpus = generate_synthetic(cfg, builtin_ontology)
+    save_corpus(corpus, str(tmp_path / "corpus.jsonl"))
+    history = generate_synthetic_history(cfg, corpus, builtin_ontology)
+    save_history(history, str(tmp_path / "history.jsonl"))
+    for name in ("corpus.jsonl", "history.jsonl"):
+        assert (tmp_path / name).read_bytes() == (out / name).read_bytes()
 
 
 def test_extract_outputs(tmp_path):

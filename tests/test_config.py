@@ -1,9 +1,11 @@
 import json
+import re
+from pathlib import Path
 
 import pytest
 
 from swati.assignment import UtilityForm
-from swati.config import build_config, input_digest, load_config
+from swati.config import DEFAULT_CONFIG, build_config, input_digest, load_config
 from swati.errors import ConfigError
 
 
@@ -13,6 +15,15 @@ def test_defaults_load():
     assert cfg.utility.form is UtilityForm.PRODUCT
     assert cfg.capacities.get("anyone") == 1
     assert cfg.extractor_kind == "rule"
+
+
+def test_readme_config_block_is_the_default_config():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text("utf-8")
+    blocks = [json.loads(b) for b in re.findall(r"```json\n(.*?)```", readme, re.S)]
+    configs = [b for b in blocks if isinstance(b, dict) and "willingness" in b]
+    assert len(configs) == 1
+    dump = json.dumps(configs[0], sort_keys=True)
+    assert dump == json.dumps(DEFAULT_CONFIG, sort_keys=True)
 
 
 def test_partial_override_merges(tmp_path):

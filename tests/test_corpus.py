@@ -16,6 +16,8 @@ from swati.errors import ConfigError, DuplicateIdError, ParseError
 from swati.extraction import extract_rule_based
 from swati.ontology import Ontology, SkillEntry
 
+from conftest import TEST_MARKET_SHAPE
+
 
 def _write_jsonl(path, records):
     path.write_text("\n".join(json.dumps(r) for r in records) + "\n")
@@ -108,7 +110,7 @@ def test_corpus_rejects_duplicate_ids_on_construction():
 
 
 def test_round_trip(tmp_path, builtin_ontology):
-    cfg = SyntheticConfig(seed=3, n_volunteers=8, n_tasks=5)
+    cfg = SyntheticConfig(seed=3, n_volunteers=8, n_tasks=5, **TEST_MARKET_SHAPE)
     corpus = generate_synthetic(cfg, builtin_ontology)
     path = tmp_path / "c.jsonl"
     save_corpus(corpus, str(path))
@@ -116,7 +118,7 @@ def test_round_trip(tmp_path, builtin_ontology):
 
 
 def test_generate_is_deterministic(tmp_path, builtin_ontology):
-    cfg = SyntheticConfig(seed=7, n_volunteers=10, n_tasks=5)
+    cfg = SyntheticConfig(seed=7, n_volunteers=10, n_tasks=5, **TEST_MARKET_SHAPE)
     a = tmp_path / "a.jsonl"
     b = tmp_path / "b.jsonl"
     save_corpus(generate_synthetic(cfg, builtin_ontology), str(a))
@@ -125,9 +127,8 @@ def test_generate_is_deterministic(tmp_path, builtin_ontology):
 
 
 def test_generate_plants_exact_skill_counts(builtin_ontology):
-    cfg = SyntheticConfig(
-        seed=11, n_volunteers=12, n_tasks=4, skills_per_volunteer=(3, 3)
-    )
+    shape = {**TEST_MARKET_SHAPE, "skills_per_volunteer": (3, 3)}
+    cfg = SyntheticConfig(seed=11, n_volunteers=12, n_tasks=4, **shape)
     corpus = generate_synthetic(cfg, builtin_ontology)
     for doc in corpus.volunteers:
         result = extract_rule_based(doc, builtin_ontology)
@@ -138,7 +139,8 @@ def test_generate_plants_exact_skill_counts(builtin_ontology):
 
 def test_generate_infeasible_range_rejected():
     onto = Ontology([SkillEntry("A", ()), SkillEntry("B", ())])
-    cfg = SyntheticConfig(seed=1, n_volunteers=2, n_tasks=2, skills_per_task=(5, 5))
+    shape = {**TEST_MARKET_SHAPE, "skills_per_task": (5, 5)}
+    cfg = SyntheticConfig(seed=1, n_volunteers=2, n_tasks=2, **shape)
     with pytest.raises(ConfigError):
         generate_synthetic(cfg, onto)
 
@@ -146,7 +148,7 @@ def test_generate_infeasible_range_rejected():
 def test_generate_guards_template_alias_collisions():
     # an ontology claiming a template word would break planted-set exactness
     onto = Ontology([SkillEntry("Weekend Work", ("weekends",)), SkillEntry("B", ())])
-    cfg = SyntheticConfig(seed=1, n_volunteers=2, n_tasks=2,
+    cfg = SyntheticConfig(seed=1, n_volunteers=2, n_tasks=2, cue_density=0.7,
                           skills_per_volunteer=(1, 1), skills_per_task=(1, 1))
     with pytest.raises(ConfigError):
         generate_synthetic(cfg, onto)
@@ -188,14 +190,14 @@ def test_corpus_stats_empty():
 
 
 def test_corpus_stats_unified_dataset_scale(builtin_ontology):
-    cfg = SyntheticConfig(seed=0, n_volunteers=342, n_tasks=300)
+    cfg = SyntheticConfig(seed=0, n_volunteers=342, n_tasks=300, **TEST_MARKET_SHAPE)
     stats = corpus_stats(generate_synthetic(cfg, builtin_ontology))
     assert stats.n_volunteers == 342
     assert stats.n_tasks == 300
 
 
 def test_history_generation_deterministic_and_canonical(builtin_ontology):
-    cfg = SyntheticConfig(seed=5, n_volunteers=6, n_tasks=3)
+    cfg = SyntheticConfig(seed=5, n_volunteers=6, n_tasks=3, **TEST_MARKET_SHAPE)
     corpus = generate_synthetic(cfg, builtin_ontology)
     first = generate_synthetic_history(cfg, corpus, builtin_ontology)
     second = generate_synthetic_history(cfg, corpus, builtin_ontology)

@@ -9,12 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from swati.corpus import Document, SyntheticConfig, generate_synthetic
-from swati.errors import (
-    RemoteTimeoutError,
-    SchemaViolationError,
-    TransportError,
-    VectorizerNotFittedError,
-)
+from swati.errors import RemoteTimeoutError, SchemaViolationError, TransportError
 from swati.extraction import (
     _LEX,
     CUE_NAMES,
@@ -32,9 +27,10 @@ from swati.extraction import (
     validate_extraction,
 )
 from swati.ontology import Ontology, SkillEntry
-from swati.similarity import fit_vectorizer
+from swati.similarity import fit_vectorizer, vectorize
 
 import python_reference as ref
+from conftest import TEST_MARKET_SHAPE
 from swati.corpus import Corpus
 
 
@@ -152,7 +148,8 @@ def test_extraction_deterministic(mini_ontology):
 
 def test_rule_based_outputs_pass_validator(builtin_ontology):
     corpus = generate_synthetic(
-        SyntheticConfig(seed=13, n_volunteers=10, n_tasks=6), builtin_ontology
+        SyntheticConfig(seed=13, n_volunteers=10, n_tasks=6, **TEST_MARKET_SHAPE),
+        builtin_ontology,
     )
     for doc in corpus.documents():
         result = extract_rule_based(doc, builtin_ontology)
@@ -465,12 +462,12 @@ def test_prompt_template_is_packaged():
 # --- profile construction ---------------------------------------------------
 
 
-def _fitted_vectorizer():
+def _vector(text):
     corpus = Corpus(
         volunteers=(Document(id="v1", kind="volunteer", text="apple banana sql"),),
         tasks=(Document(id="t1", kind="task", text="banana cherry"),),
     )
-    return fit_vectorizer(corpus)
+    return vectorize(fit_vectorizer(corpus), text)
 
 
 def test_build_profile_canonicalizes(mini_ontology):
@@ -483,7 +480,7 @@ def test_build_profile_canonicalizes(mini_ontology):
         ),
         cues=PreferenceCues(stated_interest=0.5),
     )
-    profile = build_profile(doc, ex, mini_ontology, _fitted_vectorizer())
+    profile = build_profile(doc, ex, mini_ontology, _vector(doc.text))
     assert profile.skills == {"Computer Vision"}
     assert profile.cues.stated_interest == 0.5
 
@@ -491,23 +488,16 @@ def test_build_profile_canonicalizes(mini_ontology):
 def test_build_profile_empty_for_foreign_text(mini_ontology):
     doc = _doc("zzz qqq")
     ex = ExtractionResult(doc_id="d1", mentions=(), cues=PreferenceCues())
-    profile = build_profile(doc, ex, mini_ontology, _fitted_vectorizer())
+    profile = build_profile(doc, ex, mini_ontology, _vector(doc.text))
     assert profile.skills == frozenset()
     assert profile.content_vector.is_empty()
-
-
-def test_build_profile_requires_vectorizer(mini_ontology):
-    doc = _doc("anything")
-    ex = ExtractionResult(doc_id="d1", mentions=(), cues=PreferenceCues())
-    with pytest.raises(VectorizerNotFittedError):
-        build_profile(doc, ex, mini_ontology, None)
 
 
 def test_build_profile_rejects_mismatched_ids(mini_ontology):
     doc = _doc("anything")
     ex = ExtractionResult(doc_id="other", mentions=(), cues=PreferenceCues())
     with pytest.raises(ValueError):
-        build_profile(doc, ex, mini_ontology, _fitted_vectorizer())
+        build_profile(doc, ex, mini_ontology, _vector(doc.text))
 
 
 def test_build_taskspec_symmetric(mini_ontology):
@@ -515,13 +505,14 @@ def test_build_taskspec_symmetric(mini_ontology):
     ex = ExtractionResult(
         doc_id="t9", mentions=(SkillMention("sql", (6, 9), 0.5),), cues=PreferenceCues()
     )
-    spec = build_taskspec(doc, ex, mini_ontology, _fitted_vectorizer())
+    spec = build_taskspec(doc, ex, mini_ontology, _vector(doc.text))
     assert spec.required_skills == {"SQL"}
 
 
 def test_build_market_round_trip(builtin_ontology):
     corpus = generate_synthetic(
-        SyntheticConfig(seed=21, n_volunteers=6, n_tasks=4), builtin_ontology
+        SyntheticConfig(seed=21, n_volunteers=6, n_tasks=4, **TEST_MARKET_SHAPE),
+        builtin_ontology,
     )
     market = build_market(corpus, builtin_ontology)
     assert len(market.profiles) == 6 and len(market.taskspecs) == 4
