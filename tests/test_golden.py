@@ -282,6 +282,7 @@ def test_match_artifacts_match_golden_digests(tmp_path, seed):
 
 EXTRACT_ARTIFACTS = ("extraction.jsonl", "extraction_stats.json", "manifest.json")
 
+
 # ``extract`` writes evidence spans, proficiency and cue scores, which no
 # ``match`` artifact carries; it runs on a 60-volunteer, 48-task corpus.
 EXTRACT_GOLDEN = {
@@ -322,6 +323,106 @@ def test_extract_artifacts_match_golden_digests(tmp_path, seed, monkeypatch):
     assert cli_main(["extract", "--corpus", "gen/corpus.jsonl", "--out", "ex"]) == 0
     digests = {artifact: _sha256(tmp_path / "ex" / artifact) for artifact in EXTRACT_ARTIFACTS}
     assert digests == EXTRACT_GOLDEN[seed]
+
+
+# Hand-made documents appended to each seed's 12-volunteer, 10-task corpus.
+# Accented text takes the IGNORECASE phrase scan; a no-break space inside a
+# multi-word alias makes the alias keys come from the text rather than from
+# joined tokens; the stopword-only task has an empty content vector.
+HANDMADE = (
+    {"id": "hv-accent", "kind": "volunteer",
+     "text": "Résumé d'une ingénieure: EXPERT in Machine Learning, 6+ Years with "
+             "PyTorch; Passionnée, déjà volunteered, AVAILABLE on Weekends."},
+    {"id": "hv-nbsp", "kind": "volunteer",
+     "text": "Skilled in web\u00a0programming and statistical\u00a0learning, "
+             "proficient with cloud\u00a0infrastructure. Interested in evenings."},
+    {"id": "ht-stop", "kind": "task", "text": "The and of to, in it is was."},
+    {"id": "ht-accent", "kind": "task",
+     "text": "Tâche café: data\u00a0analysis and machine-learning for the "
+             "bénévoles' web\u00a0programming club."},
+)
+
+HANDMADE_GOLDEN = {
+    1: {
+        "ex/extraction.jsonl":
+            "cbff3bdd6ab98e46ade05801ce84669db5e69a0476f1d5ae6867de54d8a0fa88",
+        "ex/extraction_stats.json":
+            "4942051ef96cc289215cbe3a6421f3a18a2190ee304a60075b0ac79362ffbebf",
+        "ex/manifest.json":
+            "7e792730e3a691a444fae414bb724b2555f389afaa07bc876bc7e7ac5e518581",
+        "match/assignment.jsonl":
+            "75e34c7bcb2331e121486c0286a536162837e6e18b94548e1a5d36930557a125",
+        "match/ledger.bin":
+            "e782ecf2327b751a34e597273754cbfb2deb563861d538e46ac017153810dc97",
+        "match/ledger.txt":
+            "5e53c0d9cb27f5602ff2ed75c07e68da283649528f10d72963140a04b63ef661",
+        "match/manifest.json":
+            "4ae296042b1a291814c3ef13faba6723e2c50a1c9d674d877b3aaa1317514b0d",
+        "match/quality.csv":
+            "181f2f19362760c21cc6acaee4c4249a40c5777674269644340eea30636baa1c",
+    },
+    2: {
+        "ex/extraction.jsonl":
+            "0450b19c8a5ae7a5edf888aa1f8bc1d0366d9167179dcebe7050b7ee305a8af6",
+        "ex/extraction_stats.json":
+            "4292b7217aa3ebf922e4d38e867206387f8dd1ce187a0bae76f13e479adb1966",
+        "ex/manifest.json":
+            "a83f1035a9cad127631cc06cb3d96f33e976d4caed360ca81bb797f2dcde619c",
+        "match/assignment.jsonl":
+            "f7d1fc2162b952ef2eae0508c31ad1055b503ffd9e0d3b633346f268bd7e07e6",
+        "match/ledger.bin":
+            "de7c24d11222cbc81a8778f67d464a07d036e67768a12fc096444fde8b39beb1",
+        "match/ledger.txt":
+            "700a60d5b9cda73e0407b1a841d828d3b78d1e328c3e9d6e3750897b21e19b36",
+        "match/manifest.json":
+            "2d1b87fb911236ea155f1f6db66487cce3cadaade9ac47f6127632387e1b34d9",
+        "match/quality.csv":
+            "7c27ad0c412f2a6f2160d0d6f3c95b7f2fd275c0e2e22564f94ce476a44dcee1",
+    },
+    3: {
+        "ex/extraction.jsonl":
+            "e7f415095e37aff8cfdb7b3db0284cd4524b1c5c4f2162d1619bf1051a834afc",
+        "ex/extraction_stats.json":
+            "bdd0639ca5938165ef52c315b16fd289c652583a96618b53d43799afb8ef953e",
+        "ex/manifest.json":
+            "71e70bba1e83722a99fa0119fb49d5d7c121a86ed04ee6b149eab454843f82df",
+        "match/assignment.jsonl":
+            "e7074a7f065a268fe07b42d396f6f1858d96902345177538cac7fb2a339bf657",
+        "match/ledger.bin":
+            "d63834de3f796f73bbcddc4c13e4adc91665fc2e1e934108c1721205604d0ff5",
+        "match/ledger.txt":
+            "6186788e50ca03f4a2a4f9b00a9a5b248602c9b1f67da4e4d77b4d86a1c876cc",
+        "match/manifest.json":
+            "bb4a5200c6c7f4e482562351139a8db50748712e5e278d0bf7061fa202ca7620",
+        "match/quality.csv":
+            "ff1145505811c70a6f883c957714ae6c15cbd8e198db68feabdd8965018cd308",
+    },
+}
+
+
+@pytest.mark.parametrize("seed", (1, 2, 3))
+def test_handmade_documents_match_golden_digests(tmp_path, seed, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    gen = ["gen", "--out", "gen", "--seed", str(seed), "--n-volunteers", "12", "--n-tasks", "10"]
+    assert cli_main(gen) == 0
+    with open("gen/corpus.jsonl", "a", encoding="utf-8") as fh:
+        for doc in HANDMADE:
+            fh.write(json.dumps(doc) + "\n")
+    (tmp_path / "config.json").write_text(
+        json.dumps({"history_path": "gen/history.jsonl", "capacities": {"default": 2}})
+    )
+    subprocess.run(
+        [sys.executable, "-m", "swati.cli", "match", "--config", "config.json",
+         "--corpus", "gen/corpus.jsonl", "--out", "match"],
+        cwd=tmp_path, env=_env(), check=True, capture_output=True,
+    )
+    # extraction makes no BLAS call, so it runs in-process
+    assert cli_main(["extract", "--corpus", "gen/corpus.jsonl", "--out", "ex"]) == 0
+    digests = {f"match/{artifact}": _sha256(tmp_path / "match" / artifact) for artifact in ARTIFACTS}
+    for artifact in EXTRACT_ARTIFACTS:
+        digests[f"ex/{artifact}"] = _sha256(tmp_path / "ex" / artifact)
+    assert digests == HANDMADE_GOLDEN[seed]
+
 
 
 BENCH_ARTIFACTS = ("quality.csv", "cdf_20.csv", "cdf_30.csv", "manifest.json")
