@@ -22,6 +22,7 @@ import time
 import unicodedata
 from dataclasses import dataclass, replace
 from importlib import resources
+from itertools import islice
 from typing import Optional, Sequence
 
 import numpy as np
@@ -173,11 +174,13 @@ def find_alias_mentions(text: str, ontology: Ontology) -> list[tuple[int, int, s
     document's tokens, lowercased once: a one-token span's key is its stripped
     token, and a longer span's key is its tokens joined by one space and
     stripped, unless the document has whitespace that the strip does not
-    remove (then the span's text is normalized).
+    remove (then the span's text is normalized). Token offsets are found
+    only up to the last matched token, or for the whole document once a
+    span's text has to be normalized.
     """
     words = text.lower().split()  # the \S+ tokens: lower() adds no whitespace
     keys = [word.strip(_STRIP_CHARS) for word in words]
-    spans = [m.span() for m in _TOKEN_RE.finditer(text)]
+    spans = None  # the tokens' (start, end) offsets in ``text``, found on demand
     index, first_keys = ontology.alias_index, ontology.alias_first_keys
     joinable = _UNSTRIPPED_SPACE_RE.search(text) is None
     # Only these tokens can start a match: a punctuation-only token (its spans
@@ -209,12 +212,16 @@ def find_alias_mentions(text: str, ontology: Ontology) -> list[tuple[int, int, s
             elif joinable:
                 key = " ".join(words[i : last + 1]).strip(_STRIP_CHARS)
             else:
+                if spans is None:
+                    spans = [m.span() for m in _TOKEN_RE.finditer(text)]
                 key = normalize_skill(text[spans[i][0] : spans[last][1]])
             canonical = index.get(key)
             if canonical is not None:
                 found.append((i, last, canonical))
                 resume = last + 1
                 break
+    if found and spans is None:
+        spans = [m.span() for m in islice(_TOKEN_RE.finditer(text), found[-1][1] + 1)]
     return [
         (*_trim_span(text, spans[first][0], spans[last][1]), canonical)
         for first, last, canonical in found
@@ -528,19 +535,20 @@ def build_market(
     unchanged.
     """
     terms = count_terms((doc.text for doc in corpus.documents()), settings)
-    vec = fit_vectorizer(corpus, settings, terms)
+    vectors = term_vectors(fit_vectorizer(terms, settings), terms)
+    n_volunteers = len(corpus.volunteers)
     volunteer_results = [extractor(doc, ontology) for doc in corpus.volunteers]
     task_results = [extractor(doc, ontology) for doc in corpus.tasks]
-    # one iterator, volunteers first: zip draws a vector only after a document
-    vectors = term_vectors(vec, terms)
     return Market(
         profiles=tuple(
             build_profile(doc, res, ontology, vector)
-            for doc, res, vector in zip(corpus.volunteers, volunteer_results, vectors)
+            for doc, res, vector in zip(
+                corpus.volunteers, volunteer_results, vectors[:n_volunteers]
+            )
         ),
         taskspecs=tuple(
             build_taskspec(doc, res, ontology, vector)
-            for doc, res, vector in zip(corpus.tasks, task_results, vectors)
+            for doc, res, vector in zip(corpus.tasks, task_results, vectors[n_volunteers:])
         ),
     )
 

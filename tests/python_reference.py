@@ -1,11 +1,14 @@
-"""Pure-Python paths that the numpy greedy and the one-scan extractor replaced.
+"""Pure-Python paths that the numpy greedy, one-scan extractor and batch vectorizer replaced.
 
-The global-sort greedy, the span-by-span alias scan and the per-lexicon cue
-counts are kept only as references that tests compare the optimized code
-against, result for result.
+The global-sort greedy, the span-by-span alias scan, the per-lexicon cue
+counts and the per-document term counts and content vectors are kept only as
+references that tests compare the optimized code against, result for result.
 """
 
 import re
+from collections import Counter
+
+import numpy as np
 
 from swati.assignment import AssignedPair, Assignment
 from swati.extraction import (
@@ -21,6 +24,7 @@ from swati.extraction import (
     _trim_span,
 )
 from swati.ontology import normalize_skill
+from swati.similarity import SparseVector, TermCounts, VectorizerSettings, tokenize
 
 
 def _phrase_regex(terms):
@@ -115,3 +119,38 @@ def extract_rule_based(doc, ontology):
         availability=min(1.0, CUE_STEP * counts["availability"]),
     )
     return ExtractionResult(doc_id=doc.id, mentions=mentions, cues=cues)
+
+
+def count_terms(texts, settings=VectorizerSettings()):
+    """Count each text's terms with a ``Counter``; ids in first-seen order within each text."""
+    term_ids = {}
+    ids, counts, offsets = [], [], [0]
+    for text in texts:
+        for term, count in Counter(tokenize(text, settings)).items():
+            ids.append(term_ids.setdefault(term, len(term_ids)))
+            counts.append(count)
+        offsets.append(len(ids))
+    return TermCounts(
+        terms=tuple(term_ids),
+        ids=np.array(ids, dtype=np.intp),
+        counts=np.array(counts, dtype=np.intp),
+        offsets=np.array(offsets, dtype=np.intp),
+    )
+
+
+def term_vectors(model, terms):
+    """Build and check each document's vector on its own, sorting its (column, count) pairs."""
+    columns = np.array([model.vocabulary.get(t, -1) for t in terms.terms], dtype=np.intp)
+    bounds = terms.offsets.tolist()
+    vectors = []
+    for start, stop in zip(bounds, bounds[1:]):
+        cols = columns[terms.ids[start:stop]].tolist()
+        pairs = sorted(p for p in zip(cols, terms.counts[start:stop].tolist()) if p[0] >= 0)
+        if not pairs:
+            vectors.append(SparseVector.empty())
+            continue
+        indices = np.array([col for col, _ in pairs], dtype=np.int64)
+        weights = np.array([count for _, count in pairs], dtype=np.float64) * model.idf[indices]
+        weights /= np.linalg.norm(weights)
+        vectors.append(SparseVector(indices, weights))
+    return vectors

@@ -24,14 +24,14 @@ from swati.extraction import (
     extract_remote,
     extract_rule_based,
     extraction_stats,
+    find_alias_mentions,
     validate_extraction,
 )
 from swati.ontology import Ontology, SkillEntry
-from swati.similarity import fit_vectorizer, vectorize
+from swati.similarity import count_terms, fit_vectorizer, vectorize
 
 import python_reference as ref
 from conftest import TEST_MARKET_SHAPE
-from swati.corpus import Corpus
 
 
 def _doc(text, doc_id="d1", kind="volunteer"):
@@ -463,11 +463,7 @@ def test_prompt_template_is_packaged():
 
 
 def _vector(text):
-    corpus = Corpus(
-        volunteers=(Document(id="v1", kind="volunteer", text="apple banana sql"),),
-        tasks=(Document(id="t1", kind="task", text="banana cherry"),),
-    )
-    return vectorize(fit_vectorizer(corpus), text)
+    return vectorize(fit_vectorizer(count_terms(["apple banana sql", "banana cherry"])), text)
 
 
 def test_build_profile_canonicalizes(mini_ontology):
@@ -633,3 +629,20 @@ def test_punctuation_run_after_a_single_word_alias(mini_ontology):
     result = extract_rule_based(doc, mini_ontology)
     assert [m.raw for m in result.mentions] == ["java", "yolo v8", "Java", "ML"]
     assert result == ref.extract_rule_based(doc, mini_ontology)
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        ("I write java", [(8, 12, "Java")]),  # the match ends on the last token
+        ("sql , -- ...", [(0, 3, "SQL")]),  # punctuation-only tokens follow the match
+        ("nothing to see here", []),
+        # not joinable (a no-break space), and the first candidate span is
+        # multi-token, so every token's offsets are needed
+        ("machine\u00a0learning then java and ml",
+         [(0, 16, "Machine Learning"), (22, 26, "Java"), (31, 33, "Machine Learning")]),
+    ],
+)
+def test_alias_offsets_found_only_where_needed(mini_ontology, text, expected):
+    assert find_alias_mentions(text, mini_ontology) == expected
+    assert ref.find_alias_mentions(text, mini_ontology) == expected

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from swati import similarity
@@ -14,13 +14,16 @@ from swati.similarity import (
     VectorizerModel,
     VectorizerSettings,
     cosine_matrix,
+    count_terms,
     fit_vectorizer,
     jaccard_matrix,
     skill_incidence,
+    term_vectors,
     tokenize,
     vectorize,
 )
 
+import python_reference as ref
 from conftest import TEST_MARKET_SHAPE
 
 # Hand-evaluated from idf(t) = ln((1 + n_docs) / (1 + df)) + 1 on the
@@ -40,6 +43,10 @@ def _micro_corpus():
     )
 
 
+def _fit(corpus):
+    return fit_vectorizer(count_terms(doc.text for doc in corpus.documents()))
+
+
 def test_tokenize_rules():
     assert tokenize("Hello, ML-world! a of pipelines") == ["hello", "ml", "world", "pipelines"]
     assert tokenize("x y z") == []  # single-char tokens dropped
@@ -48,18 +55,18 @@ def test_tokenize_rules():
 
 
 def test_idf_term_in_every_doc_is_one():
-    model = fit_vectorizer(_micro_corpus())
+    model = _fit(_micro_corpus())
     assert model.idf[model.vocabulary["apple"]] == pytest.approx(IDF_APPLE, abs=1e-9)
 
 
 def test_idf_term_in_one_of_three_docs():
-    model = fit_vectorizer(_micro_corpus())
+    model = _fit(_micro_corpus())
     assert model.idf[model.vocabulary["cherry"]] == pytest.approx(IDF_RARE, abs=1e-9)
     assert model.idf[model.vocabulary["banana"]] == pytest.approx(IDF_BANANA, abs=1e-9)
 
 
 def test_micro_corpus_tfidf_weights_hand_computed():
-    model = fit_vectorizer(_micro_corpus())
+    model = _fit(_micro_corpus())
     vec = vectorize(model, "apple banana damson")
     dense = {i: w for i, w in zip(vec.indices.tolist(), vec.weights.tolist())}
     norm = math.sqrt(IDF_APPLE**2 + IDF_BANANA**2 + IDF_RARE**2)
@@ -70,17 +77,17 @@ def test_micro_corpus_tfidf_weights_hand_computed():
 
 def test_fit_empty_corpus_rejected():
     with pytest.raises(EmptyCorpusError):
-        fit_vectorizer(Corpus(volunteers=(), tasks=()))
+        _fit(Corpus(volunteers=(), tasks=()))
 
 
 def test_vectorize_single_term_unit_weight():
-    model = fit_vectorizer(_micro_corpus())
+    model = _fit(_micro_corpus())
     vec = vectorize(model, "apple")
     assert vec.weights.tolist() == [1.0]
 
 
 def test_vectorize_all_oov_is_empty():
-    model = fit_vectorizer(_micro_corpus())
+    model = _fit(_micro_corpus())
     vec = vectorize(model, "zebra quagga")
     assert vec.is_empty()
 
@@ -125,7 +132,7 @@ def test_skill_sim_both_empty_is_zero():
 
 
 def test_content_sim_self_similarity():
-    model = fit_vectorizer(_micro_corpus())
+    model = _fit(_micro_corpus())
     vec = vectorize(model, "apple banana")
     assert content_sim(vec, vec) == pytest.approx(1.0, abs=1e-9)
 
@@ -185,7 +192,7 @@ def test_vectorize_norm_invariant_over_corpus(builtin_ontology):
         SyntheticConfig(seed=2, n_volunteers=15, n_tasks=10, **TEST_MARKET_SHAPE),
         builtin_ontology,
     )
-    model = fit_vectorizer(corpus)
+    model = _fit(corpus)
     for doc in corpus.documents():
         vec = vectorize(model, doc.text)
         if not vec.is_empty():
@@ -220,7 +227,7 @@ def test_build_market_tokenizes_each_document_once(builtin_ontology, monkeypatch
     market = build_market(corpus, builtin_ontology)
     monkeypatch.undo()
     assert sorted(seen) == sorted(doc.text for doc in corpus.documents())
-    model = fit_vectorizer(corpus)
+    model = _fit(corpus)
     built = [item.content_vector for item in (*market.profiles, *market.taskspecs)]
     for doc, vector in zip(corpus.documents(), built, strict=True):
         expected = _vectorize_per_document(model, doc.text)
@@ -229,7 +236,7 @@ def test_build_market_tokenizes_each_document_once(builtin_ontology, monkeypatch
 
 
 def test_vectorize_drops_unknown_terms_and_keeps_counts():
-    model = fit_vectorizer(_micro_corpus())
+    model = _fit(_micro_corpus())
     for text in ["zebra apple zebra banana apple", "quagga", "", "damson damson cherry"]:
         got, expected = vectorize(model, text), _vectorize_per_document(model, text)
         assert np.array_equal(got.indices, expected.indices)
@@ -257,10 +264,102 @@ def test_skill_incidence_equals_row_by_row(skill_sets, indexed):
     assert skill_incidence(skill_sets, index).dtype == np.float32
 
 
+_INVALID_VECTORS = [
+    ([2, 1], [0.6, 0.8]),  # not increasing
+    ([0, 1], [0.5, 0.5]),  # not unit norm
+    ([0], [np.inf]),
+    ([0, 1], [1.0]),  # not aligned
+    ([-1], [1.0]),  # would read the last column of a dense row
+    ([0.7, 1.2], [0.6, 0.8]),  # would be truncated to [0, 1]
+]
+
+
 def test_sparse_vector_invariants_enforced():
+    for indices, weights in _INVALID_VECTORS:
+        with pytest.raises(ValueError):
+            SparseVector(np.array(indices), np.array(weights))
+        # the batch runs the same checks, here on a vector between two valid ones
+        n = len(indices)
+        with pytest.raises(ValueError):
+            SparseVector.batch(
+                np.array([0, *indices, 0]), np.array([1.0, *weights, 1.0]), [0, 1, 1 + n, 2 + n]
+            )
+
+
+def test_negative_index_is_rejected_before_the_cosine():
+    # index -1 once scored two disjoint vectors as identical
+    with pytest.raises(ValueError, match="non-negative"):
+        cosine_matrix([SparseVector([-1], [1.0])], [SparseVector([3], [1.0])])
+
+
+def test_batch_allows_indices_to_fall_between_vectors():
+    vectors = SparseVector.batch(np.array([3, 0, 1]), np.array([1.0, 0.6, 0.8]), [0, 1, 1, 3])
+    assert [v.indices.tolist() for v in vectors] == [[3], [], [0, 1]]
+    assert [v.weights.tolist() for v in vectors] == [[1.0], [], [0.6, 0.8]]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1.0])
+def test_vectorizer_model_rejects_bad_idf(bad):
     with pytest.raises(ValueError):
-        SparseVector(np.array([2, 1]), np.array([0.6, 0.8]))
-    with pytest.raises(ValueError):
-        SparseVector(np.array([0, 1]), np.array([0.5, 0.5]))  # not unit norm
-    with pytest.raises(ValueError):
-        SparseVector(np.array([0]), np.array([np.inf]))
+        VectorizerModel(vocabulary={"a": 0, "b": 1}, idf=np.array([1.0, bad]), doc_count=2)
+
+
+# --- the batch counts and vectors against the per-document reference ---------
+
+_WORDS = st.sampled_from(
+    ["apple", "Banana", "cherry", "apple", "the", "and", "of", "x", "a", "42",
+     "café", "naïve", "ÜBER", "日本語", "mañana", "zebra", "quagga"]
+)
+_TEXTS = st.lists(
+    st.lists(st.tuples(_WORDS, st.sampled_from([" ", ", ", "-", "\n", "\u00a0"])), max_size=12)
+    .map(lambda parts: "".join(w + sep for w, sep in parts))
+    | st.sampled_from(["", "the and of it", "x y z", "zebra quagga zebra", "apple apple apple"]),
+    max_size=8,
+)
+
+
+def _same_vectors(got, expected):
+    assert len(got) == len(expected)
+    for a, b in zip(got, expected):
+        assert a.indices.tobytes() == b.indices.tobytes()
+        assert a.weights.tobytes() == b.weights.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(_TEXTS, _TEXTS, st.booleans())
+def test_batch_counts_and_vectors_equal_per_document(fit_texts, other_texts, stopwords):
+    vectorizer_settings = VectorizerSettings(use_stopwords=stopwords)
+    got = count_terms(fit_texts, vectorizer_settings)
+    expected = ref.count_terms(fit_texts, vectorizer_settings)
+    assert got.terms == expected.terms
+    assert np.array_equal(got.offsets, expected.offsets)
+    n_terms = len(got.terms)
+    assert np.array_equal(
+        np.bincount(got.ids, minlength=n_terms), np.bincount(expected.ids, minlength=n_terms)
+    )
+    bounds = got.offsets.tolist()
+    for start, stop in zip(bounds, bounds[1:]):
+        pairs = [
+            sorted(zip(c.ids[start:stop].tolist(), c.counts[start:stop].tolist()))
+            for c in (got, expected)
+        ]
+        assert pairs[0] == pairs[1]
+    if not fit_texts:
+        return
+    model = fit_vectorizer(got, vectorizer_settings)
+    expected_model = fit_vectorizer(expected, vectorizer_settings)
+    assert model.vocabulary == expected_model.vocabulary
+    assert model.idf.tobytes() == expected_model.idf.tobytes()
+    _same_vectors(term_vectors(model, got), ref.term_vectors(model, expected))
+    # texts the model was not fitted on: out-of-vocabulary terms are dropped
+    other = count_terms(other_texts, vectorizer_settings)
+    expected_other = ref.count_terms(other_texts, vectorizer_settings)
+    _same_vectors(term_vectors(model, other), ref.term_vectors(model, expected_other))
+
+
+def test_corrupted_idf_still_fails_the_finite_check():
+    terms = count_terms(["apple banana", "banana cherry"])
+    model = fit_vectorizer(terms)
+    model.idf[model.vocabulary["banana"]] = np.inf
+    with pytest.raises(ValueError, match="weights must be finite"), np.errstate(invalid="ignore"):
+        term_vectors(model, terms)
