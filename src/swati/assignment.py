@@ -167,49 +167,99 @@ def similarity_components(
     return skill, content
 
 
-def _id_ranks(ids: Sequence[str]) -> np.ndarray:
-    """Rank of each id in Python string order; equal ids share a rank."""
+def _tie_ranks(ids: Sequence[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per position: how many ids sort before its id, how many share it, its place among those.
+
+    Ids compare in Python string order; equal ids keep their positional order.
+    """
     rank = {v: r for r, v in enumerate(sorted(set(ids)))}
-    return np.array([rank[v] for v in ids], dtype=np.int64)
+    ranks = np.array([rank[v] for v in ids], dtype=np.int64)
+    sizes = np.bincount(ranks)
+    before = np.cumsum(sizes) - sizes
+    by_id = np.argsort(ranks, kind="stable")
+    place = np.empty_like(ranks)
+    place[by_id] = np.arange(ranks.size) - before[ranks[by_id]]
+    return before[ranks], sizes[ranks], place
 
 
+def _top_cells(scores: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row-major rows and columns of the entries at least the k-th largest, ties included."""
+    if k < scores.size:
+        # the k-th smallest negated score: numpy's selection is slow when the
+        # k-th largest falls in a long run of equal scores
+        negated = np.negative(scores).ravel()
+        negated.partition(k - 1)
+        cutoff = -negated[k - 1]
+    else:
+        cutoff = scores.min()
+    return np.nonzero(scores >= cutoff)
+
+
+# a round first orders this many live pairs per task, and twice as many each round after
+_ROUND_PAIRS_PER_TASK = 4
 # pairs are filtered against the matching state in blocks of this many
-_WALK_BLOCK = 4096
+_WALK_BLOCK = 256
 
 
 def _greedy(matrix: UtilityMatrix, sort_scores: np.ndarray, caps: CapacityMap) -> Assignment:
-    """Walk all pairs by (-score, volunteer id, task id), taking each feasible one.
+    """Take each feasible pair in (-score, volunteer id, task id, row, column) order.
 
-    ``np.lexsort`` is stable, so pairs tied on all three keys (duplicate ids)
-    keep their row-major (i, j) order.
+    A pair is live while its volunteer has spare capacity and its task is
+    free. A dead pair never comes back to life, so walking all n*m pairs in
+    that order takes what walking only the live ones takes. Each round orders
+    the live pairs that score at least the k-th largest live score, ties at
+    that cutoff included, so every live pair left out ranks after every pair
+    let in. The walk checks them all, so none is live after the round. k
+    doubles each round, so a market where every row outranks the next needs
+    few rounds.
+
+    A round sorts its pairs by score, then by one tie rank: a pair's place
+    among all n*m pairs in (volunteer id, task id, row, column) order. The
+    tie rank is arithmetic over the id groups, so no round sorts more than
+    its own pairs.
     """
     n, m = sort_scores.shape
-    order = np.lexsort(
-        (
-            np.tile(_id_ranks(matrix.tasks), n),
-            np.repeat(_id_ranks(matrix.volunteers), m),
-            -sort_scores.ravel(),
-        )
-    )
-    # a block first drops the pairs whose volunteer or task was used up
-    # before it began; the rest are checked one by one as the state changes
-    spare = np.array([caps.get(v) for v in matrix.volunteers], dtype=np.int64)
+    v_before, v_size, v_place = _tie_ranks(matrix.volunteers)
+    t_before, t_size, t_place = _tie_ranks(matrix.tasks)
+    # no volunteer can take more than the m tasks; the walk reads the lists,
+    # and the arrays mirror them for the numpy filters
+    left = [min(caps.get(v), m) for v in matrix.volunteers]
+    open_ = [True] * m
+    spare = np.array(left, dtype=np.int64)
     free = np.ones(m, dtype=bool)
     pairs = []
-    for start in range(0, order.size, _WALK_BLOCK):
-        rows, cols = np.divmod(order[start : start + _WALK_BLOCK], m)
-        live = (spare[rows] > 0) & free[cols]
-        for i, j in zip(rows[live].tolist(), cols[live].tolist()):
-            if not free[j] or spare[i] == 0:
-                continue
-            free[j] = False
-            spare[i] -= 1
-            pairs.append(
-                AssignedPair(matrix.volunteers[i], matrix.tasks[j], float(matrix.utilities[i, j]))
-            )
-            if len(pairs) == m:
-                return Assignment(pairs=tuple(pairs))
-    return Assignment(pairs=tuple(pairs))
+    k = _ROUND_PAIRS_PER_TASK * m
+    while True:
+        live_rows, live_cols = np.flatnonzero(spare), np.flatnonzero(free)
+        if not live_rows.size:
+            return Assignment(pairs=tuple(pairs))
+        live = sort_scores
+        if live_rows.size < n or live_cols.size < m:
+            live = sort_scores[np.ix_(live_rows, live_cols)]
+        r, c = _top_cells(live, k)
+        rows, cols = live_rows[r], live_cols[c]
+        ties = v_before[rows] * m + v_size[rows] * t_before[cols]
+        ties += v_place[rows] * t_size[cols] + t_place[cols]
+        order = np.lexsort((ties, -live[r, c]))
+        rows, cols = rows[order], cols[order]
+        # a block first drops the pairs whose volunteer or task was used up
+        # before it began; the rest are checked one by one as the state changes
+        for start in range(0, order.size, _WALK_BLOCK):
+            block_rows = rows[start : start + _WALK_BLOCK]
+            block_cols = cols[start : start + _WALK_BLOCK]
+            keep = (spare[block_rows] > 0) & free[block_cols]
+            for i, j in zip(block_rows[keep].tolist(), block_cols[keep].tolist()):
+                if not open_[j] or not left[i]:
+                    continue
+                open_[j] = free[j] = False
+                left[i] -= 1
+                spare[i] -= 1
+                pairs.append(
+                    AssignedPair(matrix.volunteers[i], matrix.tasks[j], float(matrix.utilities[i, j]))
+                )
+                if len(pairs) == m:
+                    return Assignment(pairs=tuple(pairs))
+        k *= 2
 
 
 def assign_swati(matrix: UtilityMatrix, caps: CapacityMap) -> Assignment:

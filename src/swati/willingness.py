@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ConfigError, DimensionError, ParseError, read_jsonl
 from .extraction import Profile, TaskSpec
-from .similarity import skill_incidence, skill_index
+from .similarity import skill_cells, skill_incidence, skill_index
 
 # Cue vector layout: (domain_affinity, prior_exposure, stated_interest,
 # volunteering_history, availability). Affinity is halved when the volunteer
@@ -142,15 +142,19 @@ def tendency_matrix(
     no history at all the uninformative prior 0.5. Every fraction is a
     quotient of exact integer counts.
 
-    Volunteers are scored in blocks of at most ``_WALK_BLOCK`` history records
+    Every record's skill columns and acceptance flag are gathered once, then
+    volunteers are scored in blocks of at most ``_WALK_BLOCK`` history records
     (a volunteer with more records is a block of its own). A block's relevance
     is one float32 product of 0/1 incidence matrices: each entry is a sum of
     non-negative 0/1 terms, so it is positive exactly when a record and a task
-    share a skill, in any summation order.
+    share a skill, in any summation order. Its per-volunteer counts are one
+    float32 product of a 0/1 membership matrix (each volunteer's records, then
+    each volunteer's accepted records) with the 0/1 relevance; they are at
+    most ``_WALK_BLOCK``, so float32 holds them exactly.
     """
     task_skills = [t.required_skills for t in taskspecs]
     index = skill_index(task_skills)
-    tasks_t = skill_incidence(task_skills, index).T
+    tasks_t = np.ascontiguousarray(skill_incidence(task_skills, index).T)
     out = np.full((len(profiles), len(taskspecs)), 0.5)
     rows, walks = [], []
     for i, profile in enumerate(profiles):
@@ -158,24 +162,33 @@ def tendency_matrix(
         if history is not None and history.records:
             rows.append(i)
             walks.append(history.records)
+    if not rows:
+        return out
+    records = [r for walk in walks for r in walk]
+    accepted = np.array([r.accepted for r in records])
+    skill_rows, skill_cols = skill_cells([r.task_skills for r in records], index)
+    lengths = np.array([len(walk) for walk in walks])
+    offsets = np.concatenate(([0], np.cumsum(lengths)))
+    overall = np.add.reduceat(accepted, offsets[:-1], dtype=np.int64) / lengths
     start = 0
     while start < len(rows):
-        stop, size = start + 1, len(walks[start])
-        while stop < len(rows) and size + len(walks[stop]) <= _WALK_BLOCK:
-            size += len(walks[stop])
+        stop, size = start + 1, lengths[start]
+        while stop < len(rows) and size + lengths[stop] <= _WALK_BLOCK:
+            size += lengths[stop]
             stop += 1
-        records = [r for walk in walks[start:stop] for r in walk]
-        lengths = np.array([len(walk) for walk in walks[start:stop]])
-        offsets = np.concatenate(([0], np.cumsum(lengths[:-1])))
-        accepted = np.array([r.accepted for r in records])
-        incidence = skill_incidence([r.task_skills for r in records], index)
-        relevant = (incidence @ tasks_t) > 0
-        n_relevant = np.add.reduceat(relevant, offsets, axis=0, dtype=np.int64)
-        n_accepted = np.add.reduceat(
-            relevant & accepted[:, None], offsets, axis=0, dtype=np.int64
-        )
-        overall = np.add.reduceat(accepted, offsets, dtype=np.int64) / lengths
-        block = np.repeat(overall[:, None], len(taskspecs), axis=1)
+        first, last = offsets[start], offsets[stop]
+        lo, hi = np.searchsorted(skill_rows, (first, last))
+        incidence = np.zeros((last - first, len(index)), np.float32)
+        incidence[skill_rows[lo:hi] - first, skill_cols[lo:hi]] = 1
+        relevant = np.minimum(incidence @ tasks_t, 1)
+        # rows [0, v) mark each volunteer's records, rows [v, 2v) its accepted ones
+        v = stop - start
+        members = np.zeros((2 * v, size), np.float32)
+        members[np.repeat(np.arange(v), lengths[start:stop]), np.arange(size)] = 1
+        members[v:] = members[:v] * accepted[first:last]
+        counts = (members @ relevant).astype(np.float64)
+        n_relevant, n_accepted = counts[:v], counts[v:]
+        block = np.repeat(overall[start:stop, None], len(taskspecs), axis=1)
         np.divide(n_accepted, n_relevant, out=block, where=n_relevant > 0)
         out[rows[start:stop]] = block
         start = stop

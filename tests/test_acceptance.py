@@ -54,6 +54,7 @@ from swati.willingness import (
 )
 from swati.corpus import Corpus, Document
 
+import assignment_oracle
 from conftest import TEST_MARKET_SHAPE
 
 SEEDS = (1, 2, 3, 4, 5)
@@ -157,6 +158,29 @@ def test_c02_greedy_approximation():
         "C2 greedy 1/2-approximation",
         ok,
         f"worst ratio {worst:.3f}, {good}/{total} above 0.9x, {elapsed:.1f}s",
+    )
+
+
+def test_c02_greedy_approximation_beyond_brute_force():
+    """C2 at 40x40 against the exact capacitated optimum of the Hungarian oracle."""
+    start = time.perf_counter()
+    rng = np.random.default_rng(2025)
+    worst = 1.0
+    for trial in range(12):
+        n, m = 40 + trial % 3, 40 - trial % 4
+        u = rng.uniform(size=(n, m)) if trial % 2 else rng.integers(0, 4, size=(n, m)) / 3
+        matrix = _component_matrix(u)
+        caps = CapacityMap({f"v{i + 1}": int(rng.integers(1, 4)) for i in range(n)})
+        greedy_total = assign_swati(matrix, caps).total_utility()
+        optimal_total = assignment_oracle.optimal_total(matrix, caps)
+        assert greedy_total <= optimal_total + 1e-9
+        assert greedy_total >= 0.5 * optimal_total - 1e-9
+        worst = min(worst, greedy_total / optimal_total)
+    elapsed = time.perf_counter() - start
+    _verdict(
+        "C2 greedy 1/2-approximation at 40x40",
+        worst >= 0.5 and elapsed <= 30.0,
+        f"worst ratio {worst:.3f}, {elapsed:.1f}s",
     )
 
 

@@ -38,6 +38,7 @@ from swati.willingness import (
     willingness_matrix,
 )
 
+import assignment_oracle
 import python_reference as ref_paths
 import scalar_reference as ref
 from conftest import TEST_MARKET_SHAPE
@@ -341,6 +342,115 @@ def test_greedy_matches_global_sort_reference(seed, n, m, levels, duplicates, ma
     assert assign_skill_only(matrix, caps) == ref_paths.greedy(matrix, matrix.skill, caps, 0)
 
 
+def _score_matrix(utilities, skill=None, volunteers=None, tasks=None):
+    n, m = utilities.shape
+    return UtilityMatrix(
+        volunteers=tuple(volunteers or (f"v{i}" for i in range(n))),
+        tasks=tuple(tasks or (f"t{j}" for j in range(m))),
+        utilities=utilities,
+        skill=utilities if skill is None else skill,
+        content=utilities,
+        willingness=np.ones((n, m)),
+    )
+
+
+def _assert_greedy_matches_reference(matrix, caps):
+    assert assign_swati(matrix, caps) == ref_paths.greedy(matrix, matrix.utilities, caps, 0)
+    assert assign_skill_only(matrix, caps) == ref_paths.greedy(matrix, matrix.skill, caps, 0)
+
+
+@pytest.fixture
+def rounds(monkeypatch):
+    """Record (live scores' shape, k, pairs let in) of every greedy round."""
+    import swati.assignment as assignment
+
+    seen = []
+    original = assignment._top_cells
+
+    def recording(scores, k):
+        r, c = original(scores, k)
+        seen.append((scores.shape, k, r.size))
+        return r, c
+
+    monkeypatch.setattr(assignment, "_top_cells", recording)
+    return seen
+
+
+@pytest.mark.parametrize("cap", [1, 2])
+def test_greedy_rounds_when_every_row_outranks_the_next(rounds, cap):
+    """Each round takes only a few rows' best tasks, so k must keep doubling."""
+    rng = np.random.default_rng(3)
+    n = m = 60
+    utilities = (np.arange(n)[::-1, None] + rng.uniform(size=(n, m))) / n
+    _assert_greedy_matches_reference(_score_matrix(utilities), CapacityMap(default=cap))
+    swati_rounds = rounds[: len(rounds) // 2]
+    assert len(swati_rounds) >= 3
+    assert [k for _, k, _ in swati_rounds] == [4 * m * 2**r for r in range(len(swati_rounds))]
+    for shape, k, taken_in in swati_rounds:
+        assert taken_in == min(k, shape[0] * shape[1])  # distinct scores: exactly k pairs
+
+
+@pytest.mark.parametrize("n, m", [(120, 40), (40, 120)])
+@pytest.mark.parametrize("levels", [2, 3])
+def test_greedy_cutoff_inside_a_tie_run(rounds, n, m, levels):
+    """With 2-3 score levels the k-th largest score sits inside a run of equal
+    scores; every pair of that run is let in, in (id, id, row, column) order."""
+    rng = np.random.default_rng(n * levels)
+    utilities = rng.integers(0, levels, size=(n, m)) / (levels - 1)
+    skill = rng.integers(0, levels, size=(n, m)) / (levels - 1)
+    matrix = _score_matrix(
+        utilities, skill,
+        volunteers=_id_list(rng, "v", n, duplicates=True),
+        tasks=_id_list(rng, "t", m, duplicates=True),
+    )
+    caps = CapacityMap({v: int(rng.integers(1, 5)) for v in matrix.volunteers})
+    _assert_greedy_matches_reference(matrix, caps)
+    assert any(taken_in > k for shape, k, taken_in in rounds if k < shape[0] * shape[1])
+
+
+def test_greedy_round_where_all_but_the_first_candidate_is_blocked(rounds):
+    """The first round's candidates are volunteer 0's row and task 0's column;
+    taking (v0, t0) blocks every other one of them."""
+    n, m = 13, 3
+    utilities = np.full((n, m), 0.1)
+    utilities[0, :] = 0.8
+    utilities[:, 0] = 0.8
+    utilities[0, 0] = 0.9
+    utilities[1:, 1:] += np.arange((n - 1) * (m - 1)).reshape(n - 1, m - 1) / 1000
+    matrix = _score_matrix(utilities)
+    assignment = assign_swati(matrix, CapacityMap())
+    assert assignment == ref_paths.greedy(matrix, matrix.utilities, CapacityMap(), 0)
+    assert rounds[0] == ((n, m), 4 * m, n + m - 1)  # ties at 0.8 let in
+    assert len(rounds) == 2
+    assert assignment.pairs[0] == AssignedPair("v0", "t0", 0.9)
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 9), (9, 1)])
+@pytest.mark.parametrize("cap", [1, 3])
+def test_greedy_single_volunteer_or_task(shape, cap):
+    rng = np.random.default_rng(sum(shape) + cap)
+    utilities = rng.integers(0, 3, size=shape) / 2
+    _assert_greedy_matches_reference(_score_matrix(utilities), CapacityMap(default=cap))
+
+
+@pytest.mark.parametrize("cap", [10, 11, 50, 10**20])
+def test_greedy_capacity_above_task_count(rounds, cap):
+    """A volunteer can take at most m tasks, so a larger capacity changes nothing.
+
+    Every task outranks the next, so the first round takes only the first
+    few tasks and leaves every volunteer live for the next one.
+    """
+    rng = np.random.default_rng(cap % 97)
+    n, m = 6, 10
+    utilities = (np.arange(m)[::-1] + rng.uniform(size=(n, m))) / m
+    matrix = _score_matrix(utilities)
+    caps = CapacityMap({"v1": cap + 1}, default=cap)
+    _assert_greedy_matches_reference(matrix, caps)
+    assert assign_swati(matrix, caps) == assign_swati(matrix, CapacityMap(default=m))
+    # the first round's 4m pairs reach 7 tasks; every volunteer stays live
+    assert [shape for shape, _, _ in rounds[:2]] == [(n, m), (n, m - 7)]
+
+
 # --- baselines ----------------------------------------------------------------
 
 
@@ -418,6 +528,47 @@ def test_bruteforce_beats_greedy_on_crafted_instance():
     assert greedy.total_utility() == pytest.approx(1.0, abs=1e-9)
     assert _pairs(optimal) == {("v1", "t2"), ("v2", "t1")}
     assert optimal.total_utility() == pytest.approx(1.65, abs=1e-9)
+
+
+def _oracle_market(rng, n, m, levels, max_cap):
+    utilities = (
+        rng.integers(0, levels, size=(n, m)) / (levels - 1) if levels else rng.uniform(size=(n, m))
+    )
+    matrix = _matrix(utilities)
+    caps = CapacityMap({v: int(rng.integers(1, max_cap + 1)) for v in matrix.volunteers})
+    return matrix, caps
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 8),
+    m=st.integers(1, 8),
+    levels=st.sampled_from([0, 2, 3]),
+    max_cap=st.integers(1, 3),
+)
+def test_hungarian_oracle_matches_bruteforce(seed, n, m, levels, max_cap):
+    matrix, caps = _oracle_market(np.random.default_rng(seed), n, m, levels, max_cap)
+    pairs = assignment_oracle.optimal_pairs(matrix, caps)
+    validate_assignment(
+        Assignment(tuple(AssignedPair(matrix.volunteers[i], matrix.tasks[j],
+                                      float(matrix.utilities[i, j])) for i, j in pairs)),
+        caps,
+        matrix,
+    )
+    expected = assign_optimal_bruteforce(matrix, caps).total_utility()
+    assert assignment_oracle.optimal_total(matrix, caps) == pytest.approx(expected, abs=1e-9)
+
+
+def test_hungarian_oracle_agrees_with_scipy():
+    optimize = pytest.importorskip("scipy.optimize")
+    rng = np.random.default_rng(11)
+    for n, m, max_cap in [(40, 40, 1), (30, 50, 3), (50, 20, 2)]:
+        matrix, caps = _oracle_market(rng, n, m, 0, max_cap)
+        slots = np.repeat(np.arange(n), [min(caps.get(v), m) for v in matrix.volunteers])
+        rows, cols = optimize.linear_sum_assignment(matrix.utilities[slots], maximize=True)
+        expected = matrix.utilities[slots][rows, cols].sum()
+        assert assignment_oracle.optimal_total(matrix, caps) == pytest.approx(expected, abs=1e-9)
 
 
 def test_bruteforce_guard():

@@ -147,6 +147,32 @@ def test_match_ledger_is_valid_and_complete(tmp_path):
     assert rc == 0
 
 
+@pytest.mark.parametrize("where", ["default", "file"])
+def test_match_clamps_a_capacity_beyond_the_task_count(tmp_path, where):
+    """A capacity too large for a C long assigns exactly as the task count does."""
+    gen = _gen(tmp_path, n_volunteers=6, n_tasks=9)
+    corpus = gen / "corpus.jsonl"
+    first = json.loads(corpus.read_text().splitlines()[0])["id"]
+    assignments = []
+    for cap in (10**20, 9):
+        run = tmp_path / f"cap{cap}"
+        run.mkdir()
+        caps = {"default": cap}
+        if where == "file":
+            (run / "caps.json").write_text(json.dumps({first: cap}))
+            caps = {"path": str(run / "caps.json")}
+        (run / "config.json").write_text(json.dumps({"capacities": caps}))
+        rc = main(
+            ["match", "--config", str(run / "config.json"), "--corpus", str(corpus),
+             "--method", "swati", "--out", str(run / "out")]
+        )
+        assert rc == 0
+        assignments.append((run / "out" / "assignment.jsonl").read_text())
+    assert assignments[0] == assignments[1]
+    if where == "default":  # six volunteers with room for every task cover all nine
+        assert len(assignments[0].splitlines()) == 9
+
+
 def test_match_random_requires_seed(tmp_path, capsys):
     gen = _gen(tmp_path)
     out = tmp_path / "match"
