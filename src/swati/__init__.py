@@ -51,6 +51,7 @@ from .extraction import (
     build_market,
     build_profile,
     build_taskspec,
+    extract_corpus,
     extract_remote,
     extract_rule_based,
     extraction_stats,

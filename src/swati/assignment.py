@@ -40,6 +40,8 @@ class UtilityForm(enum.Enum):
 
 @dataclass(frozen=True)
 class UtilityParams:
+    """Weights and form of the utility that combines skill and content similarity."""
+
     skill_weight: float = 0.5
     content_weight: float = 0.5
     form: UtilityForm = UtilityForm.PRODUCT
@@ -76,6 +78,8 @@ class CapacityMap:
 
 @dataclass(frozen=True)
 class AssignedPair:
+    """One volunteer assigned to one task, with the pair's utility."""
+
     volunteer_id: str
     task_id: str
     utility: float
@@ -83,6 +87,8 @@ class AssignedPair:
 
 @dataclass(frozen=True)
 class Assignment:
+    """The pairs one method assigned in one epoch."""
+
     pairs: tuple[AssignedPair, ...]
     epoch: int = 0
 
@@ -92,6 +98,8 @@ class Assignment:
 
 @dataclass(frozen=True)
 class UtilityMatrix:
+    """Utility and its components for every (volunteer, task) pair, rows by volunteer."""
+
     volunteers: tuple[str, ...]
     tasks: tuple[str, ...]
     utilities: np.ndarray
@@ -406,6 +414,8 @@ def assign(
 
 @dataclass
 class EpochResult:
+    """What ``match_market`` returns: the last epoch's matrix, assignments and state."""
+
     matrix: UtilityMatrix
     assignments: dict[str, Assignment]
     state: WillingnessState

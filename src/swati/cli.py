@@ -28,7 +28,7 @@ from .corpus import (
     save_history,
 )
 from .errors import ConfigError, EngineError, write_jsonl
-from .extraction import build_market, extract_remote, extract_rule_based, extraction_stats
+from .extraction import build_market, extract_corpus, extract_remote, extraction_stats
 from .ledger import Ledger, export_ledger_text, load_ledger, save_ledger, verify
 from .metrics import (
     bench_scaling,
@@ -68,9 +68,10 @@ def _synthetic_config(cfg: EngineConfig, args) -> SyntheticConfig:
 
 
 def _extractor(cfg: EngineConfig):
+    """The configured extractor, called as ``extractor(docs, ontology)``."""
     if cfg.extractor_kind == "remote":
-        return lambda doc, ontology: extract_remote(doc, cfg.remote)
-    return extract_rule_based
+        return lambda docs, ontology: [extract_remote(doc, cfg.remote) for doc in docs]
+    return extract_corpus
 
 
 def cmd_gen(args) -> int:
@@ -103,14 +104,11 @@ def cmd_extract(args) -> int:
     cfg = load_config(args.config)
     ontology = cfg.load_ontology()
     corpus = load_corpus(args.corpus, strict=args.strict)
-    extractor = _extractor(cfg)
     out = _ensure_out(args.out)
-
-    results = []
+    docs = corpus.documents()
+    results = _extractor(cfg)(docs, ontology)
     records = []
-    for doc in corpus.documents():
-        result = extractor(doc, ontology)
-        results.append(result)
+    for doc, result in zip(docs, results):
         skills, unresolved = ontology.canonicalize_report(
             m.raw for m in result.mentions
         )

@@ -45,6 +45,8 @@ DEFAULT_CONFIG: dict = {
 
 @dataclass
 class EngineConfig:
+    """A validated engine config: the raw JSON and the parameter objects built from it."""
+
     raw: dict
     ontology_path: str
     vectorizer: VectorizerSettings

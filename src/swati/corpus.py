@@ -30,6 +30,8 @@ _DOC_FIELDS = {"id", "kind", "text", "meta"}
 
 @dataclass(frozen=True)
 class Document:
+    """One volunteer profile or task brief: id, kind, free text and string metadata."""
+
     id: str
     kind: str
     text: str
@@ -44,6 +46,8 @@ class Document:
 
 @dataclass(frozen=True)
 class Corpus:
+    """Volunteer and task documents, with ids unique across both."""
+
     volunteers: tuple[Document, ...]
     tasks: tuple[Document, ...]
 
@@ -68,6 +72,8 @@ class Corpus:
 
 @dataclass(frozen=True)
 class CorpusStats:
+    """Counts and mean text length of a corpus."""
+
     n_volunteers: int
     n_tasks: int
     mean_text_length: float
@@ -79,6 +85,8 @@ def _is_int(value) -> bool:
 
 @dataclass(frozen=True)
 class SyntheticConfig:
+    """Seed, market size and skill/cue densities of a generated market."""
+
     seed: int = 0
     n_volunteers: int = 50
     n_tasks: int = 50

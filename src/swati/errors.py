@@ -53,11 +53,16 @@ def read_jsonl(path, what: str) -> Iterator[tuple[int, object]]:
         raise ParseError(f"{what} file {path} is not valid UTF-8") from exc
 
 
+# ``json.dumps(row, sort_keys=True)`` builds a new encoder per call; this one is shared
+_SORTED_ENCODER = json.JSONEncoder(sort_keys=True)
+
+
 def write_jsonl(path: str, rows: Iterable[object]) -> None:
     """Write each row as one ``json.dumps(row, sort_keys=True)`` line."""
+    encode = _SORTED_ENCODER.encode
     with open(path, "w", encoding="utf-8") as fh:
         for row in rows:
-            fh.write(json.dumps(row, sort_keys=True))
+            fh.write(encode(row))
             fh.write("\n")
 
 

@@ -4,16 +4,18 @@ Two interchangeable extractors produce the same schema: a deterministic
 rule-based scanner (the reference) and a remote HTTP client for an external
 model endpoint. Downstream code never cares which one produced a result.
 
-The rule-based scanner walks the document's whitespace tokens and matches
-ontology aliases as whole-token sequences, longest match first, without
-overlaps. Proficiency and preference cues come from fixed trigger lexicons
-shipped in ``data/cue_lexicons.json`` so runs are reproducible, all found by
-one regular-expression scan per document; proficiency is carried through to
-diagnostics but deliberately plays no role in matching.
+The rule-based scanner extracts a whole corpus as one batch. It walks each
+document's whitespace tokens and matches ontology aliases as whole-token
+sequences, longest match first, without overlaps. Proficiency and preference
+cues come from fixed trigger lexicons shipped in ``data/cue_lexicons.json`` so
+runs are reproducible, all found by one regular-expression scan of the
+corpus; proficiency is carried through to diagnostics but deliberately plays
+no role in matching.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import re
@@ -22,8 +24,8 @@ import time
 import unicodedata
 from dataclasses import dataclass, replace
 from importlib import resources
-from itertools import islice
-from typing import Optional, Sequence
+from itertools import islice, repeat
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -70,21 +72,18 @@ _PHRASES = {
     "expertise": _alternation(_PROF["expertise_terms"]),
     "years": r"\d+\s*\+\s*years?",
 }
-_FIRST_CHARS = {
-    re.escape(term[0])
-    for terms in (*_LEX["lexicons"].values(), _PROF["expertise_terms"])
-    for term in terms
-}
+_TERMS = tuple(
+    term for terms in (*_LEX["lexicons"].values(), _PROF["expertise_terms"]) for term in terms
+)
 # The scan stops only where some phrase starts (the character class lets the
 # regex engine skip other positions fast); there one optional lookahead per
 # phrase records that phrase's match, so phrases that overlap (e.g. "hands-on"
 # and "on-call" in "hands-on-call") are all seen.
 _PHRASE_SOURCE = (
-    r"\b(?=[\d" + "".join(sorted(_FIRST_CHARS)) + "])"
+    r"\b(?=[\d" + "".join(sorted({re.escape(term[0]) for term in _TERMS})) + "])"
     + r"(?=(?:" + "|".join(_PHRASES.values()) + r")\b)"
     + "".join(f"(?:(?=(?P<{name}>{alt})\\b))?" for name, alt in _PHRASES.items())
 )
-_PHRASE_RE = re.compile(_PHRASE_SOURCE, re.IGNORECASE)
 # For ASCII text: lowercasing keeps offsets and word boundaries, and matching the
 # lowercased text without IGNORECASE is faster. That equals IGNORECASE matching
 # only while every phrase term is lowercase ASCII, as the shipped lexicons are
@@ -92,7 +91,40 @@ _PHRASE_RE = re.compile(_PHRASE_SOURCE, re.IGNORECASE)
 # boundaries ('İ'.lower() is two characters, the second not a word character), and
 # IGNORECASE also matches letters such as 'ſ' that lowercasing leaves alone.
 _PHRASE_RE_ASCII = re.compile(_PHRASE_SOURCE)
-_PHRASE_GROUPS = tuple((name, _PHRASE_RE.groupindex[name]) for name in _PHRASES)
+_PHRASE_GROUPS = tuple((name, _PHRASE_RE_ASCII.groupindex[name]) for name in _PHRASES)
+
+
+@functools.cache
+def _phrase_re_ignorecase() -> re.Pattern:
+    """The phrase scan for non-ASCII text, compiled on first use."""
+    return re.compile(_PHRASE_SOURCE, re.IGNORECASE)
+
+
+def _start_pairs(terms: Iterable[str]) -> np.ndarray:
+    r"""Which ``[first, second]`` character codes can start a phrase match.
+
+    For lowercased ASCII text: a digit may start "N+ years" before anything,
+    and a term's second character is a literal, any whitespace where the term
+    has a space (matched by ``\s+``), or anything after a one-character term.
+    """
+    table = np.zeros((256, 256), dtype=bool)
+    table[[ord(c) for c in string.digits], :] = True
+    spaces = [code for code in range(128) if re.match(r"\s", chr(code))]
+    for term in terms:
+        if len(term) == 1:
+            table[ord(term), :] = True
+        elif term[1] == " ":
+            table[ord(term[0]), spaces] = True
+        else:
+            table[ord(term[0]), ord(term[1])] = True
+    return table
+
+
+_START_PAIRS = _start_pairs(_TERMS)
+# bytes.translate tables: 1 for a word character (as \b sees it), and 1 for a
+# character that can start a phrase match
+_WORD_BYTES = bytes(re.match(r"\w", chr(code)) is not None for code in range(256))
+_FIRST_BYTES = _START_PAIRS.any(axis=1).tobytes()
 _TOKEN_RE = re.compile(r"\S+")
 # whitespace that str.strip(_STRIP_CHARS), and so normalize_skill, leaves in place
 _UNSTRIPPED_SPACE_RE = re.compile(r"[^\S" + re.escape(string.whitespace) + "]")
@@ -100,6 +132,8 @@ _UNSTRIPPED_SPACE_RE = re.compile(r"[^\S" + re.escape(string.whitespace) + "]")
 
 @dataclass(frozen=True)
 class SkillMention:
+    """A raw skill string, its evidence span in the text and a proficiency in [0, 1]."""
+
     raw: str
     evidence: tuple[int, int]
     proficiency: float
@@ -114,6 +148,8 @@ class SkillMention:
 
 @dataclass(frozen=True)
 class PreferenceCues:
+    """The five preference cue scores of a document, each in [0, 1]."""
+
     domain_affinity: float = 0.0
     prior_exposure: float = 0.0
     stated_interest: float = 0.0
@@ -132,6 +168,8 @@ class PreferenceCues:
 
 @dataclass(frozen=True)
 class ExtractionResult:
+    """An extractor's output for one document: skill mentions and preference cues."""
+
     doc_id: str
     mentions: tuple[SkillMention, ...]
     cues: PreferenceCues
@@ -139,6 +177,8 @@ class ExtractionResult:
 
 @dataclass(frozen=True)
 class Profile:
+    """A matching-ready volunteer: canonical skills, content vector, cues and history key."""
+
     id: str
     skills: frozenset[str]
     content_vector: SparseVector
@@ -148,6 +188,8 @@ class Profile:
 
 @dataclass(frozen=True)
 class TaskSpec:
+    """A matching-ready task: required canonical skills and content vector."""
+
     id: str
     required_skills: frozenset[str]
     content_vector: SparseVector
@@ -228,35 +270,52 @@ def find_alias_mentions(text: str, ontology: Ontology) -> list[tuple[int, int, s
     ]
 
 
-def _scan_phrases(
-    text: str,
-) -> tuple[dict[str, int], list[tuple[int, int]], list[tuple[int, int]]]:
-    """Count each cue lexicon's matches and find the proficiency phrases, in one scan.
+def _phrase_spans(texts: Sequence[str]) -> Iterator[dict[str, list[tuple[int, int]]]]:
+    r"""Every phrase's matches in each text, as offsets into that text, text by text.
 
     Each phrase keeps its own non-overlapping matches, exactly as a separate
-    ``finditer`` per phrase would. Returns the cue counts, the expertise spans
-    and the spans of the "N+ years" phrases with N >= ``min_years``.
+    ``finditer`` per phrase and text would. The ASCII texts are lowercased and
+    joined, framed by ``"\x00"``: no phrase contains it, and ``\b`` and the
+    lookaheads treat it like the end of a text. numpy marks, in one pass, the
+    word starts whose first two characters can begin a phrase, and the regex
+    is tried only there; ``match`` at ``pos`` reads the character before
+    ``pos`` for ``\b``, so it finds exactly ``finditer``'s hit at that
+    position. Other texts are scanned with IGNORECASE.
     """
-    if text.isascii():
-        hits = _PHRASE_RE_ASCII.finditer(text.lower())
-    else:
-        hits = _PHRASE_RE.finditer(text)
-    ends = dict.fromkeys(_PHRASES, 0)  # where each phrase's last match ended
-    found: dict[str, list[tuple[int, int]]] = {name: [] for name in _PHRASES}
-    for hit in hits:
-        regs = hit.regs
-        for name, group in _PHRASE_GROUPS:
-            start, end = regs[group]
-            if start >= ends[name]:  # an unmatched group has start -1
-                ends[name] = end
-                found[name].append((start, end))
-    counts = {name: len(found[name]) for name in _LEX["lexicons"]}
-    years = [
-        (start, end)
-        for start, end in found["years"]
-        if _at_least_min_years(text[start:end].partition("+")[0])
-    ]
-    return counts, found["expertise"], years
+    ascii_texts = [text for text in texts if text.isascii()]
+    joined = ("\x00" + "\x00".join(ascii_texts) + "\x00").lower()
+    data = joined.encode("ascii")
+    word = np.frombuffer(data.translate(_WORD_BYTES), dtype=bool)
+    first = np.frombuffer(data.translate(_FIRST_BYTES), dtype=bool)
+    starts = np.flatnonzero(first[1:] & (word[1:] != word[:-1])) + 1  # at a \b
+    codes = np.frombuffer(data, dtype=np.uint8)
+    starts = starts[_START_PAIRS[codes[starts], codes[starts + 1]]]
+    del data, word, first, codes  # this frame lives until the last text is extracted
+    # where each ASCII text begins in ``joined``, and its first candidate
+    bases = np.cumsum([1] + [len(text) + 1 for text in ascii_texts]).tolist()
+    cuts = np.searchsorted(starts, bases).tolist()
+    match = _PHRASE_RE_ASCII.match
+    j = 0  # the next ASCII text
+    for text in texts:
+        if text.isascii():
+            base = bases[j]
+            hits = map(match, repeat(joined), starts[cuts[j] : cuts[j + 1]].tolist())
+            j += 1
+        else:
+            base = 0
+            hits = _phrase_re_ignorecase().finditer(text)
+        spans = {name: [] for name in _PHRASES}
+        ends = dict.fromkeys(_PHRASES, 0)  # where each phrase's last match ended
+        for hit in hits:
+            if hit is None:
+                continue
+            regs = hit.regs
+            for name, group in _PHRASE_GROUPS:
+                start, end = regs[group]
+                if start >= ends[name]:  # an unmatched group has start -1
+                    ends[name] = end
+                    spans[name].append((start - base, end - base))
+        yield spans
 
 
 def _at_least_min_years(number: str) -> bool:
@@ -273,46 +332,65 @@ def _proficiency(
     years: Sequence[tuple[int, int]],
 ) -> float:
     score = _PROF["base"]
-    if any(_span_distance(span, phrase) <= PROXIMITY_WINDOW for phrase in expertise):
+    # most documents have neither phrase: skip building the any() scans
+    if expertise and any(_span_distance(span, p) <= PROXIMITY_WINDOW for p in expertise):
         score += _PROF["expertise_bonus"]
-    if any(_span_distance(span, phrase) <= PROXIMITY_WINDOW for phrase in years):
+    if years and any(_span_distance(span, p) <= PROXIMITY_WINDOW for p in years):
         score += _PROF["years_bonus"]
     return min(1.0, score)
 
 
-def _domain_affinity(canonicals: set[str], ontology: Ontology) -> float:
+def _domain_affinity(canonicals: set[str], root_of: Callable[[str], str]) -> float:
     if not canonicals:
         return 0.0
     roots: dict[str, int] = {}
     for skill in canonicals:
-        root = ontology.root_of(skill)
+        root = root_of(skill)
         roots[root] = roots.get(root, 0) + 1
     # dominant root; ties broken by name so the score is deterministic
     dominant = min(roots, key=lambda r: (-roots[r], r))
     return roots[dominant] / len(canonicals)
 
 
-def extract_rule_based(doc: Document, ontology: Ontology) -> ExtractionResult:
-    """Deterministic extractor: alias scan plus lexicon-driven cue scores."""
-    text = doc.text
-    found = find_alias_mentions(text, ontology)
-    counts, expertise, years = _scan_phrases(text)
-    mentions = tuple(
-        SkillMention(
-            raw=text[start:end],
-            evidence=(start, end),
-            proficiency=_proficiency((start, end), expertise, years),
+def extract_corpus(docs: Sequence[Document], ontology: Ontology) -> list[ExtractionResult]:
+    """Deterministic extractor, one result per document: alias scan plus lexicon-driven cues.
+
+    The phrases of all documents are found in one batch (``_phrase_spans``);
+    the alias scan runs per document.
+    """
+    texts = [doc.text for doc in docs]
+    root_of = functools.cache(ontology.root_of)
+    results = []
+    for doc, text, phrases in zip(docs, texts, _phrase_spans(texts)):
+        found = find_alias_mentions(text, ontology)
+        expertise = phrases["expertise"]
+        years = [
+            (start, end)
+            for start, end in phrases["years"]
+            if _at_least_min_years(text[start:end].partition("+")[0])
+        ]
+        mentions = tuple(
+            SkillMention(
+                raw=text[start:end],
+                evidence=(start, end),
+                proficiency=_proficiency((start, end), expertise, years),
+            )
+            for start, end, _ in found
         )
-        for start, end, _ in found
-    )
-    cues = PreferenceCues(
-        domain_affinity=_domain_affinity({c for _, _, c in found}, ontology),
-        prior_exposure=min(1.0, CUE_STEP * counts["prior_exposure"]),
-        stated_interest=min(1.0, CUE_STEP * counts["stated_interest"]),
-        volunteering_history=min(1.0, CUE_STEP * counts["volunteering_history"]),
-        availability=min(1.0, CUE_STEP * counts["availability"]),
-    )
-    return ExtractionResult(doc_id=doc.id, mentions=mentions, cues=cues)
+        cues = PreferenceCues(
+            domain_affinity=_domain_affinity({c for _, _, c in found}, root_of),
+            prior_exposure=min(1.0, CUE_STEP * len(phrases["prior_exposure"])),
+            stated_interest=min(1.0, CUE_STEP * len(phrases["stated_interest"])),
+            volunteering_history=min(1.0, CUE_STEP * len(phrases["volunteering_history"])),
+            availability=min(1.0, CUE_STEP * len(phrases["availability"])),
+        )
+        results.append(ExtractionResult(doc_id=doc.id, mentions=mentions, cues=cues))
+    return results
+
+
+def extract_rule_based(doc: Document, ontology: Ontology) -> ExtractionResult:
+    """``extract_corpus`` of one document."""
+    return extract_corpus([doc], ontology)[0]
 
 
 # --- schema validation ----------------------------------------------------
@@ -404,6 +482,8 @@ def validate_extraction(raw_response: object, doc: Document) -> ExtractionResult
 
 @dataclass(frozen=True)
 class RemoteExtractorConfig:
+    """Endpoint, limits and credentials of the remote extractor."""
+
     endpoint: str
     timeout: float = 10.0
     retries: int = 2
@@ -516,6 +596,8 @@ def build_taskspec(
 
 @dataclass(frozen=True)
 class Market:
+    """The extracted volunteer profiles and task specs of one corpus."""
+
     profiles: tuple[Profile, ...]
     taskspecs: tuple[TaskSpec, ...]
 
@@ -524,37 +606,44 @@ def build_market(
     corpus,
     ontology: Ontology,
     settings: VectorizerSettings = VectorizerSettings(),
-    extractor=extract_rule_based,
+    extractor=extract_corpus,
 ) -> Market:
     """Extract every document and assemble matching-ready profiles and specs.
 
     The vectorizer is fitted jointly over volunteers and tasks. Each document
     is tokenized once: its term counts give both the document frequencies and
-    its content vector. ``extractor`` defaults to the rule-based reference;
+    its content vector. ``extractor(docs, ontology)`` returns one result per
+    document, in order; it defaults to the rule-based ``extract_corpus``, and
     any callable with the same signature (remote client, stub) slots in
     unchanged.
     """
-    terms = count_terms((doc.text for doc in corpus.documents()), settings)
+    docs = corpus.documents()
+    terms = count_terms((doc.text for doc in docs), settings)
     vectors = term_vectors(fit_vectorizer(terms, settings), terms)
+    results = extractor(docs, ontology)
+    if len(results) != len(docs):
+        raise ValueError(f"extractor returned {len(results)} results for {len(docs)} documents")
     n_volunteers = len(corpus.volunteers)
-    volunteer_results = [extractor(doc, ontology) for doc in corpus.volunteers]
-    task_results = [extractor(doc, ontology) for doc in corpus.tasks]
     return Market(
         profiles=tuple(
             build_profile(doc, res, ontology, vector)
             for doc, res, vector in zip(
-                corpus.volunteers, volunteer_results, vectors[:n_volunteers]
+                corpus.volunteers, results[:n_volunteers], vectors[:n_volunteers]
             )
         ),
         taskspecs=tuple(
             build_taskspec(doc, res, ontology, vector)
-            for doc, res, vector in zip(corpus.tasks, task_results, vectors[n_volunteers:])
+            for doc, res, vector in zip(
+                corpus.tasks, results[n_volunteers:], vectors[n_volunteers:]
+            )
         ),
     )
 
 
 @dataclass(frozen=True)
 class ExtractionStats:
+    """Skill totals of a batch of extraction results."""
+
     total_skills: int
     unique_vocabulary: int
     avg_per_doc: int

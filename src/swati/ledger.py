@@ -30,7 +30,7 @@ from __future__ import annotations
 import enum
 import hashlib
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .assignment import Assignment, assignment_digest
@@ -66,6 +66,8 @@ _EVENTS = {state.value for state in TaskState}
 
 @dataclass(frozen=True)
 class LedgerRecord:
+    """One hash-chained lifecycle event (see the module docstring for its encoding)."""
+
     index: int
     prev_hash: bytes
     task_id: str
@@ -78,17 +80,32 @@ class LedgerRecord:
 
     def core_bytes(self) -> bytes:
         """The hashed encoding of every field but ``hash`` (see the module docstring)."""
-        volunteer, digest = self.volunteer_id, self.assignment_digest
-        return b"".join((
-            struct.pack(">Q", self.index),
-            self.prev_hash,
-            _lp(self.task_id),
-            _lp(self.event),
-            b"\x00" if volunteer is None else b"\x01" + _lp(volunteer),
-            struct.pack(">Q", self.epoch),
-            b"\x00" if digest is None else b"\x01" + digest,
-            struct.pack(">Q", self.timestamp),
-        ))
+        return _core_bytes(
+            self.index, self.prev_hash, self.task_id, self.event,
+            self.volunteer_id, self.epoch, self.assignment_digest, self.timestamp,
+        )
+
+
+def _core_bytes(
+    index: int,
+    prev_hash: bytes,
+    task_id: str,
+    event: str,
+    volunteer_id: Optional[str],
+    epoch: int,
+    digest: Optional[bytes],
+    timestamp: int,
+) -> bytes:
+    return b"".join((
+        struct.pack(">Q", index),
+        prev_hash,
+        _lp(task_id),
+        _lp(event),
+        b"\x00" if volunteer_id is None else b"\x01" + _lp(volunteer_id),
+        struct.pack(">Q", epoch),
+        b"\x00" if digest is None else b"\x01" + digest,
+        struct.pack(">Q", timestamp),
+    ))
 
 
 def _lp(value: str) -> bytes:
@@ -98,6 +115,8 @@ def _lp(value: str) -> bytes:
 
 @dataclass(frozen=True)
 class VerifyResult:
+    """Whether a ledger verified, and if not, the first bad record and why."""
+
     ok: bool
     first_bad_index: Optional[int] = None
     reason: Optional[str] = None
@@ -125,18 +144,21 @@ class Ledger:
         epoch: int,
         digest: Optional[bytes],
     ) -> LedgerRecord:
-        unsigned = LedgerRecord(
-            index=len(self.records),
-            prev_hash=self.head(),
+        index, prev_hash, timestamp = len(self.records), self.head(), self._clock
+        core = _core_bytes(
+            index, prev_hash, task_id, event, volunteer_id, epoch, digest, timestamp
+        )
+        record = LedgerRecord(
+            index=index,
+            prev_hash=prev_hash,
             task_id=task_id,
             event=event,
             volunteer_id=volunteer_id,
             epoch=epoch,
             assignment_digest=digest,
-            timestamp=self._clock,
-            hash=b"",
+            timestamp=timestamp,
+            hash=hashlib.sha256(core).digest(),
         )
-        record = replace(unsigned, hash=hashlib.sha256(unsigned.core_bytes()).digest())
         self.records.append(record)
         self._clock += 1
         self.state_index[task_id] = TaskState(event)

@@ -15,7 +15,6 @@ the engine.
 from __future__ import annotations
 
 import csv
-import statistics
 import time
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -36,6 +35,8 @@ _STAGES_BY_METHOD = {
 
 @dataclass(frozen=True)
 class QualityReport:
+    """Total and mean utility, task coverage and pair count of one assignment."""
+
     method: str
     total_utility: float
     avg_utility: float
@@ -82,6 +83,8 @@ def utility_cdf(assignment: Assignment, bins: int) -> list[tuple[float, float]]:
 
 @dataclass
 class TimingReport:
+    """Per-stage wall seconds of one method at one market size, per repetition."""
+
     market_size: int
     method: str
     stage_seconds: dict[str, list[float]]
@@ -94,15 +97,21 @@ class TimingReport:
         ]
 
     def median_total(self) -> float:
+        import statistics  # only ``bench`` reads medians; it is slow to import
+
         return statistics.median(self.rep_totals())
 
     def dispersion(self) -> tuple[float, float, float]:
+        import statistics
+
         totals = self.rep_totals()
         return min(totals), statistics.median(totals), max(totals)
 
 
 @dataclass
 class BenchResult:
+    """Timings, quality reports and utility CDFs of a scaling benchmark."""
+
     timings: list[TimingReport] = field(default_factory=list)
     quality: list[tuple[int, QualityReport]] = field(default_factory=list)
     # size -> method -> utility_cdf points

@@ -32,6 +32,8 @@ def normalize_skill(raw: str) -> str:
 
 @dataclass(frozen=True)
 class SkillEntry:
+    """One canonical skill with its aliases and optional parent."""
+
     canonical: str
     aliases: tuple[str, ...] = ()
     parent: Optional[str] = None

@@ -37,6 +37,8 @@ _STOPWORDS = _load_stopwords()
 
 @dataclass(frozen=True)
 class VectorizerSettings:
+    """Tokenizer settings of the content vectorizer."""
+
     min_token_len: int = 2
     use_stopwords: bool = True
 
@@ -125,6 +127,8 @@ class SparseVector:
 
 @dataclass
 class VectorizerModel:
+    """A fitted vectorizer: vocabulary, idf weights and the settings used."""
+
     vocabulary: dict[str, int]
     idf: np.ndarray
     doc_count: int

@@ -34,18 +34,24 @@ _WALK_BLOCK = 256
 
 @dataclass(frozen=True)
 class HistoryRecord:
+    """One past task offer: the task's skills and whether it was accepted."""
+
     task_skills: frozenset[str]
     accepted: bool
 
 
 @dataclass(frozen=True)
 class History:
+    """A volunteer's past task offers."""
+
     volunteer_id: str
     records: tuple[HistoryRecord, ...] = ()
 
 
 @dataclass(frozen=True)
 class WillingnessParams:
+    """Weights, smoothing and sigmoid of the willingness estimate."""
+
     history_weight: float = 0.5
     smoothing: float = 0.7
     cue_weights: tuple[float, ...] = (0.2, 0.2, 0.2, 0.2, 0.2)

@@ -112,7 +112,7 @@ def extract_rule_based(doc, ontology):
     )
     counts = {name: len(rx.findall(text)) for name, rx in _CUE_RES.items()}
     cues = PreferenceCues(
-        domain_affinity=_domain_affinity({c for _, _, c in found}, ontology),
+        domain_affinity=_domain_affinity({c for _, _, c in found}, ontology.root_of),
         prior_exposure=min(1.0, CUE_STEP * counts["prior_exposure"]),
         stated_interest=min(1.0, CUE_STEP * counts["stated_interest"]),
         volunteering_history=min(1.0, CUE_STEP * counts["volunteering_history"]),

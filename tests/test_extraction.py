@@ -1,4 +1,6 @@
 import json
+import re
+import string
 import threading
 import time
 from importlib import resources
@@ -12,6 +14,7 @@ from swati.corpus import Document, SyntheticConfig, generate_synthetic
 from swati.errors import RemoteTimeoutError, SchemaViolationError, TransportError
 from swati.extraction import (
     _LEX,
+    _START_PAIRS,
     CUE_NAMES,
     SCHEMA_VERSION,
     ExtractionResult,
@@ -21,9 +24,11 @@ from swati.extraction import (
     build_market,
     build_profile,
     build_taskspec,
+    extract_corpus,
     extract_remote,
     extract_rule_based,
     extraction_stats,
+    _start_pairs,
     find_alias_mentions,
     validate_extraction,
 )
@@ -521,6 +526,27 @@ def test_build_market_round_trip(builtin_ontology):
         assert profile.skills == planted
 
 
+def test_build_market_calls_a_batch_extractor(mini_ontology):
+    corpus = generate_synthetic(SyntheticConfig(seed=3, n_volunteers=4, n_tasks=3), mini_ontology)
+    calls = []
+
+    def extractor(docs, ontology):
+        calls.append([doc.id for doc in docs])
+        return [extract_rule_based(doc, ontology) for doc in docs]
+
+    market = build_market(corpus, mini_ontology, extractor=extractor)
+    assert calls == [[doc.id for doc in corpus.documents()]]
+    default = build_market(corpus, mini_ontology)
+    assert [(p.id, p.skills, p.cues) for p in market.profiles] == [
+        (p.id, p.skills, p.cues) for p in default.profiles
+    ]
+    assert [(t.id, t.required_skills) for t in market.taskspecs] == [
+        (t.id, t.required_skills) for t in default.taskspecs
+    ]
+    with pytest.raises(ValueError, match="returned 6 results for 7 documents"):
+        build_market(corpus, mini_ontology, extractor=lambda docs, o: extractor(docs, o)[:-1])
+
+
 # --- statistics -------------------------------------------------------------
 
 
@@ -614,6 +640,74 @@ def test_rule_based_matches_span_by_span_scan(mini_ontology, builtin_ontology, w
 def test_rule_based_matches_reference_on_overlaps_and_non_ascii(mini_ontology, text):
     doc = Document("v1", "volunteer", text)
     assert extract_rule_based(doc, mini_ontology) == ref.extract_rule_based(doc, mini_ontology)
+
+
+# Phrase halves for the start and the end of a document: a scan across
+# documents would match an end and the next start joined.
+_FIRST_HALVES = ["service", "years", "+ years", "on-call", "time", "\x00years", ""]
+_LAST_HALVES = ["community", "java 5+", "java 12 +", "java 5", "hands-", "part-", "x\x00", ""]
+
+
+def _corpus_texts(ontology):
+    """Lists of texts from ``_texts`` or empty, with phrase halves at their ends."""
+
+    def half(halves):
+        return st.tuples(st.sampled_from(halves), st.sampled_from([str, str.upper])).map(
+            lambda t: t[1](t[0])
+        )
+
+    text = st.tuples(
+        half(_FIRST_HALVES),
+        st.sampled_from(["", " ", "\n"]),
+        _texts(ontology) | st.just(""),
+        half(_LAST_HALVES),
+    )
+    return st.lists(text.map("".join), max_size=6)
+
+
+@pytest.mark.parametrize("which", ["mini", "builtin"])
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_extract_corpus_matches_reference_per_document(
+    mini_ontology, builtin_ontology, which, data
+):
+    ontology = mini_ontology if which == "mini" else builtin_ontology
+    texts = data.draw(_corpus_texts(ontology))
+    docs = [Document(f"d{i}", "volunteer", text) for i, text in enumerate(texts)]
+    assert extract_corpus(docs, ontology) == [ref.extract_rule_based(d, ontology) for d in docs]
+
+
+def test_extract_corpus_keeps_phrases_inside_documents(mini_ontology):
+    texts = ["java community", "service 5+", "years expert", "İ 12+", "years on-call\x00"]
+    docs = [Document(f"d{i}", "volunteer", text) for i, text in enumerate(texts)]
+    results = extract_corpus(docs, mini_ontology)
+    assert results == [ref.extract_rule_based(d, mini_ontology) for d in docs]
+    assert [r.cues.volunteering_history for r in results] == [0.0] * 5
+    assert results[0].mentions[0].proficiency == 0.5
+    assert results[4].cues.availability == 0.25
+
+
+_ASCII_SPACES = [chr(code) for code in range(128) if re.match(r"\s", chr(code))]
+
+
+@pytest.mark.parametrize(
+    "terms",
+    [_CUE_TERMS, ["a b", "c3po", "x", "9 lives", "q\tz"]],
+    ids=["lexicons", "space-digit-single"],
+)
+def test_start_pairs_admit_every_term_start(terms):
+    # the scan tries the regex only where the table admits the first two characters
+    table = _start_pairs(terms)
+    for term in terms:
+        pattern = re.compile(re.escape(term).replace(r"\ ", r"\s+"))
+        for space in _ASCII_SPACES:
+            text = term.replace(" ", space) + "\x00"
+            assert pattern.match(text)
+            assert table[ord(text[0]), ord(text[1])], (term, space)
+    for digit in string.digits:  # "N+ years"
+        assert table[ord(digit)].all()
+    if terms is _CUE_TERMS:
+        assert (table == _START_PAIRS).all()
 
 
 def test_phrase_terms_are_lowercase_ascii():
