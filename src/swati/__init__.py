@@ -71,7 +71,7 @@ from .similarity import (
 )
 from .willingness import (
     History,
-    HistoryRecord,
+    HistoryColumns,
     WillingnessParams,
     WillingnessState,
     cue_score_matrix,

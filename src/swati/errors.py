@@ -37,16 +37,35 @@ def parse_json(text: str, line: int | None = None) -> object:
         raise ParseError(f"invalid JSON: {exc}", line) from exc
 
 
+# the C scanner behind ``json.loads``, called without its Python wrappers
+_SCAN_ONCE = json.JSONDecoder().scan_once
+
+
 def read_jsonl(path, what: str) -> Iterator[tuple[int, object]]:
     """Yield (1-based line number, value) for each non-blank line of a JSONL file.
 
     Lines end at ``\n``, ``\r`` or ``\r\n`` only, so a raw U+2028 inside a
     JSON string stays in its line. ``what`` names the file in the error
     raised for bytes that are not UTF-8.
+
+    A line that starts with ``{`` is scanned once by the C scanner, and its
+    value is taken when the scan ends at the end of the line or just before
+    its final ``\n``: ``json.loads`` returns that same value. Every other
+    line, and any line the scanner raises on, goes through ``parse_json``.
     """
+    scan = _SCAN_ONCE
     try:
         with open(path, encoding="utf-8") as fh:
             for line_no, line in enumerate(fh, start=1):
+                if line[:1] == "{":
+                    try:
+                        value, end = scan(line, 0)
+                    except (StopIteration, ValueError, RecursionError):
+                        pass  # parse_json raises the ParseError
+                    else:
+                        if end == len(line) or (end == len(line) - 1 and line[end] == "\n"):
+                            yield line_no, value
+                            continue
                 if line.strip():
                     yield line_no, parse_json(line, line_no)
     except UnicodeDecodeError as exc:

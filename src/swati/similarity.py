@@ -251,23 +251,16 @@ def skill_index(skill_sets: Sequence[frozenset[str]]) -> dict[str, int]:
     return {skill: k for k, skill in enumerate(sorted(set().union(*skill_sets)))}
 
 
-def skill_cells(
-    skill_sets: Sequence[frozenset[str]], index: dict[str, int]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Row i and column of each skill of ``skill_sets[i]`` found in ``index``, rows ascending."""
-    rows = np.repeat(np.arange(len(skill_sets)), [len(skills) for skills in skill_sets])
-    cols = np.array([index.get(s, -1) for skills in skill_sets for s in skills], dtype=np.intp)
-    found = cols >= 0
-    return rows[found], cols[found]
-
-
 def skill_incidence(skill_sets: Sequence[frozenset[str]], index: dict[str, int]) -> np.ndarray:
     """float32 0/1 matrix; row i marks the skills of ``skill_sets[i]`` found in ``index``.
 
-    Built with one scatter from the ``skill_cells``.
+    Built with one scatter.
     """
+    rows = np.repeat(np.arange(len(skill_sets)), [len(skills) for skills in skill_sets])
+    cols = np.array([index.get(s, -1) for skills in skill_sets for s in skills], dtype=np.intp)
+    found = cols >= 0
     out = np.zeros((len(skill_sets), len(index)), np.float32)
-    out[skill_cells(skill_sets, index)] = 1
+    out[rows[found], cols[found]] = 1
     return out
 
 

@@ -14,13 +14,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
 from .errors import ConfigError, DimensionError, ParseError, read_jsonl
 from .extraction import Profile, TaskSpec
-from .similarity import skill_cells, skill_incidence, skill_index
 
 # Cue vector layout: (domain_affinity, prior_exposure, stated_interest,
 # volunteering_history, availability). Affinity is halved when the volunteer
@@ -28,24 +28,41 @@ from .similarity import skill_cells, skill_incidence, skill_index
 # little about this particular pairing.
 _NO_OVERLAP_AFFINITY_FACTOR = 0.5
 # Most history records scored at once by ``tendency_matrix``: bounds the
-# records x skills and records x tasks matrices of one block of volunteers.
-_WALK_BLOCK = 256
+# records x tasks relevance matrix of one block of volunteers.
+_WALK_BLOCK = 128
 
 
-@dataclass(frozen=True)
-class HistoryRecord:
-    """One past task offer: the task's skills and whether it was accepted."""
+@dataclass(frozen=True, eq=False)
+class HistoryColumns:
+    """Every history record of one load, one row per record.
 
-    task_skills: frozenset[str]
-    accepted: bool
+    Row r offered a task needing the skills named by
+    ``skills[k] for k in skill_ids[offsets[r]:offsets[r + 1]]`` (repeats
+    kept as read) and was accepted if ``accepted[r]``. Equal contents compare
+    equal.
+    """
+
+    skills: tuple[str, ...]
+    skill_ids: np.ndarray
+    offsets: np.ndarray
+    accepted: np.ndarray
+
+    def __eq__(self, other):
+        if not isinstance(other, HistoryColumns):
+            return NotImplemented
+        return self.skills == other.skills and all(
+            np.array_equal(getattr(self, name), getattr(other, name))
+            for name in ("skill_ids", "offsets", "accepted")
+        )
 
 
 @dataclass(frozen=True)
 class History:
-    """A volunteer's past task offers."""
+    """A volunteer's past task offers: the consecutive rows ``records`` of ``columns``."""
 
     volunteer_id: str
-    records: tuple[HistoryRecord, ...] = ()
+    records: range
+    columns: HistoryColumns
 
 
 @dataclass(frozen=True)
@@ -136,6 +153,13 @@ def cue_score_matrix(
     return scores
 
 
+def _runs(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """``arange(starts[k], starts[k] + lengths[k])`` for every k, concatenated."""
+    ends = np.cumsum(lengths)
+    total = int(ends[-1]) if ends.size else 0
+    return np.repeat(starts - ends + lengths, lengths) + np.arange(total)
+
+
 def tendency_matrix(
     profiles: Sequence[Profile],
     taskspecs: Sequence[TaskSpec],
@@ -148,34 +172,54 @@ def tendency_matrix(
     no history at all the uninformative prior 0.5. Every fraction is a
     quotient of exact integer counts.
 
-    Every record's skill columns and acceptance flag are gathered once, then
-    volunteers are scored in blocks of at most ``_WALK_BLOCK`` history records
-    (a volunteer with more records is a block of its own). A block's relevance
-    is one float32 product of 0/1 incidence matrices: each entry is a sum of
-    non-negative 0/1 terms, so it is positive exactly when a record and a task
-    share a skill, in any summation order. Its per-volunteer counts are one
-    float32 product of a 0/1 membership matrix (each volunteer's records, then
-    each volunteer's accepted records) with the 0/1 relevance; they are at
-    most ``_WALK_BLOCK``, so float32 holds them exactly.
+    Each profile's rows are gathered from the history columns once, and each
+    distinct skill name is mapped once to the tasks that require it (a
+    skill -> tasks table in compressed sparse rows). Volunteers are then
+    scored in blocks of at most ``_WALK_BLOCK`` history records (a volunteer
+    with more records is a block of its own). A block's 0/1 relevance is one
+    scatter of the (record, task) pairs that every (record, skill) entry
+    expands to through that table. Its per-volunteer counts are one float32
+    product of a 0/1 membership matrix (each volunteer's records, then each
+    volunteer's accepted records) with the 0/1 relevance; they are at most
+    the block's record count, so float32 holds them exactly. Histories from
+    separate loads are scored load by load.
     """
-    task_skills = [t.required_skills for t in taskspecs]
-    index = skill_index(task_skills)
-    tasks_t = np.ascontiguousarray(skill_incidence(task_skills, index).T)
     out = np.full((len(profiles), len(taskspecs)), 0.5)
-    rows, walks = [], []
+    loads: dict[int, tuple[list[int], list[History]]] = {}
     for i, profile in enumerate(profiles):
         history = histories.get(profile.history_ref or profile.id) if histories else None
         if history is not None and history.records:
+            rows, walks = loads.setdefault(id(history.columns), ([], []))
             rows.append(i)
-            walks.append(history.records)
-    if not rows:
-        return out
-    records = [r for walk in walks for r in walk]
-    accepted = np.array([r.accepted for r in records])
-    skill_rows, skill_cols = skill_cells([r.task_skills for r in records], index)
-    lengths = np.array([len(walk) for walk in walks])
+            walks.append(history)
+    for rows, walks in loads.values():
+        _score_load(out, rows, walks, taskspecs)
+    return out
+
+
+def _score_load(
+    out: np.ndarray, rows: list[int], walks: list[History], taskspecs: Sequence[TaskSpec]
+) -> None:
+    """Write ``out[rows]``: the tendencies of profiles whose ``walks`` share one load's columns."""
+    columns = walks[0].columns
+    lengths = np.array([len(h.records) for h in walks])
     offsets = np.concatenate(([0], np.cumsum(lengths)))
+    records = _runs(np.array([h.records.start for h in walks]), lengths)
+    accepted = columns.accepted[records]
     overall = np.add.reduceat(accepted, offsets[:-1], dtype=np.int64) / lengths
+    requiring: dict[str, list[int]] = {}
+    for j, task in enumerate(taskspecs):
+        for skill in task.required_skills:
+            requiring.setdefault(skill, []).append(j)
+    per_skill = [requiring.get(name, ()) for name in columns.skills]
+    fan_out = np.array([len(tasks) for tasks in per_skill], dtype=np.intp)
+    task_ptr = np.concatenate(([0], np.cumsum(fan_out)))
+    task_cols = np.fromiter(chain.from_iterable(per_skill), np.intp, task_ptr[-1])
+    # the gathered records' skill entries, in record order
+    entry_lengths = columns.offsets[records + 1] - columns.offsets[records]
+    entry_offsets = np.concatenate(([0], np.cumsum(entry_lengths)))
+    skills = columns.skill_ids[_runs(columns.offsets[records], entry_lengths)]
+    entry_records = np.repeat(np.arange(len(records)), entry_lengths)
     start = 0
     while start < len(rows):
         stop, size = start + 1, lengths[start]
@@ -183,10 +227,13 @@ def tendency_matrix(
             size += lengths[stop]
             stop += 1
         first, last = offsets[start], offsets[stop]
-        lo, hi = np.searchsorted(skill_rows, (first, last))
-        incidence = np.zeros((last - first, len(index)), np.float32)
-        incidence[skill_rows[lo:hi] - first, skill_cols[lo:hi]] = 1
-        relevant = np.minimum(incidence @ tasks_t, 1)
+        lo, hi = entry_offsets[first], entry_offsets[last]
+        fan = fan_out[skills[lo:hi]]
+        relevant = np.zeros((size, len(taskspecs)), np.float32)
+        relevant[
+            np.repeat(entry_records[lo:hi] - first, fan),
+            task_cols[_runs(task_ptr[skills[lo:hi]], fan)],
+        ] = 1
         # rows [0, v) mark each volunteer's records, rows [v, 2v) its accepted ones
         v = stop - start
         members = np.zeros((2 * v, size), np.float32)
@@ -198,7 +245,6 @@ def tendency_matrix(
         np.divide(n_accepted, n_relevant, out=block, where=n_relevant > 0)
         out[rows[start:stop]] = block
         start = stop
-    return out
 
 
 def raw_willingness(g, f, params: WillingnessParams) -> np.ndarray:
@@ -238,9 +284,34 @@ def willingness_matrix(
     )
 
 
+_BAD_SKILLS = "task_skills must be a list of strings"
+
+
+class _SkillIds(dict):
+    """Skill name -> id, giving the next id to each new name that is a ``str``.
+
+    Only a name seen for the first time is type-checked: every key is a
+    ``str``, and no other JSON value equals one. A name that is not a ``str``,
+    or is unhashable, raises ``TypeError``.
+    """
+
+    def __missing__(self, name):
+        if not isinstance(name, str):
+            raise TypeError(name)
+        self[name] = k = len(self)
+        return k
+
+
 def _group_records(numbered: Iterable[tuple[int, object]]) -> dict[str, History]:
-    """Validate (line number, record) pairs and group them by volunteer."""
-    grouped: dict[str, list[HistoryRecord]] = {}
+    """Validate (line number, record) pairs and group them by volunteer into shared columns.
+
+    Skill names get ids in order of first appearance. When volunteers
+    interleave, one stable sort groups each volunteer's rows, in file order.
+    """
+    groups: dict[str, int] = {}
+    names = _SkillIds()
+    skill_id = names.__getitem__
+    owners, ends, flags, skill_ids = [], [], [], []
     for line_no, obj in numbered:
         try:
             vid = obj["volunteer_id"]
@@ -252,16 +323,37 @@ def _group_records(numbered: Iterable[tuple[int, object]]) -> dict[str, History]
             ) from None
         if not isinstance(vid, str) or not isinstance(accepted, bool):
             raise ParseError("bad field types", line_no)
-        if not isinstance(skills, list) or not all(isinstance(s, str) for s in skills):
-            raise ParseError("task_skills must be a list of strings", line_no)
-        grouped.setdefault(vid, []).append(
-            HistoryRecord(task_skills=frozenset(skills), accepted=accepted)
-        )
-    return {vid: History(volunteer_id=vid, records=tuple(recs)) for vid, recs in grouped.items()}
+        if not isinstance(skills, list):
+            raise ParseError(_BAD_SKILLS, line_no)
+        try:
+            skill_ids += map(skill_id, skills)
+        except TypeError:
+            raise ParseError(_BAD_SKILLS, line_no) from None
+        ends.append(len(skill_ids))
+        flags.append(accepted)
+        owners.append(groups.setdefault(vid, len(groups)))
+    if not groups:
+        return {}
+    owner = np.array(owners)
+    offsets = np.zeros(len(ends) + 1, np.intp)
+    offsets[1:] = ends
+    ids = np.array(skill_ids, dtype=np.intp)
+    accepted = np.array(flags)
+    if np.any(owner[1:] < owner[:-1]):
+        order = np.argsort(owner, kind="stable")
+        lengths = np.diff(offsets)[order]
+        ids = ids[_runs(offsets[:-1][order], lengths)]
+        offsets[1:] = np.cumsum(lengths)
+        accepted = accepted[order]
+    bounds = [0, *np.cumsum(np.bincount(owner)).tolist()]
+    columns = HistoryColumns(tuple(names), ids, offsets, accepted)
+    return {
+        vid: History(vid, range(bounds[g], bounds[g + 1]), columns) for vid, g in groups.items()
+    }
 
 
 def histories_from_records(records: Iterable[dict]) -> dict[str, History]:
-    """Group {volunteer_id, task_skills[], accepted} dicts into History objects.
+    """Group {volunteer_id, task_skills[], accepted} dicts into histories over shared columns.
 
     A malformed record raises ``ParseError`` naming its 1-based position.
     """

@@ -50,12 +50,36 @@ def profile_score(cue_vec, params):
     return float(np.dot(np.asarray(params.cue_weights), cue_vec))
 
 
-def history_tendency(history, task):
-    if history is None or not history.records:
+def history_records(rows):
+    """Each volunteer's records, as (task skill set, accepted) pairs in row order."""
+    grouped = {}
+    for row in rows:
+        grouped.setdefault(row["volunteer_id"], []).append(
+            (frozenset(row["task_skills"]), row["accepted"])
+        )
+    return grouped
+
+
+def loaded_records(history):
+    """A loaded ``History``'s records, as (task skill set, accepted) pairs."""
+    columns = history.columns
+    return [
+        (
+            frozenset(columns.skills[k] for k in
+                      columns.skill_ids[columns.offsets[r] : columns.offsets[r + 1]]),
+            bool(columns.accepted[r]),
+        )
+        for r in history.records
+    ]
+
+
+def history_tendency(records, task):
+    """Acceptance fraction over ``records`` relevant to ``task``; see ``history_records``."""
+    if not records:
         return 0.5
-    relevant = [r for r in history.records if r.task_skills & task.required_skills]
-    pool = relevant if relevant else history.records
-    return sum(1 for r in pool if r.accepted) / len(pool)
+    relevant = [r for r in records if r[0] & task.required_skills]
+    pool = relevant if relevant else records
+    return sum(1 for _, accepted in pool if accepted) / len(pool)
 
 
 def raw_willingness(g, f, params):
@@ -64,10 +88,10 @@ def raw_willingness(g, f, params):
     return 1.0 / (1.0 + math.exp(-z))
 
 
-def pair_willingness(volunteer, task, history, state, params):
+def pair_willingness(volunteer, task, records, state, params):
     """Willingness of one pair, smoothed against ``state`` (a dict keyed by id pair)."""
     f = profile_score(cue_vector(volunteer, task), params)
-    g = history_tendency(history, task)
+    g = history_tendency(records, task)
     w_hat = raw_willingness(g, f, params)
     pair = (volunteer.id, task.id)
     previous = state.get(pair)

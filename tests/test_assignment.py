@@ -30,8 +30,6 @@ from swati.errors import ConfigError, DimensionError, InstanceTooLargeError
 from swati.extraction import PreferenceCues, Profile, TaskSpec, build_market
 from swati.similarity import SparseVector
 from swati.willingness import (
-    History,
-    HistoryRecord,
     WillingnessParams,
     WillingnessState,
     histories_from_records,
@@ -133,24 +131,27 @@ def _reference_market(builtin_ontology):
 
     Volunteer ``v-empty`` and task ``t-empty`` have no skills and no content;
     the first volunteer has no history and the second only irrelevant history.
+    Returns the histories and, for the reference, the same rows as records.
     """
-    market, histories = _epoch_inputs(builtin_ontology, seed=31, n=40, m=30)
+    market, rows = _epoch_rows(builtin_ontology, seed=31, n=40, m=30)
     profiles = [
         *market.profiles,
         Profile("v-empty", frozenset(), SparseVector.empty(), PreferenceCues(0.6, 0.2)),
     ]
     taskspecs = [*market.taskspecs, TaskSpec("t-empty", frozenset(), SparseVector.empty())]
-    histories = dict(histories)
-    histories.pop(profiles[0].history_ref)
-    irrelevant = (HistoryRecord(frozenset({"No Such Skill"}), accepted) for accepted in
-                  (True, False, True))
-    histories[profiles[1].history_ref] = History(profiles[1].history_ref, tuple(irrelevant))
-    return profiles, taskspecs, histories
+    dropped = {profiles[0].history_ref, profiles[1].history_ref}
+    rows = [row for row in rows if row["volunteer_id"] not in dropped]
+    rows += [
+        {"volunteer_id": profiles[1].history_ref, "task_skills": ["No Such Skill"],
+         "accepted": accepted}
+        for accepted in (True, False, True)
+    ]
+    return profiles, taskspecs, histories_from_records(rows), ref.history_records(rows)
 
 
 def test_matrix_matches_scalar_composition(builtin_ontology):
     """The kernel equals the per-pair reference bit for bit across smoothing epochs."""
-    profiles, taskspecs, histories = _reference_market(builtin_ontology)
+    profiles, taskspecs, histories, records = _reference_market(builtin_ontology)
     skill, content = similarity_components(profiles, taskspecs)
     shape = (len(profiles), len(taskspecs))
     # a different history weight per epoch makes the raw estimates move, so
@@ -167,7 +168,7 @@ def test_matrix_matches_scalar_composition(builtin_ontology):
             )
             s_ref, c_ref, w_ref, u_ref = (np.empty(shape) for _ in range(4))
             for i, prof in enumerate(profiles):
-                history = histories.get(prof.history_ref or prof.id)
+                history = records.get(prof.history_ref or prof.id)
                 for j, task in enumerate(taskspecs):
                     s_ref[i, j] = ref.skill_sim(prof.skills, task.required_skills)
                     c_ref[i, j] = ref.content_sim(prof.content_vector, task.content_vector)
@@ -189,7 +190,7 @@ def test_hoisted_raw_willingness_reproduces_epoch_states(builtin_ontology):
     The reference rescores each pair from its cues and history in every epoch
     and smooths it against the previous epoch, as ``match`` did before.
     """
-    profiles, taskspecs, histories = _reference_market(builtin_ontology)
+    profiles, taskspecs, histories, records = _reference_market(builtin_ontology)
     skill, content = similarity_components(profiles, taskspecs)
     params = WillingnessParams(smoothing=0.6)
     w_hat = willingness_matrix(profiles, taskspecs, histories, skill > 0, params)
@@ -203,7 +204,7 @@ def test_hoisted_raw_willingness_reproduces_epoch_states(builtin_ontology):
             [
                 [
                     ref.pair_willingness(
-                        prof, task, histories.get(prof.history_ref), ref_state, params
+                        prof, task, records.get(prof.history_ref), ref_state, params
                     )
                     for task in taskspecs
                 ]
@@ -630,14 +631,17 @@ def test_validator_rejects_wrong_utility():
 # --- epochs -------------------------------------------------------------------
 
 
-def _epoch_inputs(builtin_ontology, seed=23, n=6, m=5):
+def _epoch_rows(builtin_ontology, seed=23, n=6, m=5):
+    """A generated market and its history rows."""
     cfg = SyntheticConfig(seed=seed, n_volunteers=n, n_tasks=m, **TEST_MARKET_SHAPE)
     corpus = generate_synthetic(cfg, builtin_ontology)
     market = build_market(corpus, builtin_ontology)
-    histories = histories_from_records(
-        generate_synthetic_history(cfg, corpus, builtin_ontology)
-    )
-    return market, histories
+    return market, generate_synthetic_history(cfg, corpus, builtin_ontology)
+
+
+def _epoch_inputs(builtin_ontology, seed=23, n=6, m=5):
+    market, rows = _epoch_rows(builtin_ontology, seed, n, m)
+    return market, histories_from_records(rows)
 
 
 def test_run_epoch_digest_is_stable(builtin_ontology):

@@ -13,8 +13,7 @@ from swati.errors import ConfigError, DimensionError, ParseError
 from swati.extraction import PreferenceCues, Profile, TaskSpec
 from swati.similarity import SparseVector
 from swati.willingness import (
-    History,
-    HistoryRecord,
+    HistoryColumns,
     WillingnessParams,
     WillingnessState,
     cue_score_matrix,
@@ -45,8 +44,13 @@ def _cue_score(cues, overlap=True, params=WillingnessParams()):
     return cue_score_matrix([_profile(cues)], np.array([[overlap]]), params)[0, 0]
 
 
-def _history_tendency(history, task):
-    histories = None if history is None else {history.volunteer_id: history}
+def _row(vid, skills, accepted):
+    return {"volunteer_id": vid, "task_skills": list(skills), "accepted": accepted}
+
+
+def _history_tendency(records, task):
+    """Tendency of volunteer v1 with (task skills, accepted) ``records`` toward ``task``."""
+    histories = histories_from_records([_row("v1", *record) for record in records])
     return tendency_matrix([_profile(PreferenceCues())], [task], histories)[0, 0]
 
 
@@ -99,58 +103,53 @@ def test_profile_score_weighted_dot():
 
 
 def test_history_tendency_prior():
-    assert _history_tendency(None, _task({"A"})) == 0.5
-    assert _history_tendency(History("v1", ()), _task({"A"})) == 0.5
+    assert tendency_matrix([_profile(PreferenceCues())], [_task({"A"})], None)[0, 0] == 0.5
+    assert _history_tendency([], _task({"A"})) == 0.5
 
 
 def test_history_tendency_intersecting_records():
-    history = History(
-        "v1",
-        (
-            HistoryRecord(frozenset({"A"}), True),
-            HistoryRecord(frozenset({"A", "B"}), True),
-            HistoryRecord(frozenset({"A"}), False),
-            HistoryRecord(frozenset({"Z"}), False),
-        ),
-    )
-    assert _history_tendency(history, _task({"A"})) == pytest.approx(2 / 3, abs=1e-12)
+    records = [("A", True), ("AB", True), ("A", False), ("Z", False)]
+    assert _history_tendency(records, _task({"A"})) == pytest.approx(2 / 3, abs=1e-12)
 
 
 def test_history_tendency_fallback_overall():
-    records = tuple(
-        HistoryRecord(frozenset({"Z"}), accepted) for accepted in (True, True, True, True, False)
-    )
-    history = History("v1", records)
-    assert _history_tendency(history, _task({"A"})) == pytest.approx(0.8, abs=1e-12)
+    records = [("Z", accepted) for accepted in (True, True, True, True, False)]
+    assert _history_tendency(records, _task({"A"})) == pytest.approx(0.8, abs=1e-12)
 
 
-def _reference_tendency(profiles, taskspecs, histories):
+def _reference_tendency(profiles, taskspecs, rows):
+    records = ref.history_records(rows)
     return np.array(
         [
-            [ref.history_tendency(histories.get(p.history_ref or p.id), t) for t in taskspecs]
+            [ref.history_tendency(records.get(p.history_ref or p.id), t) for t in taskspecs]
             for p in profiles
         ]
     )
 
 
-# tasks name A-D; records also name X and Y, which no task names
+# tasks name A-D; records also name X and Y, which no task names, repeat
+# names within a record, or name none
 _TASK_SKILLS = st.frozensets(st.sampled_from("ABCD"), max_size=3)
-_RECORDS = st.lists(
-    st.builds(HistoryRecord, st.frozensets(st.sampled_from("ABCDXY"), max_size=3), st.booleans()),
-    max_size=12,
+_ROWS = st.lists(
+    st.builds(_row, st.sampled_from(["h0", "h1", "h2", "h3"]),
+              st.lists(st.sampled_from("ABCDXY"), max_size=4), st.booleans()),
+    max_size=30,
 )
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_tendency_matrix_equals_per_pair_reference(data):
+    """Rows in any volunteer order, loaded at once or split over two loads."""
     block = data.draw(st.integers(1, 5), label="block")
-    histories = {
-        ref_id: History(ref_id, tuple(records))
-        for ref_id, records in data.draw(
-            st.dictionaries(st.sampled_from(["h0", "h1", "h2", "h3"]), _RECORDS), label="histories"
-        ).items()
-    }
+    rows = data.draw(_ROWS, label="rows")
+    if data.draw(st.booleans(), label="two loads"):
+        histories = {
+            **histories_from_records(r for r in rows if r["volunteer_id"] < "h2"),
+            **histories_from_records(r for r in rows if r["volunteer_id"] >= "h2"),
+        }
+    else:
+        histories = histories_from_records(rows)
     # a volunteer without history, one sharing another's history, one under its own id
     refs = data.draw(
         st.lists(st.sampled_from(["h0", "h1", "h2", "h3", "none"]), min_size=1, max_size=6)
@@ -166,7 +165,7 @@ def test_tendency_matrix_equals_per_pair_reference(data):
     ]
     with mock.patch.object(willingness, "_WALK_BLOCK", block):
         got = tendency_matrix(profiles, tasks, histories)
-    assert np.array_equal(got, _reference_tendency(profiles, tasks, histories))
+    assert np.array_equal(got, _reference_tendency(profiles, tasks, rows))
 
 
 def test_tendency_matrix_blocks_at_full_size():
@@ -175,18 +174,19 @@ def test_tendency_matrix_blocks_at_full_size():
     that no task names, and a task without skills."""
     rng = random.Random(7)
 
-    def records(n, skills="ABCDXY"):
-        return tuple(
-            HistoryRecord(frozenset(rng.sample(skills, rng.randint(0, 2))), rng.random() < 0.6)
+    def rows(vid, n, skills="ABCDXY"):
+        return [
+            _row(vid, rng.sample(skills, rng.randint(0, 2)), rng.random() < 0.6)
             for _ in range(n)
-        )
+        ]
 
     size = willingness._WALK_BLOCK
-    histories = {
-        "long": History("long", records(size + 37)),
-        "irrelevant": History("irrelevant", records(9, "XY")),
-        **{f"h{k}": History(f"h{k}", records(size // 3 + k)) for k in range(8)},
-    }
+    history_rows = [
+        *rows("long", size + 37),
+        *rows("irrelevant", 9, "XY"),
+        *(row for k in range(8) for row in rows(f"h{k}", size // 3 + k)),
+    ]
+    histories = histories_from_records(history_rows)
     profiles = [
         Profile(id=vid, skills=frozenset(), content_vector=SparseVector.empty(),
                 cues=PreferenceCues(), history_ref=hid)
@@ -199,9 +199,23 @@ def test_tendency_matrix_blocks_at_full_size():
         for j, skills in enumerate(["A", "AB", "", "CD", "D", "ABCD"])
     ]
     got = tendency_matrix(profiles, tasks, histories)
-    assert np.array_equal(got, _reference_tendency(profiles, tasks, histories))
+    assert np.array_equal(got, _reference_tendency(profiles, tasks, history_rows))
     assert np.all(got[4] == 0.5)  # no history
     assert np.all(got[5] == got[5, 0])  # nothing relevant: the overall fraction
+
+
+class _UnreadTask:
+    @property
+    def required_skills(self):
+        raise AssertionError("task skills read")
+
+
+def test_tendency_matrix_without_history_skips_the_tasks():
+    """With no history for any profile the prior is returned before tasks are read."""
+    histories = histories_from_records([_row("other", "A", True)])
+    for given in (None, {}, histories):
+        got = tendency_matrix([_profile(PreferenceCues())], [_UnreadTask()], given)
+        assert got.tolist() == [[0.5]]
 
 
 def test_raw_willingness_center():
@@ -318,18 +332,46 @@ def test_pair_willingness_composes_and_stores():
     assert state.values is value
 
 
+def _write_rows(path, rows):
+    path.write_text("".join(json.dumps(r) + "\n" for r in rows))
+    return str(path)
+
+
 def test_load_history_grouping(tmp_path):
-    path = tmp_path / "h.jsonl"
-    rows = [
-        {"volunteer_id": "v1", "task_skills": ["A"], "accepted": True},
-        {"volunteer_id": "v1", "task_skills": ["B"], "accepted": False},
-        {"volunteer_id": "v2", "task_skills": ["A", "C"], "accepted": True},
-    ]
-    path.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
-    histories = load_history(str(path))
+    rows = [_row("v1", "A", True), _row("v1", "B", False), _row("v2", ["A", "C"], True)]
+    histories = load_history(_write_rows(tmp_path / "h.jsonl", rows))
     assert set(histories) == {"v1", "v2"}
     assert len(histories["v1"].records) == 2
-    assert histories["v2"].records[0].task_skills == {"A", "C"}
+    assert ref.loaded_records(histories["v2"]) == [(frozenset({"A", "C"}), True)]
+
+
+def test_load_history_groups_interleaved_volunteers_in_file_order(tmp_path):
+    rows = [
+        _row("v2", ["B", "B"], True),
+        _row("v1", [], False),
+        _row("v2", ["A", "Z"], False),
+        _row("v3", ["Z"], True),
+        _row("v1", ["C", "A"], True),
+    ]
+    histories = load_history(_write_rows(tmp_path / "h.jsonl", rows))
+    assert histories == histories_from_records(rows)
+    assert list(histories) == ["v2", "v1", "v3"]
+    columns = histories["v1"].columns
+    assert all(h.columns is columns for h in histories.values())
+    assert columns.skills == ("B", "A", "Z", "C")
+    assert [h.records for h in histories.values()] == [range(0, 2), range(2, 4), range(4, 5)]
+    loaded = {vid: ref.loaded_records(h) for vid, h in histories.items()}
+    assert loaded == ref.history_records(rows)
+    assert histories != histories_from_records(rows[:-1] + [_row("v1", ["C", "A"], False)])
+
+
+def test_history_columns_compare_contents():
+    def columns(accepted):
+        return HistoryColumns(("A",), np.array([0]), np.array([0, 1]), np.array([accepted]))
+
+    assert columns(True) == columns(True)
+    assert columns(True) != columns(False)
+    assert columns(True) != "columns"
 
 
 def test_load_history_rejects_bad_rows(tmp_path):
@@ -340,13 +382,9 @@ def test_load_history_rejects_bad_rows(tmp_path):
 
 
 def test_histories_from_records_matches_file_loader(tmp_path):
-    rows = [
-        {"volunteer_id": "v1", "task_skills": ["A"], "accepted": True},
-        {"volunteer_id": "v2", "task_skills": ["B"], "accepted": False},
-    ]
-    path = tmp_path / "h.jsonl"
-    path.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
-    assert histories_from_records(rows) == load_history(str(path))
+    rows = [_row("v1", "A", True), _row("v2", "B", False), _row("v1", "BA", False)]
+    assert histories_from_records(rows) == load_history(_write_rows(tmp_path / "h.jsonl", rows))
+    assert load_history(_write_rows(tmp_path / "empty.jsonl", [])) == {}
 
 
 def test_load_history_reports_line_numbers(tmp_path):
@@ -357,3 +395,39 @@ def test_load_history_reports_line_numbers(tmp_path):
         load_history(str(path))
     with pytest.raises(ParseError, match="line 2"):
         histories_from_records([json.loads(good), {"volunteer_id": "v1"}])
+
+
+_MISSING = "record needs volunteer_id, task_skills, accepted"
+_TYPES = "bad field types"
+_SKILLS = "task_skills must be a list of strings"
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ('{"volunteer_id": "v9", "task_skills": ["A"]}', _MISSING),
+        ('["v9", ["A"], true]', _MISSING),
+        ('"v9"', _MISSING),
+        ('{"volunteer_id": 9, "task_skills": ["A"], "accepted": true}', _TYPES),
+        ('{"volunteer_id": "v9", "task_skills": ["A"], "accepted": 1}', _TYPES),
+        ('{"volunteer_id": "v9", "task_skills": ["A"], "accepted": null}', _TYPES),
+        ('{"volunteer_id": "v9", "task_skills": "A", "accepted": true}', _SKILLS),
+        ('{"volunteer_id": "v9", "task_skills": {"A": 1}, "accepted": true}', _SKILLS),
+        *(
+            (f'{{"volunteer_id": "v9", "task_skills": {skills}, "accepted": false}}', _SKILLS)
+            for element in ("1", "null", "true", "NaN", "[]", "{}")
+            for skills in (f"[{element}]", f'["A", "new", {element}]', f'[{element}, "A"]')
+        ),
+    ],
+)
+def test_load_history_error_text_and_line(tmp_path, line, message):
+    """A malformed line 2 fails with its message, before a later structural error."""
+    good = json.dumps(_row("v1", "A", True))
+    path = tmp_path / "h.jsonl"
+    path.write_text(f'{good}\n{line}\n{{"volunteer_id": "v1"}}\n')
+    with pytest.raises(ParseError) as from_file:
+        load_history(str(path))
+    with pytest.raises(ParseError) as from_rows:
+        histories_from_records([json.loads(good), json.loads(line), {"volunteer_id": "v1"}])
+    for raised in (from_file.value, from_rows.value):
+        assert (str(raised), raised.line) == (f"line 2: {message}", 2)
