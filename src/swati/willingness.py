@@ -39,7 +39,7 @@ class HistoryColumns:
     Row r offered a task needing the skills named by
     ``skills[k] for k in skill_ids[offsets[r]:offsets[r + 1]]`` (repeats
     kept as read) and was accepted if ``accepted[r]``. Equal contents compare
-    equal.
+    equal and hash alike, so a ``History`` stays hashable.
     """
 
     skills: tuple[str, ...]
@@ -54,6 +54,9 @@ class HistoryColumns:
             np.array_equal(getattr(self, name), getattr(other, name))
             for name in ("skill_ids", "offsets", "accepted")
         )
+
+    def __hash__(self):
+        return hash((self.skills, self.skill_ids.size, self.accepted.size))
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,7 @@ from swati.errors import ConfigError, DimensionError, ParseError
 from swati.extraction import PreferenceCues, Profile, TaskSpec
 from swati.similarity import SparseVector
 from swati.willingness import (
+    History,
     HistoryColumns,
     WillingnessParams,
     WillingnessState,
@@ -103,8 +104,14 @@ def test_profile_score_weighted_dot():
 
 
 def test_history_tendency_prior():
-    assert tendency_matrix([_profile(PreferenceCues())], [_task({"A"})], None)[0, 0] == 0.5
-    assert _history_tendency([], _task({"A"})) == 0.5
+    profile, task = _profile(PreferenceCues()), _task({"A"})
+    assert tendency_matrix([profile], [task], None)[0, 0] == 0.5
+    assert _history_tendency([], task) == 0.5
+    # a history that exists but holds no rows of its load
+    columns = histories_from_records([_row("v1", "A", True)])["v1"].columns
+    for at in (0, 1):
+        empty = {"v1": History("v1", range(at, at), columns)}
+        assert tendency_matrix([profile], [task], empty)[0, 0] == 0.5
 
 
 def test_history_tendency_intersecting_records():
@@ -140,7 +147,8 @@ _ROWS = st.lists(
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_tendency_matrix_equals_per_pair_reference(data):
-    """Rows in any volunteer order, loaded at once or split over two loads."""
+    """Rows in any volunteer order, loaded at once or split over two loads,
+    with or without a history of no rows."""
     block = data.draw(st.integers(1, 5), label="block")
     rows = data.draw(_ROWS, label="rows")
     if data.draw(st.booleans(), label="two loads"):
@@ -150,9 +158,14 @@ def test_tendency_matrix_equals_per_pair_reference(data):
         }
     else:
         histories = histories_from_records(rows)
+    if histories and data.draw(st.booleans(), label="empty history"):
+        # h4 exists but holds no rows, at any position of one load's columns
+        columns = next(iter(histories.values())).columns
+        at = data.draw(st.integers(0, columns.accepted.size), label="empty at")
+        histories["h4"] = History("h4", range(at, at), columns)
     # a volunteer without history, one sharing another's history, one under its own id
     refs = data.draw(
-        st.lists(st.sampled_from(["h0", "h1", "h2", "h3", "none"]), min_size=1, max_size=6)
+        st.lists(st.sampled_from(["h0", "h1", "h2", "h3", "h4", "none"]), min_size=1, max_size=6)
     )
     profiles = [
         Profile(id=hid, skills=frozenset(), content_vector=SparseVector.empty(),
@@ -370,8 +383,12 @@ def test_history_columns_compare_contents():
         return HistoryColumns(("A",), np.array([0]), np.array([0, 1]), np.array([accepted]))
 
     assert columns(True) == columns(True)
+    assert hash(columns(True)) == hash(columns(True))
     assert columns(True) != columns(False)
     assert columns(True) != "columns"
+    assert hash(History("v1", range(0, 1), columns(True))) == hash(
+        History("v1", range(0, 1), columns(True))
+    )
 
 
 def test_load_history_rejects_bad_rows(tmp_path):
