@@ -18,7 +18,6 @@ from .assignment import (
     UtilityMatrix,
     UtilityParams,
     assign,
-    assign_optimal_bruteforce,
     assign_random,
     assign_skill_only,
     assign_swati,
@@ -26,7 +25,6 @@ from .assignment import (
     run_epoch,
     similarity_components,
     utility_matrix_from_components,
-    validate_assignment,
 )
 from .config import EngineConfig, build_config, load_config
 from .corpus import (
@@ -67,7 +65,6 @@ from .similarity import (
     cosine_matrix,
     fit_vectorizer,
     jaccard_matrix,
-    vectorize,
 )
 from .willingness import (
     History,

@@ -9,6 +9,9 @@ seeds, and failures exit nonzero with a machine-readable JSON error on stderr.
 from __future__ import annotations
 
 import argparse
+import atexit
+import functools
+import gc
 import json
 import os
 import sys
@@ -321,7 +324,18 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _freeze_gc_at_exit() -> None:
+    """Spare the exit the collections over every object numpy and swati left.
+
+    atexit callbacks run before the interpreter's final collections, and those
+    skip frozen objects. Registered once per process, on the first ``main``.
+    """
+    atexit.register(gc.freeze)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    _freeze_gc_at_exit()
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:

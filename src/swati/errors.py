@@ -140,10 +140,6 @@ class DimensionError(EngineError):
     """Utility matrix construction needs at least one volunteer and one task."""
 
 
-class InstanceTooLargeError(EngineError):
-    """Brute-force matching is guarded to small instances."""
-
-
 class InconsistentInputError(EngineError):
     """Metric inputs disagree (e.g. more pairs than tasks)."""
 

@@ -241,11 +241,6 @@ def term_vectors(model: VectorizerModel, terms: TermCounts) -> list[SparseVector
     return SparseVector.batch(indices, weights, offsets)
 
 
-def vectorize(model: VectorizerModel, text: str) -> SparseVector:
-    """``text``'s vector: raw term counts times idf, L2-normalized; unknown terms dropped."""
-    return term_vectors(model, count_terms([text], model.settings))[0]
-
-
 def skill_index(skill_sets: Sequence[frozenset[str]]) -> dict[str, int]:
     """Column index over every skill named in ``skill_sets``, in sorted order."""
     return {skill: k for k, skill in enumerate(sorted(set().union(*skill_sets)))}

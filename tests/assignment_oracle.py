@@ -1,15 +1,22 @@
-"""Exact maximum-utility assignment under capacities, for checking the greedy beyond 8x8.
+"""Exact maximum-utility assignments and a feasibility check, for testing the matchers.
 
-Each volunteer becomes ``min(capacity, m)`` identical rows, the rows and
-tasks are padded with zero-utility dummies to a square, and the Hungarian
-method (Kuhn 1955; Munkres 1957) solves the square problem. Utilities are
-non-negative, so a pair matched to a dummy is a task left unassigned or a
-volunteer slot left empty, and the square optimum is the capacitated one.
-The implementation is the O(N^3) shortest-augmenting-path form with the
-inner scan over columns done by numpy.
+``assign_optimal_bruteforce`` searches every assignment of an instance up to
+8x8, and ``validate_assignment`` is the feasibility check every matcher's
+result must pass. ``optimal_pairs`` solves larger instances: each volunteer
+becomes ``min(capacity, m)`` identical rows, the rows and tasks are padded
+with zero-utility dummies to a square, and the Hungarian method (Kuhn 1955;
+Munkres 1957) solves the square problem. Utilities are non-negative, so a
+pair matched to a dummy is a task left unassigned or a volunteer slot left
+empty, and the square optimum is the capacitated one. The implementation is
+the O(N^3) shortest-augmenting-path form with the inner scan over columns
+done by numpy.
 """
 
+from typing import Optional
+
 import numpy as np
+
+from swati.assignment import AssignedPair, Assignment, CapacityMap, UtilityMatrix
 
 
 def hungarian(cost: np.ndarray) -> np.ndarray:
@@ -66,3 +73,85 @@ def optimal_pairs(matrix, caps) -> list[tuple[int, int]]:
 
 def optimal_total(matrix, caps) -> float:
     return float(sum(matrix.utilities[i, j] for i, j in optimal_pairs(matrix, caps)))
+
+
+class InstanceTooLargeError(ValueError):
+    """Brute-force matching is guarded to small instances."""
+
+
+_BRUTE_FORCE_LIMIT = 8
+
+
+def assign_optimal_bruteforce(matrix: UtilityMatrix, caps: CapacityMap) -> Assignment:
+    """Exhaustive maximum-total-utility matching for tiny instances.
+
+    Ties prefer leaving a task unassigned, then the lowest volunteer id,
+    scanning tasks in id order; the result is therefore unique.
+    """
+    n, m = len(matrix.volunteers), len(matrix.tasks)
+    if n > _BRUTE_FORCE_LIMIT or m > _BRUTE_FORCE_LIMIT:
+        raise InstanceTooLargeError(
+            f"{n}x{m} exceeds the {_BRUTE_FORCE_LIMIT}x{_BRUTE_FORCE_LIMIT} guard"
+        )
+    task_order = sorted(range(m), key=lambda j: matrix.tasks[j])
+    vol_order = sorted(range(n), key=lambda i: matrix.volunteers[i])
+    start = tuple(min(caps.get(matrix.volunteers[i]), m) for i in range(n))
+    memo: dict[tuple[int, tuple[int, ...]], tuple[float, int]] = {}
+
+    def best(k: int, state: tuple[int, ...]) -> float:
+        if k == m:
+            return 0.0
+        key = (k, state)
+        if key in memo:
+            return memo[key][0]
+        j = task_order[k]
+        best_total, choice = best(k + 1, state), -1
+        for i in vol_order:
+            if state[i] == 0:
+                continue
+            next_state = state[:i] + (state[i] - 1,) + state[i + 1 :]
+            cand = float(matrix.utilities[i, j]) + best(k + 1, next_state)
+            if cand > best_total:
+                best_total, choice = cand, i
+        memo[key] = (best_total, choice)
+        return best_total
+
+    best(0, start)
+    pairs = []
+    state = start
+    for k in range(m):
+        _, choice = memo[(k, state)]
+        if choice >= 0:
+            j = task_order[k]
+            pairs.append(
+                AssignedPair(
+                    matrix.volunteers[choice],
+                    matrix.tasks[j],
+                    float(matrix.utilities[choice, j]),
+                )
+            )
+            state = state[:choice] + (state[choice] - 1,) + state[choice + 1 :]
+    return Assignment(pairs=tuple(pairs))
+
+
+def validate_assignment(
+    assignment: Assignment, caps: CapacityMap, matrix: Optional[UtilityMatrix] = None
+) -> None:
+    """Shared feasibility check: task uniqueness, capacity bounds, utility range."""
+    seen_tasks: set[str] = set()
+    load: dict[str, int] = {}
+    for pair in assignment.pairs:
+        if pair.task_id in seen_tasks:
+            raise ValueError(f"task {pair.task_id!r} assigned twice")
+        seen_tasks.add(pair.task_id)
+        load[pair.volunteer_id] = load.get(pair.volunteer_id, 0) + 1
+        if load[pair.volunteer_id] > caps.get(pair.volunteer_id):
+            raise ValueError(f"volunteer {pair.volunteer_id!r} over capacity")
+        if not 0.0 <= pair.utility <= 1.0:
+            raise ValueError(f"utility {pair.utility} out of [0, 1]")
+        if matrix is not None:
+            if abs(pair.utility - matrix.cell(pair.volunteer_id, pair.task_id)) > 1e-9:
+                raise ValueError(
+                    f"utility for ({pair.volunteer_id}, {pair.task_id}) "
+                    "does not match the matrix"
+                )

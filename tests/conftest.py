@@ -1,6 +1,7 @@
 import pytest
 
 from swati.ontology import Ontology, SkillEntry, load_builtin_ontology
+from swati.similarity import count_terms, term_vectors
 
 # The shape of every generated test market: narrower skill ranges and denser
 # cues than ``SyntheticConfig``'s defaults. Tests pass it explicitly, so their
@@ -10,6 +11,11 @@ TEST_MARKET_SHAPE = {
     "skills_per_task": (2, 3),
     "cue_density": 0.7,
 }
+
+
+def vectorize(model, text):
+    """``text``'s content vector, built by the engine's batch path as a batch of one."""
+    return term_vectors(model, count_terms([text], model.settings))[0]
 
 
 @pytest.fixture(scope="session")

@@ -23,13 +23,11 @@ from swati.assignment import (
     CapacityMap,
     UtilityForm,
     UtilityParams,
-    assign_optimal_bruteforce,
     assign_random,
     assign_skill_only,
     assign_swati,
     match_market,
     utility_matrix_from_components,
-    validate_assignment,
 )
 from swati.cli import main as cli_main
 from swati.corpus import SyntheticConfig, generate_synthetic, generate_synthetic_history
@@ -44,7 +42,6 @@ from swati.similarity import (
     count_terms,
     fit_vectorizer,
     jaccard_matrix,
-    vectorize,
 )
 from swati.willingness import (
     WillingnessParams,
@@ -55,7 +52,8 @@ from swati.willingness import (
 from swati.corpus import Corpus, Document
 
 import assignment_oracle
-from conftest import TEST_MARKET_SHAPE
+from assignment_oracle import assign_optimal_bruteforce, validate_assignment
+from conftest import TEST_MARKET_SHAPE, vectorize
 
 SEEDS = (1, 2, 3, 4, 5)
 

@@ -13,7 +13,6 @@ from swati.assignment import (
     UtilityForm,
     UtilityMatrix,
     UtilityParams,
-    assign_optimal_bruteforce,
     assign_random,
     assign_skill_only,
     assign_swati,
@@ -23,10 +22,9 @@ from swati.assignment import (
     run_epoch,
     similarity_components,
     utility_matrix_from_components,
-    validate_assignment,
 )
 from swati.corpus import SyntheticConfig, generate_synthetic, generate_synthetic_history
-from swati.errors import ConfigError, DimensionError, InstanceTooLargeError
+from swati.errors import ConfigError, DimensionError
 from swati.extraction import PreferenceCues, Profile, TaskSpec, build_market
 from swati.similarity import SparseVector
 from swati.willingness import (
@@ -37,6 +35,11 @@ from swati.willingness import (
 )
 
 import assignment_oracle
+from assignment_oracle import (
+    InstanceTooLargeError,
+    assign_optimal_bruteforce,
+    validate_assignment,
+)
 import python_reference as ref_paths
 import scalar_reference as ref
 from conftest import TEST_MARKET_SHAPE

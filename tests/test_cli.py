@@ -1,10 +1,18 @@
+import atexit
+import gc
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
+import swati
+from swati import cli
 from swati.cli import main
 from swati.corpus import (
     SyntheticConfig,
@@ -551,3 +559,99 @@ def test_non_utf8_inputs_are_machine_readable(tmp_path, capsys, which, error):
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == error
     assert str(bad) in err["detail"]
+
+
+# --- the collector freeze at interpreter exit ----------------------------------
+
+MATCH_ARTIFACTS = ("assignment.jsonl", "quality.csv", "ledger.bin", "ledger.txt", "manifest.json")
+
+# Registered before ``main`` registers its hook; atexit runs callbacks last in,
+# first out, so this one runs after the hook and sees what it left.
+EXIT_PROBE = (
+    "import atexit, gc, sys\n"
+    "atexit.register(lambda: print(gc.get_freeze_count() > 0, file=sys.stderr))\n"
+    "import swati.cli\n"
+    "sys.exit(swati.cli.main(sys.argv[1:]))\n"
+)
+
+
+def _python(tmp_path, *args):
+    env = dict(os.environ)
+    src = str(Path(swati.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, *args], cwd=tmp_path, env=env, capture_output=True, text=True
+    )
+
+
+def _match_args(gen, config_path, out):
+    return ["match", "--config", str(config_path), "--corpus", str(gen / "corpus.jsonl"),
+            "--out", str(out)]
+
+
+def _history_config(tmp_path, gen):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"history_path": str(gen / "history.jsonl")}))
+    return config_path
+
+
+def test_main_registers_the_exit_freeze_once(tmp_path):
+    # an earlier test in this process may have registered it already
+    atexit.unregister(gc.freeze)
+    cli._freeze_gc_at_exit.cache_clear()
+    before = atexit._ncallbacks()
+    _gen(tmp_path, seed=1)
+    _gen(tmp_path, seed=2)
+    assert atexit._ncallbacks() == before + 1
+
+
+def test_main_leaves_the_collector_as_it_found_it(tmp_path):
+    # a known state, so a change left by an earlier call of main shows too
+    enabled, threshold = gc.isenabled(), gc.get_threshold()
+    gc.enable()
+    gc.set_threshold(500, 7, 9)
+    try:
+        gen = _gen(tmp_path)
+        assert main(_match_args(gen, _history_config(tmp_path, gen), tmp_path / "match")) == 0
+        assert gc.get_freeze_count() == 0
+        assert gc.isenabled()
+        assert gc.get_threshold() == (500, 7, 9)
+    finally:
+        gc.set_threshold(*threshold)
+        if not enabled:
+            gc.disable()
+
+
+def test_importing_the_cli_registers_no_exit_callback(tmp_path):
+    proc = _python(
+        tmp_path, "-c",
+        "import atexit; n = atexit._ncallbacks(); import swati.cli; "
+        "print(atexit._ncallbacks() - n)",
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0\n"
+
+
+def test_a_command_exits_with_the_collector_frozen(tmp_path):
+    gen = _gen(tmp_path)
+    config_path = _history_config(tmp_path, gen)
+    assert main(_match_args(gen, config_path, tmp_path / "in_process")) == 0
+    proc = _python(tmp_path, "-c", EXIT_PROBE, *_match_args(gen, config_path, tmp_path / "child"))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("swati: total=")
+    assert proc.stderr == "True\n"
+    for artifact in MATCH_ARTIFACTS:
+        assert _sha(tmp_path / "child" / artifact) == _sha(tmp_path / "in_process" / artifact)
+
+
+def test_a_bad_config_still_exits_2_with_one_json_line(tmp_path):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"utility": {"skill_weight": 0.9, "content_weight": 0.9}}))
+    proc = _python(
+        tmp_path, "-c", EXIT_PROBE, "gen", "--config", str(config_path), "--out", "gen"
+    )
+    assert proc.returncode == 2
+    error, frozen = proc.stderr.splitlines()
+    assert json.loads(error)["error"] == "ConfigError"
+    assert frozen == "True"
+    assert proc.stdout == ""

@@ -33,10 +33,10 @@ from swati.extraction import (
     validate_extraction,
 )
 from swati.ontology import Ontology, SkillEntry
-from swati.similarity import count_terms, fit_vectorizer, vectorize
+from swati.similarity import count_terms, fit_vectorizer
 
 import python_reference as ref
-from conftest import TEST_MARKET_SHAPE
+from conftest import TEST_MARKET_SHAPE, vectorize
 
 
 def _doc(text, doc_id="d1", kind="volunteer"):

@@ -20,11 +20,10 @@ from swati.similarity import (
     skill_incidence,
     term_vectors,
     tokenize,
-    vectorize,
 )
 
 import python_reference as ref
-from conftest import TEST_MARKET_SHAPE
+from conftest import TEST_MARKET_SHAPE, vectorize
 
 # Hand-evaluated from idf(t) = ln((1 + n_docs) / (1 + df)) + 1 on the
 # three-document micro-corpus below (independent of the implementation).
