@@ -326,7 +326,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 @functools.cache
 def _freeze_gc_at_exit() -> None:
-    """Spare the exit the collections over every object numpy and swati left.
+    """Let the interpreter exit without collecting what numpy and swati left tracked.
 
     atexit callbacks run before the interpreter's final collections, and those
     skip frozen objects. Registered once per process, on the first ``main``.
