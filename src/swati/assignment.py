@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import ConfigError, DimensionError
 from .extraction import Market, Profile, TaskSpec
-from .similarity import cosine_matrix, jaccard_matrix
+from .similarity import cosine_matrix, jaccard_matrix, row_blocks
 from .willingness import History, WillingnessParams, WillingnessState, willingness_matrix
 
 
@@ -140,14 +140,27 @@ def utility_matrix_from_components(
     willingness: np.ndarray,
     params: UtilityParams,
 ) -> UtilityMatrix:
-    skill = np.asarray(skill, dtype=np.float64)
-    content = np.asarray(content, dtype=np.float64)
-    willingness = np.asarray(willingness, dtype=np.float64)
+    """Utilities of every pair under ``params.form``, with the components they came from.
+
+    Each component must have one row per volunteer and one column per task.
+    The utilities are filled one row block at a time; the formula is
+    elementwise, so the blocks give the whole matrix's values bit for bit.
+    """
+    shape = (len(volunteers), len(tasks))
+    skill, content, willingness = (
+        np.asarray(arr, dtype=np.float64) for arr in (skill, content, willingness)
+    )
+    for name, arr in (("skill", skill), ("content", content), ("willingness", willingness)):
+        if arr.shape != shape:
+            raise DimensionError(f"{name} has shape {arr.shape}, expected {shape}")
     a, b = params.skill_weight, params.content_weight
-    if params.form is UtilityForm.PRODUCT:
-        utilities = (a * skill + b * content) * willingness
-    else:
-        utilities = a * skill + b * content * willingness
+    utilities = np.empty(shape)
+    for rows in row_blocks(*shape):
+        s, c, w = skill[rows], content[rows], willingness[rows]
+        if params.form is UtilityForm.PRODUCT:
+            utilities[rows] = (a * s + b * c) * w
+        else:
+            utilities[rows] = a * s + b * c * w
     return UtilityMatrix(
         volunteers=tuple(volunteers),
         tasks=tuple(tasks),
@@ -190,13 +203,22 @@ def _tie_ranks(ids: Sequence[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _top_cells(scores: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Row-major rows and columns of the entries at least the k-th largest, ties included."""
+    """Row-major rows and columns of the entries at least the k-th largest, ties included.
+
+    The k-th largest is the k-th largest among the row blocks' k largest, so
+    no copy of all scores is made: the blocks' k largest hold every entry
+    above it and at least k entries not below it.
+    """
     if k < scores.size:
-        # the k-th smallest negated score: numpy's selection is slow when the
-        # k-th largest falls in a long run of equal scores
-        negated = np.negative(scores).ravel()
-        negated.partition(k - 1)
-        cutoff = -negated[k - 1]
+        # the k smallest negated scores so far: numpy's selection is slow when
+        # the k-th largest falls in a long run of equal scores
+        kept = np.empty(0, dtype=scores.dtype)
+        for rows in row_blocks(*scores.shape):
+            kept = np.concatenate((kept, np.negative(scores[rows]).ravel()))
+            if kept.size > k:
+                kept.partition(k - 1)
+                kept = kept[:k]
+        cutoff = -kept[k - 1]
     else:
         cutoff = scores.min()
     return np.nonzero(scores >= cutoff)

@@ -18,7 +18,7 @@ from array import array
 from collections import defaultdict
 from dataclasses import dataclass, field
 from importlib import resources
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -33,6 +33,21 @@ def _load_stopwords() -> frozenset[str]:
 
 
 _STOPWORDS = _load_stopwords()
+
+# Most cells in one row block: each n x m scoring stage fills the array it
+# returns one block of volunteer rows at a time, so its temporaries stay
+# block-sized whatever the market's size.
+_BLOCK_CELLS = 1 << 14
+
+
+def row_blocks(n_rows: int, n_cols: int) -> Iterator[slice]:
+    """Consecutive slices of ``range(n_rows)``, each of at most ``_BLOCK_CELLS`` cells.
+
+    A row longer than ``_BLOCK_CELLS`` cells is a block of its own.
+    """
+    step = max(1, _BLOCK_CELLS // max(n_cols, 1))
+    for start in range(0, n_rows, step):
+        yield slice(start, min(start + step, n_rows))
 
 
 @dataclass(frozen=True)
@@ -265,17 +280,25 @@ def jaccard_matrix(
     """Pairwise Jaccard overlap; two empty sets score 0 rather than 1.
 
     Intersections come from one float32 product of 0/1 incidence matrices
-    over the task skills. The counts are small integers, so the BLAS product
-    is exact in any summation order and thread count; they are cast to
-    float64 before the quotient, so each quotient equals Python's
-    ``int / int`` of the same counts.
+    over the task skills per row block. The counts are small integers, so
+    the BLAS product is exact in any blocking, summation order and thread
+    count; they are cast to float64 before the quotient, so each quotient
+    equals Python's ``int / int`` of the same counts.
     """
     index = skill_index(task_skills)
+    volunteers = skill_incidence(volunteer_skills, index)
     tasks = skill_incidence(task_skills, index)
-    inter = (skill_incidence(volunteer_skills, index) @ tasks.T).astype(np.float64)
     volunteer_sizes = np.array([len(s) for s in volunteer_skills], dtype=np.float64)
-    union = volunteer_sizes[:, None] + tasks.sum(axis=1)[None, :] - inter
-    return np.divide(inter, union, out=np.zeros_like(inter), where=union > 0)
+    task_sizes = tasks.sum(axis=1, dtype=np.float64)
+    out = np.empty((len(volunteer_skills), len(task_skills)))
+    for rows in row_blocks(*out.shape):
+        inter = (volunteers[rows] @ tasks.T).astype(np.float64)
+        # the union is formed in the output block and divided in place; for
+        # two empty sets it is 0, and so is their score
+        union = np.add(volunteer_sizes[rows, None], task_sizes, out=out[rows])
+        union -= inter
+        np.divide(inter, union, out=union, where=union > 0)
+    return out
 
 
 def cosine_matrix(
@@ -283,8 +306,11 @@ def cosine_matrix(
 ) -> np.ndarray:
     """Pairwise content cosine, clipped to [0, 1]; empty vectors score 0.
 
-    One dense product over the columns up to the highest index in use. Its
-    last bits depend on the operands' shapes and on the BLAS thread count.
+    One dense product over the columns up to the highest index in use,
+    clipped in place. Its last bits depend on the operands' shapes and on the
+    BLAS thread count, so unlike the other n x m stages it is not blocked:
+    its dense (n + m) x vocabulary operands are the one transient beside the
+    array it returns.
     """
     size = 0
     for vec in [*volunteer_vectors, *task_vectors]:
@@ -296,4 +322,5 @@ def cosine_matrix(
         for i, vec in enumerate(vectors):
             if len(vec.indices):
                 x[i, vec.indices] = vec.weights
-    return np.clip(xv @ xt.T, 0.0, 1.0)
+    out = xv @ xt.T
+    return np.clip(out, 0.0, 1.0, out=out)

@@ -21,6 +21,7 @@ import numpy as np
 
 from .errors import ConfigError, DimensionError, ParseError, read_jsonl
 from .extraction import Profile, TaskSpec
+from .similarity import row_blocks
 
 # Cue vector layout: (domain_affinity, prior_exposure, stated_interest,
 # volunteering_history, availability). Affinity is halved when the volunteer
@@ -143,8 +144,12 @@ def cue_score_matrix(
     Cells where the volunteer shares no skill with the task (``overlap`` is
     false) use the damped domain affinity. Each row's two candidate scores
     are one 5-element ``np.dot`` apiece; a matrix product over all rows would
-    round differently.
+    round differently. ``overlap`` must have one row per profile.
     """
+    if overlap.ndim != 2 or len(overlap) != len(profiles):
+        raise DimensionError(
+            f"overlap has shape {overlap.shape}, expected {len(profiles)} rows of tasks"
+        )
     weights = np.asarray(params.cue_weights)
     scores = np.empty(overlap.shape)
     for i, profile in enumerate(profiles):
@@ -276,15 +281,20 @@ def willingness_matrix(
     ``overlap[i, j]`` says whether volunteer i shares a skill with task j.
     The estimate depends only on the market, the history and ``params``, so a
     multi-epoch run computes it once and smooths it per epoch with
-    ``WillingnessState.smooth``.
+    ``WillingnessState.smooth``. The cue scores and the squash run per row
+    block, over the tendencies in place: every step is elementwise, so the
+    blocks give the whole matrix's values bit for bit.
     """
     if not profiles or not taskspecs:
         raise DimensionError("need at least one volunteer and one task")
-    return raw_willingness(
-        tendency_matrix(profiles, taskspecs, histories),
-        cue_score_matrix(profiles, overlap, params),
-        params,
-    )
+    shape = (len(profiles), len(taskspecs))
+    if overlap.shape != shape:
+        raise DimensionError(f"overlap has shape {overlap.shape}, expected {shape}")
+    out = tendency_matrix(profiles, taskspecs, histories)
+    for rows in row_blocks(*shape):
+        cues = cue_score_matrix(profiles[rows], overlap[rows], params)
+        out[rows] = raw_willingness(out[rows], cues, params)
+    return out
 
 
 _BAD_SKILLS = "task_skills must be a list of strings"

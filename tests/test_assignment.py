@@ -1,10 +1,12 @@
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from swati import similarity
 from swati.assignment import (
     METHODS,
     Assignment,
@@ -252,6 +254,132 @@ def test_matrix_requires_nonempty_inputs(builtin_ontology):
         willingness_matrix(
             [], market.taskspecs, None, np.zeros((0, 3), dtype=bool), WillingnessParams()
         )
+
+
+@pytest.mark.parametrize("shape", [(3, 2), (3, 3), (1, 3), (2,)])
+@pytest.mark.parametrize("component", ["skill", "content", "willingness"])
+def test_components_of_another_shape_are_a_dimension_error(component, shape):
+    """2 volunteers x 3 tasks: a component of any other shape, broadcastable or
+    not, is the engine's error before any arithmetic."""
+    components = {name: np.full((2, 3), 0.5) for name in ("skill", "content", "willingness")}
+    components[component] = np.full(shape, 0.5)
+    with pytest.raises(DimensionError, match=f"{component} has shape"):
+        utility_matrix_from_components(
+            ["v1", "v2"], ["t1", "t2", "t3"], **components, params=UtilityParams()
+        )
+
+
+_SKILL_NAMES = "ABCDEF"
+
+
+def _exact_vector(rng):
+    """Empty, one term of weight 1 or four terms of weight 1/2: every cosine
+    of two such vectors is a sum of multiples of 1/4, exact in any order."""
+    kind = rng.randrange(3)
+    if kind == 0:
+        return SparseVector.empty()
+    indices = sorted(rng.sample(range(8), 1 if kind == 1 else 4))
+    return SparseVector(np.array(indices), np.full(len(indices), 1.0 if kind == 1 else 0.5))
+
+
+def _random_market(seed, n, m):
+    rng = random.Random(seed)
+    profiles = [
+        Profile(f"v{i}", frozenset(rng.sample(_SKILL_NAMES, rng.randint(0, 3))),
+                _exact_vector(rng), PreferenceCues(*(rng.random() for _ in range(5))))
+        for i in range(n)
+    ]
+    taskspecs = [
+        TaskSpec(f"t{j}", frozenset(rng.sample(_SKILL_NAMES, rng.randint(0, 3))),
+                 _exact_vector(rng))
+        for j in range(m)
+    ]
+    rows = [
+        {"volunteer_id": p.id, "task_skills": rng.sample(_SKILL_NAMES + "XY", rng.randint(0, 2)),
+         "accepted": rng.random() < 0.5}
+        for p in profiles
+        if rng.random() < 0.7
+        for _ in range(rng.randint(1, 4))
+    ]
+    return profiles, taskspecs, rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 9),
+    m=st.integers(1, 9),
+    cells=st.integers(1, 12),
+    with_history=st.booleans(),
+)
+@example(seed=1, n=1, m=5, cells=3, with_history=True)  # n = 1, a row longer than a block
+@example(seed=2, n=7, m=1, cells=3, with_history=False)  # m = 1; 3-row blocks, 7 rows
+@example(seed=3, n=7, m=3, cells=6, with_history=True)  # 2-row blocks, 7 rows
+def test_row_blocks_equal_the_scalar_reference_bit_for_bit(seed, n, m, cells, with_history):
+    """Every n x m stage, and the greedy's cutoff, with blocks of a few cells."""
+    profiles, taskspecs, rows = _random_market(seed, n, m)
+    histories = histories_from_records(rows) if with_history else None
+    records = ref.history_records(rows if with_history else [])
+    wp = WillingnessParams()
+    with mock.patch.object(similarity, "_BLOCK_CELLS", cells):
+        skill, content = similarity_components(profiles, taskspecs)
+        w = willingness_matrix(profiles, taskspecs, histories, skill > 0, wp)
+        matrices = {
+            form: utility_matrix_from_components(
+                [p.id for p in profiles], [t.id for t in taskspecs], skill, content, w,
+                UtilityParams(skill_weight=0.6, content_weight=0.4, form=form),
+            )
+            for form in UtilityForm
+        }
+        assignments = {
+            form: assign_swati(matrix, CapacityMap()) for form, matrix in matrices.items()
+        }
+    s_ref = np.array([[ref.skill_sim(p.skills, t.required_skills) for t in taskspecs]
+                      for p in profiles])
+    c_ref = np.array([[ref.content_sim(p.content_vector, t.content_vector) for t in taskspecs]
+                      for p in profiles])
+    w_ref = np.array([
+        [ref.raw_willingness(ref.history_tendency(records.get(p.id), t),
+                             ref.profile_score(ref.cue_vector(p, t), wp), wp)
+         for t in taskspecs]
+        for p in profiles
+    ])
+    assert skill.tobytes() == s_ref.tobytes()
+    assert content.tobytes() == c_ref.tobytes()
+    assert w.tobytes() == w_ref.tobytes()
+    for form, matrix in matrices.items():
+        up = UtilityParams(skill_weight=0.6, content_weight=0.4, form=form)
+        u_ref = np.array([
+            [ref.compute_utility(s_ref[i, j], c_ref[i, j], w_ref[i, j], up) for j in range(m)]
+            for i in range(n)
+        ])
+        assert matrix.utilities.tobytes() == u_ref.tobytes()
+        assert assignments[form] == ref_paths.greedy(matrix, matrix.utilities, CapacityMap(), 0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 12),
+    m=st.integers(1, 12),
+    levels=st.sampled_from([2, 3, 0]),
+    cells=st.integers(1, 30),
+    data=st.data(),
+)
+def test_top_cells_cutoff_is_the_kth_largest_across_row_blocks(seed, n, m, levels, cells, data):
+    """The cutoff from the row blocks' k largest is the k-th largest of all
+    scores, and every score at least that is let in, ties included."""
+    import swati.assignment as assignment
+
+    rng = np.random.default_rng(seed)
+    scores = rng.integers(0, levels, size=(n, m)) / (levels - 1) if levels else rng.uniform(
+        size=(n, m))
+    k = data.draw(st.integers(1, n * m + 2), label="k")
+    with mock.patch.object(similarity, "_BLOCK_CELLS", cells):
+        rows, cols = assignment._top_cells(scores, k)
+    cutoff = np.sort(scores, axis=None)[::-1][min(k, n * m) - 1]
+    expected_rows, expected_cols = np.nonzero(scores >= cutoff)
+    assert rows.tolist() == expected_rows.tolist() and cols.tolist() == expected_cols.tolist()
 
 
 # --- greedy matcher ---------------------------------------------------------

@@ -1,0 +1,100 @@
+"""Peak memory of the n x m scoring stages, counted by ``tracemalloc``.
+
+``tracemalloc`` traces numpy's array buffers, so the peak of a call is the
+most bytes its arrays ever held at once. Each stage fills the array it returns
+one row block at a time, so beyond that array it may hold only a few blocks.
+"""
+
+import random
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from swati import similarity, willingness
+from swati.assignment import UtilityForm, UtilityParams, utility_matrix_from_components
+from swati.extraction import PreferenceCues, Profile, TaskSpec
+from swati.similarity import SparseVector, jaccard_matrix
+from swati.willingness import WillingnessParams, histories_from_records, willingness_matrix
+
+# 400 x 400 cells are about ten blocks of the module's block size, so a stage
+# that holds whole-matrix temporaries exceeds its bound several times over
+N = M = 400
+# blocks of temporaries a stage may hold beside the array it returns
+BLOCKS = 4
+
+
+@pytest.fixture(scope="module")
+def market():
+    rng = random.Random(5)
+    names = "ABCDEFGH"
+    profiles = [
+        Profile(f"v{i}", frozenset(rng.sample(names, rng.randint(0, 3))), SparseVector.empty(),
+                PreferenceCues(*(rng.random() for _ in range(5))))
+        for i in range(N)
+    ]
+    tasks = [
+        TaskSpec(f"t{j}", frozenset(rng.sample(names, rng.randint(0, 3))), SparseVector.empty())
+        for j in range(M)
+    ]
+    rows = [
+        {"volunteer_id": f"v{i}", "task_skills": rng.sample(names + "XY", rng.randint(0, 2)),
+         "accepted": rng.random() < 0.6}
+        for i in range(0, N, 2)
+        for _ in range(rng.randint(1, 20))
+    ]
+    return profiles, tasks, histories_from_records(rows)
+
+
+def _traced_peak(call):
+    """``call()``'s result and the most traced bytes above the call's start."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak - start
+
+
+def _block_bytes():
+    # a market of a few blocks could not tell a block from a whole matrix
+    assert N * M >= 8 * similarity._BLOCK_CELLS
+    return similarity._BLOCK_CELLS * 8
+
+
+def test_jaccard_matrix_holds_its_output_and_a_few_blocks(market):
+    profiles, tasks, _ = market
+    out, peak = _traced_peak(
+        lambda: jaccard_matrix([p.skills for p in profiles], [t.required_skills for t in tasks])
+    )
+    assert out.shape == (N, M)
+    assert peak <= out.nbytes + BLOCKS * _block_bytes()
+
+
+def test_willingness_matrix_holds_its_output_a_few_blocks_and_one_walk_block(market):
+    profiles, tasks, histories = market
+    overlap = jaccard_matrix([p.skills for p in profiles], [t.required_skills for t in tasks]) > 0
+    out, peak = _traced_peak(
+        lambda: willingness_matrix(profiles, tasks, histories, overlap, WillingnessParams())
+    )
+    assert out.shape == (N, M)
+    # one tendency_matrix walk block: its (record, task) pairs, relevance and
+    # counts, taken as two float64 arrays of _WALK_BLOCK rows of M cells
+    walk_bytes = 2 * willingness._WALK_BLOCK * M * 8
+    assert peak <= out.nbytes + BLOCKS * _block_bytes() + walk_bytes
+
+
+@pytest.mark.parametrize("form", list(UtilityForm))
+def test_utility_matrix_holds_its_output_and_a_few_blocks(form):
+    rng = np.random.default_rng(2)
+    skill, content, willingness_ = (rng.uniform(size=(N, M)) for _ in range(3))
+    ids = ([f"v{i}" for i in range(N)], [f"t{j}" for j in range(M)])
+    matrix, peak = _traced_peak(
+        lambda: utility_matrix_from_components(
+            *ids, skill, content, willingness_, UtilityParams(form=form)
+        )
+    )
+    assert peak <= matrix.utilities.nbytes + BLOCKS * _block_bytes()

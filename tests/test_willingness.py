@@ -92,6 +92,24 @@ def test_cue_scores_pick_damping_per_cell():
     assert scores == pytest.approx(np.array([[0.24, 0.16], [0.02, 0.04]]), abs=1e-12)
 
 
+@pytest.mark.parametrize("shape", [(3, 3), (0, 3), (1,), (1, 2, 2)])
+def test_cue_scores_need_one_overlap_row_per_profile(shape):
+    """One profile: an overlap without exactly one row is refused, not read
+    past (three rows once returned uninitialized memory in the last two)."""
+    with pytest.raises(DimensionError, match="overlap has shape"):
+        cue_score_matrix([_profile(PreferenceCues(0.8))], np.ones(shape, dtype=bool),
+                         WillingnessParams())
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (3, 3), (2, 4), (1, 3), (3,), (2, 3, 1)])
+def test_willingness_matrix_needs_an_overlap_per_pair(shape):
+    profiles = [_profile(PreferenceCues(0.8)), _profile(PreferenceCues(0.2))]
+    tasks = [_task({"A"}), _task(), _task({"B"})]
+    with pytest.raises(DimensionError, match=r"overlap has shape .*, expected \(2, 3\)"):
+        willingness_matrix(profiles, tasks, None, np.ones(shape, dtype=bool),
+                           WillingnessParams())
+
+
 def test_profile_score_endpoints():
     assert _cue_score(PreferenceCues(1.0, 1.0, 1.0, 1.0, 1.0)) == pytest.approx(1.0, abs=1e-12)
     assert _cue_score(PreferenceCues()) == 0.0
