@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -135,6 +136,43 @@ def test_generate_plants_exact_skill_counts(builtin_ontology):
         skills = builtin_ontology.canonicalize_set(m.raw for m in result.mentions)
         assert len(skills) == 3
         assert skills == set(doc.meta["planted_skills"].split("|"))
+
+
+# sha256 of ``corpus.jsonl`` for shapes the ``gen`` golden pins leave out: no
+# cue sentences, a cue chance of one, one skill count per kind, and ids four
+# digits wide. A change to the generator's draws or texts moves them.
+_SHAPE_DIGESTS = {
+    "no_cues": (
+        dict(seed=2, n_volunteers=20, n_tasks=12, cue_density=0.0),
+        "90b6671b917a75d95110d8074bea1c075f1edcfeba88342f61c3ea6fb58547b6",
+    ),
+    "all_cues": (
+        dict(seed=3, n_volunteers=20, n_tasks=12, cue_density=1.0),
+        "71b9f7c0c70f4719682046aa7d394d4a9ee8ecb6b8d93b67279bc38bab8db855",
+    ),
+    "fixed_skill_counts": (
+        dict(seed=4, n_volunteers=15, n_tasks=15, skills_per_volunteer=(4, 4),
+             skills_per_task=(1, 1)),
+        "d6d9099a67d8ca3acf0f72b8b63be349298f4a666ca0c464f447bbb57662be2c",
+    ),
+    "four_digit_task_ids": (
+        dict(seed=5, n_volunteers=6, n_tasks=1001),
+        "7dbc73109ce21ca38d2ae4b280caac9a37b67dfcf3acb409a1e28845b796fe34",
+    ),
+    "four_digit_volunteer_ids": (
+        dict(seed=6, n_volunteers=1200, n_tasks=3, cue_density=0.9),
+        "700be2d43b3e0c7c1625acccef90468a9059a6e3ed10b722877932530677e0f6",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "kwargs, digest", list(_SHAPE_DIGESTS.values()), ids=list(_SHAPE_DIGESTS)
+)
+def test_generated_corpus_matches_golden_digest(tmp_path, builtin_ontology, kwargs, digest):
+    path = tmp_path / "corpus.jsonl"
+    save_corpus(generate_synthetic(SyntheticConfig(**kwargs), builtin_ontology), str(path))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 def test_generate_infeasible_range_rejected():

@@ -229,6 +229,170 @@ def test_validator_rejects_non_object():
         validate_extraction([1, 2], _doc("Knows CV well"))
 
 
+def _edited(edit):
+    """The payload that ``edit`` changed in place, or the response it returned instead."""
+    payload = _valid_payload()
+    return edit(payload) or payload
+
+
+def _mention(**fields):
+    return lambda p: p["skills"][0].update(fields)
+
+
+def _drop(*keys, where=lambda p: p):
+    return lambda p: [where(p).pop(key) for key in keys] and None
+
+
+def _cues(**fields):
+    return lambda p: p["cues"].update(fields)
+
+
+# (edit of a valid payload, or a whole response; path; reason): every pair the
+# validator reports, and which fault it names first when there are several
+_VIOLATIONS = {
+    "number": (lambda p: 7, "", "response must be an object"),
+    "list": (lambda p: [1, 2], "", "response must be an object"),
+    "string": (lambda p: "{}", "", "response must be an object"),
+    "unknown_first_sorted": (
+        lambda p: p.update(zeta=1, aardvark=2), "aardvark", "unexpected field"
+    ),
+    "no_skills": (_drop("skills"), "skills", "missing"),
+    "no_cues": (_drop("cues"), "cues", "missing"),
+    "neither": (_drop("skills", "cues"), "skills", "missing"),
+    "unknown_before_missing": (
+        lambda p: p.pop("skills") and p.update(extra=1), "extra", "unexpected field"
+    ),
+    "skills_dict": (lambda p: p.update(skills={}), "skills", "must be a list"),
+    "missing_cues_before_skills_type": (
+        lambda p: p.pop("cues") and p.update(skills="CV"), "cues", "missing"
+    ),
+    "mention_string": (
+        lambda p: p.update(skills=["CV"]), "mentions[0]", "must be an object"
+    ),
+    "second_mention": (
+        lambda p: p["skills"].append(None), "mentions[1]", "must be an object"
+    ),
+    "mention_unknown": (_mention(b=1, a=2), "mentions[0].a", "unexpected field"),
+    "mention_unknown_before_raw": (
+        _mention(raw="", x=1), "mentions[0].x", "unexpected field"
+    ),
+    "raw_missing": (
+        _drop("raw", where=lambda p: p["skills"][0]),
+        "mentions[0].raw", "must be a non-empty string",
+    ),
+    "raw_empty": (_mention(raw=""), "mentions[0].raw", "must be a non-empty string"),
+    "raw_number": (_mention(raw=5), "mentions[0].raw", "must be a non-empty string"),
+    "raw_before_evidence": (
+        _mention(raw=None, evidence=None), "mentions[0].raw", "must be a non-empty string"
+    ),
+    "evidence_missing": (
+        _drop("evidence", where=lambda p: p["skills"][0]),
+        "mentions[0].evidence", "must be [start, end]",
+    ),
+    "evidence_one": (_mention(evidence=[6]), "mentions[0].evidence", "must be [start, end]"),
+    "evidence_three": (
+        _mention(evidence=[6, 8, 9]), "mentions[0].evidence", "must be [start, end]"
+    ),
+    "evidence_float": (
+        _mention(evidence=[6.0, 8]), "mentions[0].evidence", "must be [start, end]"
+    ),
+    "evidence_bool": (
+        _mention(evidence=[True, 8]), "mentions[0].evidence", "must be [start, end]"
+    ),
+    "evidence_string": (
+        _mention(evidence="6,8"), "mentions[0].evidence", "must be [start, end]"
+    ),
+    "evidence_negative": (
+        _mention(evidence=[-1, 8]), "mentions[0].evidence", "span [-1, 8) outside text"
+    ),
+    "evidence_empty": (
+        _mention(evidence=[8, 8]), "mentions[0].evidence", "span [8, 8) outside text"
+    ),
+    "evidence_past_end": (
+        _mention(evidence=[6, 99]), "mentions[0].evidence", "span [6, 99) outside text"
+    ),
+    "evidence_uncited": (
+        _mention(raw="SQL"), "mentions[0].evidence", "span does not contain the raw skill"
+    ),
+    "evidence_before_proficiency": (
+        _mention(evidence=[0, 5], proficiency="high"),
+        "mentions[0].evidence", "span does not contain the raw skill",
+    ),
+    "proficiency_missing": (
+        _drop("proficiency", where=lambda p: p["skills"][0]),
+        "mentions[0].proficiency", "must be a number",
+    ),
+    "proficiency_string": (
+        _mention(proficiency="0.5"), "mentions[0].proficiency", "must be a number"
+    ),
+    "proficiency_bool": (
+        _mention(proficiency=True), "mentions[0].proficiency", "must be a number"
+    ),
+    "proficiency_high": (_mention(proficiency=1.4), "mentions[0].proficiency", "out of [0, 1]"),
+    "proficiency_low": (_mention(proficiency=-0.01), "mentions[0].proficiency", "out of [0, 1]"),
+    "proficiency_nan": (
+        _mention(proficiency=float("nan")), "mentions[0].proficiency", "out of [0, 1]"
+    ),
+    "proficiency_huge_int": (
+        _mention(proficiency=10**400), "mentions[0].proficiency", "out of [0, 1]"
+    ),
+    "mentions_before_cues": (
+        lambda p: p.update(skills=[1], cues=[]), "mentions[0]", "must be an object"
+    ),
+    "cues_list": (lambda p: p.update(cues=[]), "cues", "must be an object"),
+    "cues_null": (lambda p: p.update(cues=None), "cues", "must be an object"),
+    "cue_unknown": (_cues(zz=0.5, mood=0.5), "cues.mood", "unexpected field"),
+    "cue_unknown_before_missing": (
+        lambda p: p["cues"].pop("availability") and p["cues"].update(x=0),
+        "cues.x", "unexpected field",
+    ),
+    "cue_missing": (
+        _drop("availability", where=lambda p: p["cues"]), "cues.availability", "missing"
+    ),
+    "cue_missing_in_name_order": (
+        _drop("availability", "prior_exposure", where=lambda p: p["cues"]),
+        "cues.prior_exposure", "missing",
+    ),
+    "cue_value_before_later_missing": (
+        lambda p: p["cues"].pop("availability") and p["cues"].update(domain_affinity="x"),
+        "cues.domain_affinity", "must be a number",
+    ),
+    "cue_string": (_cues(stated_interest="1"), "cues.stated_interest", "must be a number"),
+    "cue_null": (_cues(availability=None), "cues.availability", "must be a number"),
+    "cue_bool": (_cues(prior_exposure=False), "cues.prior_exposure", "must be a number"),
+    "cue_high": (_cues(stated_interest=2), "cues.stated_interest", "out of [0, 1]"),
+    "cue_low": (_cues(domain_affinity=-1e-9), "cues.domain_affinity", "out of [0, 1]"),
+    "cue_nan": (_cues(availability=float("nan")), "cues.availability", "out of [0, 1]"),
+    "cue_huge_int": (
+        _cues(volunteering_history=10**400), "cues.volunteering_history", "out of [0, 1]"
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "edit, path, reason", list(_VIOLATIONS.values()), ids=list(_VIOLATIONS)
+)
+def test_validator_reports_each_violation_by_path_and_reason(edit, path, reason):
+    with pytest.raises(SchemaViolationError) as err:
+        validate_extraction(_edited(edit), _doc("Knows CV well"))
+    assert (err.value.path, str(err.value)) == (path, f"{path}: {reason}")
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda p: p.update(skills=[]),
+        _mention(raw="cv"),
+        _mention(evidence=[0, 13], proficiency=0),
+        _mention(proficiency=1),
+        _cues(domain_affinity=0, availability=1.0),
+    ],
+    ids=["no_skills", "raw_other_case", "whole_text_span", "integer_proficiency", "cue_ends"],
+)
+def test_validator_accepts_edge_values(edit):
+    validate_extraction(_edited(edit), _doc("Knows CV well"))
+
+
 # --- the published wire schema agrees with the validator ---------------------
 
 _SCHEMA = json.loads(

@@ -204,3 +204,132 @@ def test_timestamps_are_logical_and_monotone():
     stamps = [r.timestamp for r in ledger.records]
     assert stamps == sorted(stamps)
     assert stamps == list(range(len(stamps)))
+
+
+# --- the binary log's error texts -------------------------------------------
+
+_HEADER = b"SWLG\x00\x01"
+
+
+def _assigned_frame():
+    """The frame of an Assigned record (every optional field present) and its fields' sizes."""
+    ledger, _ = _ledger_with_assignment()
+    record = next(r for r in ledger.records if r.event == "Assigned")
+    task, event, volunteer = (
+        s.encode() for s in (record.task_id, record.event, record.volunteer_id)
+    )
+    sizes = [
+        ("index", 8),
+        ("prev_hash", 32),
+        ("task_id", 4 + len(task)),
+        ("event", 4 + len(event)),
+        ("volunteer flag", 1),
+        ("volunteer_id", 4 + len(volunteer)),
+        ("epoch", 8),
+        ("digest flag", 1),
+        ("assignment_digest", 32),
+        ("timestamp", 8),
+        ("hash", 32),
+    ]
+    frame = record.core_bytes() + record.hash
+    assert sum(size for _, size in sizes) == len(frame)
+    return frame, sizes
+
+
+def _framed(frame):
+    return _HEADER + len(frame).to_bytes(4, "big") + frame
+
+
+def _load_error(tmp_path, data):
+    path = tmp_path / "ledger.bin"
+    path.write_bytes(data)
+    with pytest.raises(ParseError) as err:
+        load_ledger(str(path))
+    return str(err.value)
+
+
+def _field_cuts():
+    frame, sizes = _assigned_frame()
+    start = 0
+    for name, size in sizes:
+        # at the field's first byte and at its last; a length-prefixed
+        # field's last byte is inside its text
+        for cut in sorted({start, start + size - 1}):
+            yield pytest.param(frame[:cut], f"truncated {name}", id=f"{name}@{cut}")
+        start += size
+
+
+@pytest.mark.parametrize("frame, message", _field_cuts())
+def test_load_names_the_truncated_field(tmp_path, frame, message):
+    assert _load_error(tmp_path, _framed(frame)) == message
+
+
+def _replace_at(frame, offset, data):
+    return frame[:offset] + data + frame[offset + len(data) :]
+
+
+def _field_offset(name):
+    _, sizes = _assigned_frame()
+    names = [n for n, _ in sizes]
+    return sum(size for _, size in sizes[: names.index(name)])
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda f: _replace_at(f, _field_offset("volunteer flag"), b"\x02"),
+         "bad volunteer presence flag"),
+        (lambda f: _replace_at(f, _field_offset("digest flag"), b"\xff"),
+         "bad digest presence flag"),
+        (lambda f: _replace_at(f, _field_offset("task_id") + 4, b"\xff"),
+         "task_id is not valid UTF-8"),
+        (lambda f: _replace_at(f, _field_offset("event") + 4, b"\xc3"),
+         "event is not valid UTF-8"),
+        (lambda f: _replace_at(f, _field_offset("volunteer_id") + 4, b"\x80"),
+         "volunteer_id is not valid UTF-8"),
+        (lambda f: f + b"\x00", "trailing bytes in record frame"),
+    ],
+    ids=["volunteer_flag", "digest_flag", "task_id_utf8", "event_utf8", "volunteer_id_utf8",
+         "trailing"],
+)
+def test_load_rejects_a_malformed_frame(tmp_path, edit, message):
+    frame, _ = _assigned_frame()
+    assert _load_error(tmp_path, _framed(edit(frame))) == message
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        (b"", "not a ledger file"),
+        (b"SWL", "not a ledger file"),
+        (b"NOPE\x00\x01", "not a ledger file"),
+        (b"SWLG", "truncated ledger header"),
+        (b"SWLG\x00", "truncated ledger header"),
+        (b"SWLG\x00\x02", "unsupported ledger version"),
+        (b"SWLG\x01\x01", "unsupported ledger version"),
+        (_HEADER + b"\x00", "truncated frame length"),
+        (_HEADER + b"\x00\x00\x00", "truncated frame length"),
+        (_HEADER + b"\x00\x00\x00\x09" + b"\x00" * 8, "truncated record frame"),
+        (_HEADER + b"\x00\x00\x00\x00", "truncated index"),
+    ],
+    ids=["empty", "short_magic", "bad_magic", "no_version", "half_version", "version_2",
+         "version_257", "frame_length_1", "frame_length_3", "short_frame", "empty_frame"],
+)
+def test_load_rejects_a_malformed_file(tmp_path, data, message):
+    assert _load_error(tmp_path, data) == message
+
+
+def test_load_accepts_a_header_without_records(tmp_path):
+    path = tmp_path / "ledger.bin"
+    path.write_bytes(_HEADER)
+    assert load_ledger(str(path)).records == []
+
+
+def test_load_reads_absent_optional_fields(tmp_path):
+    ledger = Ledger()
+    ledger.post_task("té")
+    path = tmp_path / "ledger.bin"
+    save_ledger(ledger, str(path))
+    loaded = load_ledger(str(path))
+    assert loaded.records == ledger.records
+    assert (loaded.records[0].volunteer_id, loaded.records[0].assignment_digest) == (None, None)
