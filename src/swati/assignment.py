@@ -97,7 +97,7 @@ class Assignment:
 
 @dataclass(frozen=True)
 class UtilityMatrix:
-    """Utility and its components for every (volunteer, task) pair, rows by volunteer."""
+    """Utility and its components for every (volunteer, task) pair, one row per volunteer id."""
 
     volunteers: tuple[str, ...]
     tasks: tuple[str, ...]
@@ -108,6 +108,10 @@ class UtilityMatrix:
 
     def __post_init__(self):
         shape = (len(self.volunteers), len(self.tasks))
+        for ids, positions in zip((self.volunteers, self.tasks), self._positions):
+            if len(positions) < len(ids):
+                repeated = next(name for i, name in enumerate(ids) if positions[name] != i)
+                raise DimensionError(f"id {repeated!r} is repeated")
         for name in ("utilities", "skill", "content", "willingness"):
             arr = getattr(self, name)
             if arr.shape != shape:
@@ -127,9 +131,6 @@ class UtilityMatrix:
         """Row and column of a (volunteer, task) pair."""
         rows, cols = self._positions
         return rows[volunteer_id], cols[task_id]
-
-    def cell(self, volunteer_id: str, task_id: str) -> float:
-        return float(self.utilities[self.position(volunteer_id, task_id)])
 
 
 def utility_matrix_from_components(
@@ -187,19 +188,11 @@ def similarity_components(
     return skill, content
 
 
-def _tie_ranks(ids: Sequence[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per position: how many ids sort before its id, how many share it, its place among those.
-
-    Ids compare in Python string order; equal ids keep their positional order.
-    """
-    rank = {v: r for r, v in enumerate(sorted(set(ids)))}
-    ranks = np.array([rank[v] for v in ids], dtype=np.int64)
-    sizes = np.bincount(ranks)
-    before = np.cumsum(sizes) - sizes
-    by_id = np.argsort(ranks, kind="stable")
-    place = np.empty_like(ranks)
-    place[by_id] = np.arange(ranks.size) - before[ranks[by_id]]
-    return before[ranks], sizes[ranks], place
+def _id_ranks(ids: Sequence[str]) -> np.ndarray:
+    """Each id's place among the ids in Python string order."""
+    ranks = np.empty(len(ids), dtype=np.int64)
+    ranks[sorted(range(len(ids)), key=ids.__getitem__)] = np.arange(len(ids))
+    return ranks
 
 
 def _top_cells(scores: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -231,7 +224,7 @@ _WALK_BLOCK = 256
 
 
 def _greedy(matrix: UtilityMatrix, sort_scores: np.ndarray, caps: CapacityMap) -> Assignment:
-    """Take each feasible pair in (-score, volunteer id, task id, row, column) order.
+    """Take each feasible pair in (-score, volunteer id, task id) order.
 
     A pair is live while its volunteer has spare capacity and its task is
     free. A dead pair never comes back to life, so walking all n*m pairs in
@@ -243,13 +236,12 @@ def _greedy(matrix: UtilityMatrix, sort_scores: np.ndarray, caps: CapacityMap) -
     few rounds.
 
     A round sorts its pairs by score, then by one tie rank: a pair's place
-    among all n*m pairs in (volunteer id, task id, row, column) order. The
-    tie rank is arithmetic over the id groups, so no round sorts more than
-    its own pairs.
+    among all n*m pairs in (volunteer id, task id) order, from the ids' ranks,
+    so no round sorts more than its own pairs.
     """
     n, m = sort_scores.shape
-    v_before, v_size, v_place = _tie_ranks(matrix.volunteers)
-    t_before, t_size, t_place = _tie_ranks(matrix.tasks)
+    v_rank = _id_ranks(matrix.volunteers)
+    t_rank = _id_ranks(matrix.tasks)
     # no volunteer can take more than the m tasks; the walk reads the lists,
     # and the arrays mirror them for the numpy filters
     left = [min(caps.get(v), m) for v in matrix.volunteers]
@@ -267,8 +259,7 @@ def _greedy(matrix: UtilityMatrix, sort_scores: np.ndarray, caps: CapacityMap) -
             live = sort_scores[np.ix_(live_rows, live_cols)]
         r, c = _top_cells(live, k)
         rows, cols = live_rows[r], live_cols[c]
-        ties = v_before[rows] * m + v_size[rows] * t_before[cols]
-        ties += v_place[rows] * t_size[cols] + t_place[cols]
+        ties = v_rank[rows] * m + t_rank[cols]
         order = np.lexsort((ties, -live[r, c]))
         rows, cols = rows[order], cols[order]
         # a block first drops the pairs whose volunteer or task was used up

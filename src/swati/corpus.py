@@ -300,10 +300,6 @@ def _check_templates(ontology: Ontology) -> None:
                 )
 
 
-def _cycle_count(index: int, lo: int, hi: int) -> int:
-    return lo + index % (hi - lo + 1)
-
-
 def _sample_entries(rng: random.Random, by_root, outside_root, roots, count):
     primary = roots[rng.randrange(len(roots))]
     primary_pool = list(by_root[primary])
@@ -328,34 +324,43 @@ def _alias_phrase(rng: random.Random, entries) -> tuple[str, list[str]]:
     return ", ".join(words), canonicals
 
 
-def _synthetic_doc(
-    doc_id: str,
-    kind: str,
-    sentences: list[str],
-    primary: str,
-    canonicals: list[str],
-    cfg: SyntheticConfig,
-) -> Document:
-    meta = {
-        "source": "synthetic",
-        "vocabulary_ref": cfg.vocabulary_ref,
-        "domain": primary,
-        "planted_skills": "|".join(sorted(canonicals)),
-    }
-    return Document(id=doc_id, kind=kind, text=" ".join(sentences), meta=meta)
+def _engagement_cues(rng: random.Random, cue_density: float) -> list[str]:
+    """A volunteer's cue sentences, all driven by one latent engagement level.
+
+    Its distribution is bimodal: markets contain genuinely reluctant and
+    genuinely keen volunteers, not a uniform middle.
+    """
+    mode = rng.random()
+    if mode < 0.45:
+        engagement = 0.25 * rng.random()
+    elif mode < 0.9:
+        engagement = 0.75 + 0.25 * rng.random()
+    else:
+        engagement = rng.random()
+    sentences = []
+    for pool in _CUE_SENTENCE_POOLS:
+        if rng.random() < cue_density * (0.25 + 1.5 * engagement):
+            bucket = min(len(pool) - 1, int((1.0 - engagement) * len(pool)))
+            idx = min(len(pool) - 1, max(0, bucket + rng.randrange(-1, 2)))
+            sentences.append(pool[idx])
+    return sentences
 
 
 def generate_synthetic(cfg: SyntheticConfig, ontology: Ontology) -> Corpus:
     """Deterministically synthesize a volunteer/task market from an ontology."""
     if len(ontology) == 0:
         raise ConfigError("ontology is empty")
-    for name, (lo, hi) in (
-        ("skills_per_volunteer", cfg.skills_per_volunteer),
-        ("skills_per_task", cfg.skills_per_task),
-    ):
+    # every volunteer is drawn before the first task
+    kinds = (
+        (VOLUNTEER, "v", cfg.n_volunteers, cfg.skills_per_volunteer,
+         _VOLUNTEER_INTROS, _SKILL_LEADS, _VOLUNTEER_CLOSERS),
+        (TASK, "t", cfg.n_tasks, cfg.skills_per_task,
+         _TASK_INTROS, _REQUIREMENT_LEADS, _TASK_CLOSERS),
+    )
+    for kind, _, _, (_, hi), *_ in kinds:
         if hi > len(ontology):
             raise ConfigError(
-                f"{name} upper bound {hi} exceeds ontology size {len(ontology)}"
+                f"skills_per_{kind} upper bound {hi} exceeds ontology size {len(ontology)}"
             )
     _check_templates(ontology)
 
@@ -373,56 +378,30 @@ def generate_synthetic(cfg: SyntheticConfig, ontology: Ontology) -> Corpus:
 
     rng = random.Random(cfg.seed)
     width = max(3, len(str(max(cfg.n_volunteers, cfg.n_tasks) - 1)))
-    volunteers = []
-    lo, hi = cfg.skills_per_volunteer
-    for i in range(cfg.n_volunteers):
-        count = _cycle_count(i, lo, hi)
-        primary, entries = _sample_entries(rng, by_root, outside_root, roots, count)
-        phrase, canonicals = _alias_phrase(rng, entries)
-        sentences = [
-            rng.choice(_VOLUNTEER_INTROS),
-            rng.choice(_SKILL_LEADS).format(phrase),
-        ]
-        # One latent engagement level drives every cue category, and its
-        # distribution is bimodal: markets contain genuinely reluctant and
-        # genuinely keen volunteers, not a uniform middle.
-        mode = rng.random()
-        if mode < 0.45:
-            engagement = 0.25 * rng.random()
-        elif mode < 0.9:
-            engagement = 0.75 + 0.25 * rng.random()
-        else:
-            engagement = rng.random()
-        for pool in _CUE_SENTENCE_POOLS:
-            if rng.random() < cfg.cue_density * (0.25 + 1.5 * engagement):
-                bucket = min(len(pool) - 1, int((1.0 - engagement) * len(pool)))
-                idx = min(len(pool) - 1, max(0, bucket + rng.randrange(-1, 2)))
-                sentences.append(pool[idx])
-        sentences.extend(rng.sample(_CONTEXT_SENTENCES, 3))
-        if rng.random() < 0.5:
-            sentences.append(rng.choice(_VOLUNTEER_CLOSERS))
-        volunteers.append(
-            _synthetic_doc(f"v{i:0{width}d}", VOLUNTEER, sentences, primary, canonicals, cfg)
-        )
-
-    tasks = []
-    lo, hi = cfg.skills_per_task
-    for j in range(cfg.n_tasks):
-        count = _cycle_count(j, lo, hi)
-        primary, entries = _sample_entries(rng, by_root, outside_root, roots, count)
-        phrase, canonicals = _alias_phrase(rng, entries)
-        sentences = [
-            rng.choice(_TASK_INTROS),
-            rng.choice(_REQUIREMENT_LEADS).format(phrase),
-        ]
-        sentences.extend(rng.sample(_CONTEXT_SENTENCES, 3))
-        if rng.random() < 0.5:
-            sentences.append(rng.choice(_TASK_CLOSERS))
-        tasks.append(
-            _synthetic_doc(f"t{j:0{width}d}", TASK, sentences, primary, canonicals, cfg)
-        )
-
-    return Corpus(volunteers=tuple(volunteers), tasks=tuple(tasks))
+    docs: dict[str, list[Document]] = {VOLUNTEER: [], TASK: []}
+    for kind, prefix, n_docs, (lo, hi), intros, leads, closers in kinds:
+        for i in range(n_docs):
+            count = lo + i % (hi - lo + 1)
+            primary, entries = _sample_entries(rng, by_root, outside_root, roots, count)
+            phrase, canonicals = _alias_phrase(rng, entries)
+            sentences = [
+                rng.choice(intros),
+                rng.choice(leads).format(phrase),
+            ]
+            if kind == VOLUNTEER:
+                sentences.extend(_engagement_cues(rng, cfg.cue_density))
+            sentences.extend(rng.sample(_CONTEXT_SENTENCES, 3))
+            if rng.random() < 0.5:
+                sentences.append(rng.choice(closers))
+            meta = {
+                "source": "synthetic",
+                "vocabulary_ref": cfg.vocabulary_ref,
+                "domain": primary,
+                "planted_skills": "|".join(sorted(canonicals)),
+            }
+            doc_id = f"{prefix}{i:0{width}d}"
+            docs[kind].append(Document(id=doc_id, kind=kind, text=" ".join(sentences), meta=meta))
+    return Corpus(volunteers=tuple(docs[VOLUNTEER]), tasks=tuple(docs[TASK]))
 
 
 def generate_synthetic_history(

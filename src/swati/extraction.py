@@ -396,13 +396,25 @@ def extract_rule_based(doc: Document, ontology: Ontology) -> ExtractionResult:
 # --- schema validation ----------------------------------------------------
 
 
-def _require_number(value, path: str) -> float:
+def _unit_number(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SchemaViolationError(path, "must be a number")
-    try:
-        return float(value)
-    except OverflowError:  # an integer too large for a float
-        raise SchemaViolationError(path, "out of [0, 1]") from None
+    # an integer too large for a float is out of range; the range test rejects NaN too
+    if not 0.0 <= value <= 1.0:
+        raise SchemaViolationError(path, "out of [0, 1]")
+    return float(value)
+
+
+def _closed_object(value: object, prefix: str, fields: Iterable[str]) -> dict:
+    """``value`` if it is an object with only ``fields``, whose paths start with ``prefix``."""
+    if not isinstance(value, dict):
+        raise SchemaViolationError(
+            prefix[:-1], "must be an object" if prefix else "response must be an object"
+        )
+    unknown = sorted(set(value) - set(fields))
+    if unknown:
+        raise SchemaViolationError(prefix + unknown[0], "unexpected field")
+    return value
 
 
 def validate_extraction(raw_response: object, doc: Document) -> ExtractionResult:
@@ -412,65 +424,46 @@ def validate_extraction(raw_response: object, doc: Document) -> ExtractionResult
     Every evidence span must actually contain its raw skill string
     (case-insensitive), so extractors cannot cite text they never saw.
     """
-    if not isinstance(raw_response, dict):
-        raise SchemaViolationError("", "response must be an object")
-    unknown = sorted(set(raw_response) - {"skills", "cues"})
-    if unknown:
-        raise SchemaViolationError(unknown[0], "unexpected field")
-    if "skills" not in raw_response:
-        raise SchemaViolationError("skills", "missing")
-    if "cues" not in raw_response:
-        raise SchemaViolationError("cues", "missing")
-    skills = raw_response["skills"]
+    response = _closed_object(raw_response, "", ("skills", "cues"))
+    for name in ("skills", "cues"):
+        if name not in response:
+            raise SchemaViolationError(name, "missing")
+    skills = response["skills"]
     if not isinstance(skills, list):
         raise SchemaViolationError("skills", "must be a list")
 
     mentions = []
     for i, item in enumerate(skills):
-        base = f"mentions[{i}]"
-        if not isinstance(item, dict):
-            raise SchemaViolationError(base, "must be an object")
-        unknown = sorted(set(item) - {"raw", "evidence", "proficiency"})
-        if unknown:
-            raise SchemaViolationError(f"{base}.{unknown[0]}", "unexpected field")
+        base = f"mentions[{i}]."
+        item = _closed_object(item, base, ("raw", "evidence", "proficiency"))
         raw = item.get("raw")
         if not isinstance(raw, str) or not raw:
-            raise SchemaViolationError(f"{base}.raw", "must be a non-empty string")
+            raise SchemaViolationError(f"{base}raw", "must be a non-empty string")
         evidence = item.get("evidence")
         if (
             not isinstance(evidence, (list, tuple))
             or len(evidence) != 2
             or not all(isinstance(v, int) and not isinstance(v, bool) for v in evidence)
         ):
-            raise SchemaViolationError(f"{base}.evidence", "must be [start, end]")
+            raise SchemaViolationError(f"{base}evidence", "must be [start, end]")
         start, end = evidence
         if not (0 <= start < end <= len(doc.text)):
             raise SchemaViolationError(
-                f"{base}.evidence", f"span [{start}, {end}) outside text"
+                f"{base}evidence", f"span [{start}, {end}) outside text"
             )
         if raw.lower() not in doc.text[start:end].lower():
             raise SchemaViolationError(
-                f"{base}.evidence", "span does not contain the raw skill"
+                f"{base}evidence", "span does not contain the raw skill"
             )
-        prof = _require_number(item.get("proficiency"), f"{base}.proficiency")
-        if not 0.0 <= prof <= 1.0:
-            raise SchemaViolationError(f"{base}.proficiency", "out of [0, 1]")
+        prof = _unit_number(item.get("proficiency"), f"{base}proficiency")
         mentions.append(SkillMention(raw=raw, evidence=(start, end), proficiency=prof))
 
-    cues_obj = raw_response["cues"]
-    if not isinstance(cues_obj, dict):
-        raise SchemaViolationError("cues", "must be an object")
-    unknown = sorted(set(cues_obj) - set(CUE_NAMES))
-    if unknown:
-        raise SchemaViolationError(f"cues.{unknown[0]}", "unexpected field")
+    cues_obj = _closed_object(response["cues"], "cues.", CUE_NAMES)
     values = {}
     for name in CUE_NAMES:
         if name not in cues_obj:
             raise SchemaViolationError(f"cues.{name}", "missing")
-        value = _require_number(cues_obj[name], f"cues.{name}")
-        if not 0.0 <= value <= 1.0:
-            raise SchemaViolationError(f"cues.{name}", "out of [0, 1]")
-        values[name] = value
+        values[name] = _unit_number(cues_obj[name], f"cues.{name}")
 
     return ExtractionResult(
         doc_id=doc.id, mentions=tuple(mentions), cues=PreferenceCues(**values)
@@ -487,7 +480,6 @@ class RemoteExtractorConfig:
     endpoint: str
     timeout: float = 10.0
     retries: int = 2
-    schema_version: str = SCHEMA_VERSION
     api_key: Optional[str] = None
 
     def __post_init__(self):
@@ -499,16 +491,8 @@ class RemoteExtractorConfig:
 
     @classmethod
     def from_env(cls, base: "RemoteExtractorConfig", env: dict) -> "RemoteExtractorConfig":
-        """Apply SWATI_REMOTE_{TIMEOUT,RETRIES,API_KEY} overrides."""
-        try:
-            timeout = float(env.get("SWATI_REMOTE_TIMEOUT", base.timeout))
-            retries = int(env.get("SWATI_REMOTE_RETRIES", base.retries))
-        except ValueError as exc:
-            raise ConfigError(
-                f"SWATI_REMOTE_TIMEOUT/SWATI_REMOTE_RETRIES must be numbers: {exc}"
-            ) from exc
-        api_key = env.get("SWATI_REMOTE_API_KEY", base.api_key)
-        return replace(base, timeout=timeout, retries=retries, api_key=api_key)
+        """Take the API key from SWATI_REMOTE_API_KEY when it is set."""
+        return replace(base, api_key=env.get("SWATI_REMOTE_API_KEY", base.api_key))
 
 
 # Backoff before retrying a 5xx reply: 0.5 s, doubling, at most 4 s.
@@ -531,7 +515,7 @@ def extract_remote(
     headers = {"Content-Type": "application/json"}
     if cfg.api_key:
         headers["Authorization"] = f"Bearer {cfg.api_key}"
-    payload = {"doc_id": doc.id, "text": doc.text, "schema_version": cfg.schema_version}
+    payload = {"doc_id": doc.id, "text": doc.text, "schema_version": SCHEMA_VERSION}
 
     last_error: Optional[Exception] = None
     backoff = _BACKOFF_FIRST_S

@@ -31,7 +31,7 @@ import enum
 import hashlib
 import struct
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional, TypeVar
 
 from .assignment import Assignment, assignment_digest
 from .errors import (
@@ -45,6 +45,7 @@ from .errors import (
 ZERO_DIGEST = b"\x00" * 32
 _MAGIC = b"SWLG"
 _VERSION = 1
+_T = TypeVar("_T")
 
 
 class TaskState(enum.Enum):
@@ -176,7 +177,11 @@ class Ledger:
         commit leaves the ledger untouched.
         """
         pairs = sorted(assignment.pairs, key=lambda p: p.task_id)
+        seen = set()
         for pair in pairs:
+            if pair.task_id in seen:
+                raise IllegalTransitionError(f"task {pair.task_id!r} is assigned twice")
+            seen.add(pair.task_id)
             state = self.state_index.get(pair.task_id)
             if state is not TaskState.POSTED:
                 raise IllegalTransitionError(
@@ -255,59 +260,57 @@ def save_ledger(ledger: Ledger, path: str) -> None:
             fh.write(struct.pack(">I", len(frame)) + frame)
 
 
-def _read_exact(data: bytes, offset: int, size: int, what: str) -> tuple[bytes, int]:
-    if offset + size > len(data):
-        raise ParseError(f"truncated {what}")
-    return data[offset : offset + size], offset + size
+@dataclass
+class _Cursor:
+    """Reads fields from the front of a buffer; a field that runs past its end is named."""
 
+    data: bytes
+    offset: int = 0
 
-def _decode_record(frame: bytes) -> LedgerRecord:
-    off = 0
-    raw, off = _read_exact(frame, off, 8, "index")
-    index = struct.unpack(">Q", raw)[0]
-    prev_hash, off = _read_exact(frame, off, 32, "prev_hash")
+    def take(self, size: int, what: str) -> bytes:
+        start, self.offset = self.offset, self.offset + size
+        if self.offset > len(self.data):
+            raise ParseError(f"truncated {what}")
+        return self.data[start : self.offset]
 
-    def read_lp(off: int, what: str) -> tuple[str, int]:
-        raw, off = _read_exact(frame, off, 4, what)
-        length = struct.unpack(">I", raw)[0]
-        data, off = _read_exact(frame, off, length, what)
+    def uint(self, size: int, what: str) -> int:
+        return int.from_bytes(self.take(size, what), "big")
+
+    def text(self, what: str) -> str:
+        """``lp(x)``: a u32be byte length, then that many UTF-8 bytes."""
+        data = self.take(self.uint(4, what), what)
         try:
-            return data.decode("utf-8"), off
+            return data.decode("utf-8")
         except UnicodeDecodeError:
             raise ParseError(f"{what} is not valid UTF-8") from None
 
-    task_id, off = read_lp(off, "task_id")
-    event, off = read_lp(off, "event")
-    flag, off = _read_exact(frame, off, 1, "volunteer flag")
-    volunteer_id = None
-    if flag == b"\x01":
-        volunteer_id, off = read_lp(off, "volunteer_id")
-    elif flag != b"\x00":
-        raise ParseError("bad volunteer presence flag")
-    raw, off = _read_exact(frame, off, 8, "epoch")
-    epoch = struct.unpack(">Q", raw)[0]
-    flag, off = _read_exact(frame, off, 1, "digest flag")
-    digest = None
-    if flag == b"\x01":
-        digest, off = _read_exact(frame, off, 32, "assignment_digest")
-    elif flag != b"\x00":
-        raise ParseError("bad digest presence flag")
-    raw, off = _read_exact(frame, off, 8, "timestamp")
-    timestamp = struct.unpack(">Q", raw)[0]
-    record_hash, off = _read_exact(frame, off, 32, "hash")
-    if off != len(frame):
-        raise ParseError("trailing bytes in record frame")
-    return LedgerRecord(
-        index=index,
-        prev_hash=prev_hash,
-        task_id=task_id,
-        event=event,
-        volunteer_id=volunteer_id,
-        epoch=epoch,
-        assignment_digest=digest,
-        timestamp=timestamp,
-        hash=record_hash,
+    def optional(self, name: str, read: Callable[[], _T]) -> Optional[_T]:
+        """``opt(x)``: 0x00 for absent, or 0x01 and then the value."""
+        flag = self.take(1, f"{name} flag")
+        if flag == b"\x00":
+            return None
+        if flag != b"\x01":
+            raise ParseError(f"bad {name} presence flag")
+        return read()
+
+
+def _decode_record(frame: bytes) -> LedgerRecord:
+    """The record of one frame, read in ``_core_bytes``' field order."""
+    read = _Cursor(frame)
+    record = LedgerRecord(
+        index=read.uint(8, "index"),
+        prev_hash=read.take(32, "prev_hash"),
+        task_id=read.text("task_id"),
+        event=read.text("event"),
+        volunteer_id=read.optional("volunteer", lambda: read.text("volunteer_id")),
+        epoch=read.uint(8, "epoch"),
+        assignment_digest=read.optional("digest", lambda: read.take(32, "assignment_digest")),
+        timestamp=read.uint(8, "timestamp"),
+        hash=read.take(32, "hash"),
     )
+    if read.offset != len(frame):
+        raise ParseError("trailing bytes in record frame")
+    return record
 
 
 def load_ledger(path: str) -> Ledger:
@@ -315,14 +318,12 @@ def load_ledger(path: str) -> Ledger:
         data = fh.read()
     if data[:4] != _MAGIC:
         raise ParseError("not a ledger file")
-    raw, offset = _read_exact(data, 4, 2, "ledger header")
-    if struct.unpack(">H", raw)[0] != _VERSION:
+    read = _Cursor(data, len(_MAGIC))
+    if read.uint(2, "ledger header") != _VERSION:
         raise ParseError("unsupported ledger version")
     records = []
-    while offset < len(data):
-        raw, offset = _read_exact(data, offset, 4, "frame length")
-        length = struct.unpack(">I", raw)[0]
-        frame, offset = _read_exact(data, offset, length, "record frame")
+    while read.offset < len(data):
+        frame = read.take(read.uint(4, "frame length"), "record frame")
         records.append(_decode_record(frame))
     return Ledger(records)
 

@@ -150,7 +150,8 @@ def validate_assignment(
         if not 0.0 <= pair.utility <= 1.0:
             raise ValueError(f"utility {pair.utility} out of [0, 1]")
         if matrix is not None:
-            if abs(pair.utility - matrix.cell(pair.volunteer_id, pair.task_id)) > 1e-9:
+            cell = matrix.utilities[matrix.position(pair.volunteer_id, pair.task_id)]
+            if abs(pair.utility - cell) > 1e-9:
                 raise ValueError(
                     f"utility for ({pair.volunteer_id}, {pair.task_id}) "
                     "does not match the matrix"

@@ -27,7 +27,7 @@ from swati.assignment import (
 )
 from swati.corpus import SyntheticConfig, generate_synthetic, generate_synthetic_history
 from swati.errors import ConfigError, DimensionError
-from swati.extraction import PreferenceCues, Profile, TaskSpec, build_market
+from swati.extraction import Market, PreferenceCues, Profile, TaskSpec, build_market
 from swati.similarity import SparseVector
 from swati.willingness import (
     WillingnessParams,
@@ -269,6 +269,33 @@ def test_components_of_another_shape_are_a_dimension_error(component, shape):
         )
 
 
+@pytest.mark.parametrize(
+    "volunteers, tasks, message",
+    [
+        (("v", "v"), ("t0", "t1"), "id 'v' is repeated"),
+        (("v0", "v1", "v0"), ("t0",), "id 'v0' is repeated"),
+        (("v0",), ("t1", "t0", "t0", "t1"), "id 't1' is repeated"),
+    ],
+    ids=["volunteer_twice", "volunteer_apart", "tasks"],
+)
+def test_repeated_ids_are_a_dimension_error(volunteers, tasks, message):
+    """An id names one row or column, as capacities and ``position`` assume."""
+    shape = (len(volunteers), len(tasks))
+    with pytest.raises(DimensionError, match=message):
+        UtilityMatrix(volunteers, tasks, *(np.full(shape, 0.5) for _ in range(4)))
+
+
+@pytest.mark.parametrize("repeat", ["profile", "taskspec"])
+def test_match_market_rejects_a_market_with_a_repeated_id(builtin_ontology, repeat):
+    market = _tiny_market(builtin=builtin_ontology)
+    if repeat == "profile":
+        market = Market(profiles=market.profiles + market.profiles[:1], taskspecs=market.taskspecs)
+    else:
+        market = Market(profiles=market.profiles, taskspecs=market.taskspecs[1:] * 2)
+    with pytest.raises(DimensionError, match="is repeated"):
+        match_market(market, None, CapacityMap(), UtilityParams(), WillingnessParams())
+
+
 _SKILL_NAMES = "ABCDEF"
 
 
@@ -428,10 +455,8 @@ def test_swati_equals_skill_only_when_s_equals_c():
     )
 
 
-def _id_list(rng, prefix, k, duplicates):
-    """k ids whose string order differs from row order ("x10" < "x2"), maybe repeated."""
-    if duplicates:
-        return [f"{prefix}{i}" for i in rng.integers(0, k, size=k)]
+def _id_list(rng, prefix, k):
+    """k distinct ids whose string order differs from row order ("x10" < "x2")."""
     return [f"{prefix}{i}" for i in rng.permutation(k)]
 
 
@@ -441,10 +466,9 @@ def _id_list(rng, prefix, k, duplicates):
     n=st.integers(1, 80),
     m=st.integers(1, 80),
     levels=st.sampled_from([2, 3, 5, 0]),
-    duplicates=st.booleans(),
     max_cap=st.integers(1, 4),
 )
-def test_greedy_matches_global_sort_reference(seed, n, m, levels, duplicates, max_cap):
+def test_greedy_matches_global_sort_reference(seed, n, m, levels, max_cap):
     """The lexsort walk picks exactly what a global sort of all n*m pairs picks.
 
     ``levels`` > 0 draws scores from that many values (heavy ties), 0 from
@@ -459,8 +483,8 @@ def test_greedy_matches_global_sort_reference(seed, n, m, levels, duplicates, ma
 
     utilities = scores()
     matrix = UtilityMatrix(
-        volunteers=tuple(_id_list(rng, "v", n, duplicates)),
-        tasks=tuple(_id_list(rng, "t", m, duplicates)),
+        volunteers=tuple(_id_list(rng, "v", n)),
+        tasks=tuple(_id_list(rng, "t", m)),
         utilities=utilities,
         skill=scores(),
         content=utilities,
@@ -526,14 +550,14 @@ def test_greedy_rounds_when_every_row_outranks_the_next(rounds, cap):
 @pytest.mark.parametrize("levels", [2, 3])
 def test_greedy_cutoff_inside_a_tie_run(rounds, n, m, levels):
     """With 2-3 score levels the k-th largest score sits inside a run of equal
-    scores; every pair of that run is let in, in (id, id, row, column) order."""
+    scores; every pair of that run is let in, in (volunteer id, task id) order."""
     rng = np.random.default_rng(n * levels)
     utilities = rng.integers(0, levels, size=(n, m)) / (levels - 1)
     skill = rng.integers(0, levels, size=(n, m)) / (levels - 1)
     matrix = _score_matrix(
         utilities, skill,
-        volunteers=_id_list(rng, "v", n, duplicates=True),
-        tasks=_id_list(rng, "t", m, duplicates=True),
+        volunteers=_id_list(rng, "v", n),
+        tasks=_id_list(rng, "t", m),
     )
     caps = CapacityMap({v: int(rng.integers(1, 5)) for v in matrix.volunteers})
     _assert_greedy_matches_reference(matrix, caps)

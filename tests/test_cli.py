@@ -300,19 +300,21 @@ CONFIG_VALUE_ERRORS = {
     "remote_negative_retries": {
         "extractor": {"remote": {"endpoint": "http://localhost:9", "retries": -1}}
     },
+    "remote_retries_not_a_number": {
+        "extractor": {"remote": {"endpoint": "http://localhost:9", "retries": "abc"}}
+    },
+    # requests carry the one schema version the validator implements
+    "remote_schema_version": {
+        "extractor": {"remote": {"endpoint": "http://localhost:9", "schema_version": "v2"}}
+    },
 }
 
 
 @pytest.mark.parametrize(
-    "case",
-    ["remote_retries_not_a_number", "capacities_file_not_json", "default_capacity_not_int",
-     *CONFIG_VALUE_ERRORS],
+    "case", ["capacities_file_not_json", "default_capacity_not_int", *CONFIG_VALUE_ERRORS]
 )
-def test_config_value_errors_are_machine_readable(tmp_path, capsys, monkeypatch, case):
-    if case == "remote_retries_not_a_number":
-        monkeypatch.setenv("SWATI_REMOTE_RETRIES", "abc")
-        raw = {"extractor": {"remote": {"endpoint": "http://localhost:9"}}}
-    elif case == "capacities_file_not_json":
+def test_config_value_errors_are_machine_readable(tmp_path, capsys, case):
+    if case == "capacities_file_not_json":
         caps_path = tmp_path / "caps.json"
         caps_path.write_text("{not json")
         raw = {"capacities": {"path": str(caps_path)}}

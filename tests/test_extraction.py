@@ -611,12 +611,14 @@ def test_remote_timeout(scripted_server):
 
 
 def test_remote_env_overrides():
-    base = RemoteExtractorConfig(endpoint="http://x/e", timeout=5.0, retries=1)
+    """Only the credential comes from the environment; limits are config keys."""
+    base = RemoteExtractorConfig(endpoint="http://x/e", timeout=5.0, retries=1, api_key="file")
     cfg = RemoteExtractorConfig.from_env(
         base,
         {"SWATI_REMOTE_TIMEOUT": "9.5", "SWATI_REMOTE_RETRIES": "4", "SWATI_REMOTE_API_KEY": "k"},
     )
-    assert (cfg.timeout, cfg.retries, cfg.api_key) == (9.5, 4, "k")
+    assert (cfg.endpoint, cfg.timeout, cfg.retries, cfg.api_key) == ("http://x/e", 5.0, 1, "k")
+    assert RemoteExtractorConfig.from_env(base, {}) == base
 
 
 def test_prompt_template_is_packaged():

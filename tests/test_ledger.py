@@ -76,6 +76,22 @@ def test_commit_unposted_task_is_atomic():
     assert ledger.state_index["t1"].value == "Posted"
 
 
+def test_commit_naming_a_task_twice_is_atomic():
+    ledger = Ledger()
+    ledger.post_task("t1")
+    ledger.post_task("t2")
+    before, head = list(ledger.records), ledger.head()
+    bad = Assignment(
+        pairs=(AssignedPair("v1", "t1", 0.9), AssignedPair("v2", "t1", 0.8))
+    )
+    with pytest.raises(IllegalTransitionError, match="'t1' is assigned twice"):
+        ledger.commit_assignment(bad)
+    assert ledger.records == before
+    assert ledger.head() == head
+    assert ledger.state_index["t1"].value == "Posted"
+    assert verify(ledger).ok
+
+
 def test_double_commit_rejected():
     ledger, assignment = _ledger_with_assignment()
     with pytest.raises(IllegalTransitionError):
