@@ -352,12 +352,12 @@ def generate_synthetic(cfg: SyntheticConfig, ontology: Ontology) -> Corpus:
         raise ConfigError("ontology is empty")
     # every volunteer is drawn before the first task
     kinds = (
-        (VOLUNTEER, "v", cfg.n_volunteers, cfg.skills_per_volunteer,
+        (VOLUNTEER, cfg.skills_per_volunteer, "v", cfg.n_volunteers,
          _VOLUNTEER_INTROS, _SKILL_LEADS, _VOLUNTEER_CLOSERS),
-        (TASK, "t", cfg.n_tasks, cfg.skills_per_task,
+        (TASK, cfg.skills_per_task, "t", cfg.n_tasks,
          _TASK_INTROS, _REQUIREMENT_LEADS, _TASK_CLOSERS),
     )
-    for kind, _, _, (_, hi), *_ in kinds:
+    for kind, (_, hi), *_ in kinds:
         if hi > len(ontology):
             raise ConfigError(
                 f"skills_per_{kind} upper bound {hi} exceeds ontology size {len(ontology)}"
@@ -379,7 +379,7 @@ def generate_synthetic(cfg: SyntheticConfig, ontology: Ontology) -> Corpus:
     rng = random.Random(cfg.seed)
     width = max(3, len(str(max(cfg.n_volunteers, cfg.n_tasks) - 1)))
     docs: dict[str, list[Document]] = {VOLUNTEER: [], TASK: []}
-    for kind, prefix, n_docs, (lo, hi), intros, leads, closers in kinds:
+    for kind, (lo, hi), prefix, n_docs, intros, leads, closers in kinds:
         for i in range(n_docs):
             count = lo + i % (hi - lo + 1)
             primary, entries = _sample_entries(rng, by_root, outside_root, roots, count)
