@@ -20,6 +20,7 @@ import hashlib
 import json
 import random
 import time
+from collections import Counter
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Mapping, Optional, Sequence
@@ -108,9 +109,9 @@ class UtilityMatrix:
 
     def __post_init__(self):
         shape = (len(self.volunteers), len(self.tasks))
-        for ids, positions in zip((self.volunteers, self.tasks), self._positions):
-            if len(positions) < len(ids):
-                repeated = next(name for i, name in enumerate(ids) if positions[name] != i)
+        for ids in (self.volunteers, self.tasks):
+            if len(set(ids)) < len(ids):
+                repeated = next(name for name, count in Counter(ids).items() if count > 1)
                 raise DimensionError(f"id {repeated!r} is repeated")
         for name in ("utilities", "skill", "content", "willingness"):
             arr = getattr(self, name)
