@@ -139,12 +139,13 @@ def cmd_extract(args) -> int:
     return 0
 
 
-def cmd_match(args) -> int:
-    cfg = load_config(args.config)
-    seed = args.seed
-    if seed is None and args.method == "random":
-        seed = cfg.random_method_seed
+def _score_match(args, cfg: EngineConfig, seed: Optional[int]):
+    """Score the corpus's market: the ``assignment.jsonl`` rows, the assignment
+    and the task ids in corpus order.
 
+    The corpus, market, histories and epoch result, with its n x m arrays, die
+    with this frame, so the artifact stage never holds them.
+    """
     ontology = cfg.load_ontology()
     corpus = load_corpus(args.corpus, strict=args.strict)
     market = build_market(corpus, ontology, cfg.vectorizer, _extractor(cfg))
@@ -155,8 +156,6 @@ def cmd_match(args) -> int:
     )
     matrix = result.matrix
     assignment = result.assignments[args.method]
-
-    out = _ensure_out(args.out)
     rows = []
     for pair in assignment.pairs:
         i, j = matrix.position(pair.volunteer_id, pair.task_id)
@@ -165,14 +164,25 @@ def cmd_match(args) -> int:
             for name in ("skill", "content", "willingness")
         }
         rows.append({**vars(pair), "components": components})
+    return rows, assignment, [task.id for task in corpus.tasks]
+
+
+def cmd_match(args) -> int:
+    cfg = load_config(args.config)
+    seed = args.seed
+    if seed is None and args.method == "random":
+        seed = cfg.random_method_seed
+    rows, assignment, task_ids = _score_match(args, cfg, seed)
+
+    out = _ensure_out(args.out)
     write_jsonl(os.path.join(out, "assignment.jsonl"), rows)
 
-    report = quality(assignment, corpus.n_tasks, method=args.method)
+    report = quality(assignment, len(task_ids), method=args.method)
     write_quality_csv(os.path.join(out, "quality.csv"), [report])
 
     ledger = Ledger()
-    for task in corpus.tasks:
-        ledger.post_task(task.id, epoch=assignment.epoch)
+    for task_id in task_ids:
+        ledger.post_task(task_id, epoch=assignment.epoch)
     ledger.commit_assignment(assignment)
     save_ledger(ledger, os.path.join(out, "ledger.bin"))
     export_ledger_text(ledger, os.path.join(out, "ledger.txt"))

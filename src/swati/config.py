@@ -9,14 +9,13 @@ files must exist at load time.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from importlib import resources
 from typing import Optional
 
-from .assignment import CapacityMap, UtilityParams
+from .assignment import CapacityMap, UtilityParams, sha256
 from .corpus import SyntheticConfig
 from .errors import ConfigError, ParseError, parse_json
 from .extraction import RemoteExtractorConfig
@@ -63,7 +62,7 @@ class EngineConfig:
         return load_ontology(self.ontology_path)
 
     def digest(self) -> str:
-        return hashlib.sha256(
+        return sha256(
             json.dumps(self.raw, sort_keys=True, separators=(",", ":")).encode("utf-8")
         ).hexdigest()
 
@@ -98,19 +97,27 @@ def _require_file(path: Optional[str], what: str) -> None:
         raise ConfigError(f"{what} file not found: {path}")
 
 
+def _check_section(section, name: str, keys) -> None:
+    if not isinstance(section, dict):
+        raise ConfigError(f"config section {name!r} must be an object")
+    unknown = sorted(set(section) - set(keys))
+    if unknown:
+        raise ConfigError(f"unknown keys {unknown} in config section {name!r}")
+
+
 def build_config(raw: Optional[dict] = None) -> EngineConfig:
     raw = _merge(DEFAULT_CONFIG, raw or {})
     unknown = sorted(set(raw) - set(DEFAULT_CONFIG))
     if unknown:
         raise ConfigError(f"unknown config keys {unknown}")
     for key, default in DEFAULT_CONFIG.items():
-        if not isinstance(default, dict):
-            continue
-        if not isinstance(raw[key], dict):
-            raise ConfigError(f"config section {key!r} must be an object")
-        unknown = sorted(set(raw[key]) - set(default))
-        if unknown:
-            raise ConfigError(f"unknown keys {unknown} in config section {key!r}")
+        if isinstance(default, dict):
+            _check_section(raw[key], key, default)
+    remote = raw["extractor"]["remote"]
+    if remote is not None:
+        _check_section(
+            remote, "extractor.remote", [f.name for f in fields(RemoteExtractorConfig)]
+        )
 
     if raw["ontology"] is None:
         raise ConfigError("ontology must name a file or builtin:cs")
@@ -122,8 +129,7 @@ def build_config(raw: Optional[dict] = None) -> EngineConfig:
         vectorizer = VectorizerSettings(**raw["vectorizer"])
         willingness = WillingnessParams(**raw["willingness"])
         utility = UtilityParams(**raw["utility"])
-        # a remote section that is not an object, or has unknown keys, is a TypeError
-        remote = raw["extractor"]["remote"]
+        # a remote section without an endpoint is a TypeError
         remote = RemoteExtractorConfig(**remote) if remote else None
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
@@ -179,4 +185,4 @@ def input_digest(path: str) -> str:
     else:
         with open(path, "rb") as fh:
             data = fh.read()
-    return hashlib.sha256(data).hexdigest()
+    return sha256(data).hexdigest()

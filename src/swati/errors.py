@@ -122,10 +122,10 @@ class EmptyCorpusError(EngineError):
 class SchemaViolationError(EngineError):
     """Extraction payload failed validation; ``path`` names the first bad field."""
 
-    def __init__(self, path: str, reason: str = ""):
+    def __init__(self, path: str, reason: str):
         self.path = path
-        msg = path if not reason else f"{path}: {reason}"
-        super().__init__(msg)
+        # the empty path is the response itself
+        super().__init__(f"{path}: {reason}" if path else reason)
 
 
 class TransportError(EngineError):

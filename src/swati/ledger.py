@@ -28,12 +28,11 @@ digest (the anchor a contract would hold) to pin the final record.
 from __future__ import annotations
 
 import enum
-import hashlib
 import struct
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, TypeVar
 
-from .assignment import Assignment, assignment_digest
+from .assignment import Assignment, assignment_digest, sha256
 from .errors import (
     DuplicateTaskError,
     IllegalTransitionError,
@@ -158,7 +157,7 @@ class Ledger:
             epoch=epoch,
             assignment_digest=digest,
             timestamp=timestamp,
-            hash=hashlib.sha256(core).digest(),
+            hash=sha256(core).digest(),
         )
         self.records.append(record)
         self._clock += 1
@@ -224,7 +223,7 @@ def verify(ledger: Ledger, expected_head: Optional[bytes] = None) -> VerifyResul
         expected_prev = ledger.records[pos - 1].hash if pos > 0 else ZERO_DIGEST
         if record.prev_hash != expected_prev:
             return VerifyResult(False, pos, "link broken")
-        if hashlib.sha256(record.core_bytes()).digest() != record.hash:
+        if sha256(record.core_bytes()).digest() != record.hash:
             return VerifyResult(False, pos, "hash mismatch")
         if record.index != pos:
             return VerifyResult(False, pos, "index mismatch")

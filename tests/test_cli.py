@@ -290,6 +290,9 @@ CONFIG_VALUE_ERRORS = {
     "willingness_gain_infinite": {"willingness": {"sigmoid_gain": math.inf}},
     "utility_weight_nan": {"utility": {"skill_weight": math.nan}},
     "remote_unknown_key": {"extractor": {"remote": {"endpoint": "http://localhost:9", "bogus": 1}}},
+    "remote_unknown_keys": {
+        "extractor": {"remote": {"endpoint": "http://localhost:9", "zeta": 1, "alpha": 2}}
+    },
     "remote_max_in_flight": {
         "extractor": {"remote": {"endpoint": "http://localhost:9", "max_in_flight": 4}}
     },
@@ -307,6 +310,19 @@ CONFIG_VALUE_ERRORS = {
     "remote_schema_version": {
         "extractor": {"remote": {"endpoint": "http://localhost:9", "schema_version": "v2"}}
     },
+}
+
+# the remote section is named like every other config section
+REMOTE_SECTION_DETAILS = {
+    "remote_unknown_key": "unknown keys ['bogus'] in config section 'extractor.remote'",
+    "remote_unknown_keys": "unknown keys ['alpha', 'zeta'] in config section 'extractor.remote'",
+    "remote_max_in_flight": (
+        "unknown keys ['max_in_flight'] in config section 'extractor.remote'"
+    ),
+    "remote_not_an_object": "config section 'extractor.remote' must be an object",
+    "remote_schema_version": (
+        "unknown keys ['schema_version'] in config section 'extractor.remote'"
+    ),
 }
 
 
@@ -327,7 +343,10 @@ def test_config_value_errors_are_machine_readable(tmp_path, capsys, case):
     config_path.write_text(json.dumps(raw))
     rc = main(["gen", "--config", str(config_path), "--out", str(tmp_path / "gen"), "--seed", "1"])
     assert rc == 2
-    assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError"
+    if case in REMOTE_SECTION_DETAILS:
+        assert err["detail"] == REMOTE_SECTION_DETAILS[case]
 
 
 MALFORMED_SECTIONS = {
@@ -657,3 +676,67 @@ def test_a_bad_config_still_exits_2_with_one_json_line(tmp_path):
     assert json.loads(error)["error"] == "ConfigError"
     assert frozen == "True"
     assert proc.stdout == ""
+
+
+# --- hashlib at the first digest ------------------------------------------------
+
+# hashlib maps OpenSSL's libcrypto through ``_hashlib``; pytest has loaded it in
+# this process already, so each check runs in a fresh interpreter
+OPENSSL_MODULES = ("_hashlib", "ssl", "requests")
+
+SCORE_PROBE = (
+    "import sys\n"
+    "from swati import CapacityMap, UtilityParams, WillingnessParams, load_builtin_ontology\n"
+    "from swati.assignment import assignment_digest, match_market\n"
+    "from swati.corpus import SyntheticConfig, generate_synthetic, generate_synthetic_history\n"
+    "from swati.extraction import build_market\n"
+    "from swati.willingness import histories_from_records\n"
+    "ontology = load_builtin_ontology()\n"
+    "cfg = SyntheticConfig(seed=3, n_volunteers=30, n_tasks=20)\n"
+    "corpus = generate_synthetic(cfg, ontology)\n"
+    "histories = histories_from_records(generate_synthetic_history(cfg, corpus, ontology))\n"
+    "result = match_market(build_market(corpus, ontology), histories, CapacityMap(),\n"
+    "                      UtilityParams(), WillingnessParams(), epochs=2)\n"
+    "print('_hashlib' in sys.modules)\n"
+    "assignment_digest(result.assignments['swati'])\n"
+    "print('_hashlib' in sys.modules)\n"
+)
+
+
+def test_importing_the_cli_loads_no_openssl(tmp_path):
+    proc = _python(
+        tmp_path, "-c",
+        f"import sys, swati.cli; print([m for m in {OPENSSL_MODULES!r} if m in sys.modules])",
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
+def test_scoring_a_market_with_history_loads_no_openssl(tmp_path):
+    proc = _python(tmp_path, "-c", SCORE_PROBE)
+    assert proc.returncode == 0, proc.stderr
+    # the first digest loads it, so the probe can see it
+    assert proc.stdout == "False\nTrue\n"
+
+
+def test_match_loads_openssl_at_the_ledger(tmp_path):
+    gen = _gen(tmp_path)
+    probe = (
+        "import sys\n"
+        "import swati.cli, swati.ledger\n"
+        "post_task = swati.ledger.Ledger.post_task\n"
+        "def first_post(self, *args, **kwargs):\n"
+        "    print('_hashlib' in sys.modules)\n"
+        "    swati.ledger.Ledger.post_task = post_task\n"
+        "    return post_task(self, *args, **kwargs)\n"
+        "swati.ledger.Ledger.post_task = first_post\n"
+        "code = swati.cli.main(sys.argv[1:])\n"
+        "print('_hashlib' in sys.modules)\n"
+        "sys.exit(code)\n"
+    )
+    args = _match_args(gen, _history_config(tmp_path, gen), tmp_path / "match")
+    proc = _python(tmp_path, "-c", probe, *args)
+    assert proc.returncode == 0, proc.stderr
+    first, summary, last = proc.stdout.splitlines()
+    assert (first, last) == ("False", "True")
+    assert summary.startswith("swati: total=")

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from swati.cli import main
 from swati.corpus import Document, SyntheticConfig, generate_synthetic
 from swati.errors import RemoteTimeoutError, SchemaViolationError, TransportError
 from swati.extraction import (
@@ -375,7 +376,7 @@ _VIOLATIONS = {
 def test_validator_reports_each_violation_by_path_and_reason(edit, path, reason):
     with pytest.raises(SchemaViolationError) as err:
         validate_extraction(_edited(edit), _doc("Knows CV well"))
-    assert (err.value.path, str(err.value)) == (path, f"{path}: {reason}")
+    assert (err.value.path, str(err.value)) == (path, f"{path}: {reason}" if path else reason)
 
 
 @pytest.mark.parametrize(
@@ -542,6 +543,29 @@ def test_remote_unreadable_json_is_schema_violation(scripted_server, body):
     scripted_server.script.extend([(200, body, 0.0)] * 2)
     with pytest.raises(SchemaViolationError, match="not valid JSON"):
         extract_remote(_doc("Knows CV well"), _remote_cfg(scripted_server, retries=1))
+    assert len(scripted_server.requests) == 2
+
+
+@pytest.mark.parametrize(
+    "body, detail",
+    [([1, 2], "response must be an object"), (b"not json", "response is not valid JSON")],
+    ids=["list", "garbage"],
+)
+def test_remote_extract_names_no_path_for_the_whole_response(
+    scripted_server, tmp_path, capsys, body, detail
+):
+    scripted_server.script.extend([(200, body, 0.0)] * 2)
+    corpus_path = tmp_path / "corpus.jsonl"
+    corpus_path.write_text(json.dumps({"id": "d1", "kind": "volunteer", "text": "Knows CV"}))
+    remote = {"endpoint": _remote_cfg(scripted_server).endpoint, "retries": 1}
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"extractor": {"kind": "remote", "remote": remote}}))
+    argv = ["extract", "--config", str(config_path), "--corpus", str(corpus_path),
+            "--out", str(tmp_path / "ex")]
+    assert main(argv) == 2
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "SchemaViolationError", "detail": detail
+    }
     assert len(scripted_server.requests) == 2
 
 

@@ -3,8 +3,10 @@
 ``tracemalloc`` traces numpy's array buffers, so the peak of a call is the
 most bytes its arrays ever held at once. Each stage fills the array it returns
 one row block at a time, so beyond that array it may hold only a few blocks.
+``swati match`` lets every n x m array go before its artifact stage.
 """
 
+import json
 import random
 import tracemalloc
 
@@ -13,7 +15,9 @@ import pytest
 
 from swati import similarity, willingness
 from swati.assignment import UtilityForm, UtilityParams, utility_matrix_from_components
+from swati.cli import main
 from swati.extraction import PreferenceCues, Profile, TaskSpec
+from swati.ledger import Ledger
 from swati.similarity import SparseVector, jaccard_matrix
 from swati.willingness import WillingnessParams, histories_from_records, willingness_matrix
 
@@ -98,3 +102,34 @@ def test_utility_matrix_holds_its_output_and_a_few_blocks(form):
         )
     )
     assert peak <= matrix.utilities.nbytes + BLOCKS * _block_bytes()
+
+
+def test_match_frees_every_n_by_m_array_before_the_ledger(tmp_path, monkeypatch):
+    gen = tmp_path / "gen"
+    argv = ["gen", "--out", str(gen), "--seed", "1", "--n-volunteers", str(N),
+            "--n-tasks", str(M)]
+    assert main(argv) == 0
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"history_path": str(gen / "history.jsonl")}))
+    # array buffers of at least N * M bytes, an n x m array of the narrowest
+    # dtype, alive at the ledger's first post_task
+    live = []
+    post_task = Ledger.post_task
+
+    def first_post(self, *args, **kwargs):
+        if not live:
+            snapshot = tracemalloc.take_snapshot().filter_traces(
+                [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)]
+            )
+            live.append([trace.size for trace in snapshot.traces if trace.size >= N * M])
+        return post_task(self, *args, **kwargs)
+
+    monkeypatch.setattr(Ledger, "post_task", first_post)
+    argv = ["match", "--config", str(config_path), "--corpus", str(gen / "corpus.jsonl"),
+            "--out", str(tmp_path / "match")]
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+    finally:
+        tracemalloc.stop()
+    assert live == [[]]
