@@ -129,8 +129,8 @@ def build_config(raw: Optional[dict] = None) -> EngineConfig:
         vectorizer = VectorizerSettings(**raw["vectorizer"])
         willingness = WillingnessParams(**raw["willingness"])
         utility = UtilityParams(**raw["utility"])
-        # a remote section without an endpoint is a TypeError
-        remote = RemoteExtractorConfig(**remote) if remote else None
+        # a section without an endpoint is reported as a null endpoint
+        remote = RemoteExtractorConfig(**{"endpoint": None, **remote}) if remote else None
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
 

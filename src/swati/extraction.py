@@ -483,11 +483,16 @@ class RemoteExtractorConfig:
     api_key: Optional[str] = None
 
     def __post_init__(self):
+        endpoint, api_key = self.endpoint, self.api_key
         timeout, retries = self.timeout, self.retries
+        if type(endpoint) is not str or not endpoint:
+            raise ConfigError(f"extractor.remote endpoint must be a URL string, got {endpoint!r}")
         if type(timeout) not in (int, float) or not 0.0 < timeout < math.inf:
-            raise ConfigError(f"remote timeout must be a positive number, got {timeout!r}")
+            raise ConfigError(f"extractor.remote timeout must be a number > 0, got {timeout!r}")
         if type(retries) is not int or retries < 0:
-            raise ConfigError(f"remote retries must be an integer >= 0, got {retries!r}")
+            raise ConfigError(f"extractor.remote retries must be an integer >= 0, got {retries!r}")
+        if api_key is not None and type(api_key) is not str:
+            raise ConfigError(f"extractor.remote api_key must be a string, got {api_key!r}")
 
     @classmethod
     def from_env(cls, base: "RemoteExtractorConfig", env: dict) -> "RemoteExtractorConfig":

@@ -70,15 +70,9 @@ def utility_cdf(assignment: Assignment, bins: int) -> list[tuple[float, float]]:
     if bins < 2:
         raise ConfigError("need at least 2 bins")
     utilities = [p.utility for p in assignment.pairs]
-    points = []
-    for k in range(1, bins + 1):
-        threshold = k / bins
-        if utilities:
-            fraction = sum(1 for u in utilities if u <= threshold) / len(utilities)
-        else:
-            fraction = 0.0
-        points.append((threshold, fraction))
-    return points
+    count = max(len(utilities), 1)  # no pairs: 0 / 1 at every threshold
+    thresholds = [k / bins for k in range(1, bins + 1)]
+    return [(t, sum(1 for u in utilities if u <= t) / count) for t in thresholds]
 
 
 @dataclass

@@ -146,7 +146,6 @@ class VectorizerModel:
 
     vocabulary: dict[str, int]
     idf: np.ndarray
-    doc_count: int
     settings: VectorizerSettings = field(default_factory=VectorizerSettings)
 
     def __post_init__(self):
@@ -224,7 +223,7 @@ def fit_vectorizer(
     idf = np.array(
         [np.log((1 + n_docs) / (1 + df[k])) + 1.0 for k in order], dtype=np.float64
     )
-    return VectorizerModel(vocabulary=vocabulary, idf=idf, doc_count=n_docs, settings=settings)
+    return VectorizerModel(vocabulary=vocabulary, idf=idf, settings=settings)
 
 
 def term_vectors(model: VectorizerModel, terms: TermCounts) -> list[SparseVector]:
@@ -256,22 +255,41 @@ def term_vectors(model: VectorizerModel, terms: TermCounts) -> list[SparseVector
     return SparseVector.batch(indices, weights, offsets)
 
 
-def skill_index(skill_sets: Sequence[frozenset[str]]) -> dict[str, int]:
-    """Column index over every skill named in ``skill_sets``, in sorted order."""
-    return {skill: k for k, skill in enumerate(sorted(set().union(*skill_sets)))}
+def _runs(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """``arange(starts[k], starts[k] + lengths[k])`` for every k, concatenated."""
+    ends = np.cumsum(lengths)
+    total = int(ends[-1]) if ends.size else 0
+    return np.repeat(starts - ends + lengths, lengths) + np.arange(total)
 
 
-def skill_incidence(skill_sets: Sequence[frozenset[str]], index: dict[str, int]) -> np.ndarray:
-    """float32 0/1 matrix; row i marks the skills of ``skill_sets[i]`` found in ``index``.
+def skill_postings(task_skills: Sequence[frozenset[str]]) -> tuple[dict, np.ndarray, np.ndarray]:
+    """Each skill some task requires and the tasks requiring it, in CSR: ``ids, ptr, cols``.
 
-    Built with one scatter.
+    Skill ``ids[name]`` is required by the tasks ``cols[ptr[k]:ptr[k + 1]]``,
+    in increasing order. One more row, ``len(ids)``, is empty: it stands for
+    every skill no task requires, so any name is looked up as
+    ``ids.get(name, len(ids))``.
     """
-    rows = np.repeat(np.arange(len(skill_sets)), [len(skills) for skills in skill_sets])
-    cols = np.array([index.get(s, -1) for skills in skill_sets for s in skills], dtype=np.intp)
-    found = cols >= 0
-    out = np.zeros((len(skill_sets), len(index)), np.float32)
-    out[rows[found], cols[found]] = 1
-    return out
+    requiring: dict[str, list[int]] = {}
+    for j, skills in enumerate(task_skills):
+        for skill in skills:
+            requiring.setdefault(skill, []).append(j)
+    ptr = np.cumsum([0, *map(len, requiring.values()), 0])
+    cols = np.array([j for tasks in requiring.values() for j in tasks], dtype=np.intp)
+    return {skill: k for k, skill in enumerate(requiring)}, ptr, cols
+
+
+def posting_pairs(
+    ptr: np.ndarray, cols: np.ndarray, rows: np.ndarray, keys: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The (row, task) pairs of the entries ``(rows[e], keys[e])``, each row with its key's tasks.
+
+    Key k's tasks are ``cols[ptr[k]:ptr[k + 1]]``, as ``skill_postings`` gives
+    them; pairs come in entry order, then in the order of ``cols``.
+    """
+    starts = ptr[keys]
+    fan = ptr[keys + 1] - starts
+    return np.repeat(rows, fan), cols[_runs(starts, fan)]
 
 
 def jaccard_matrix(
@@ -279,23 +297,26 @@ def jaccard_matrix(
 ) -> np.ndarray:
     """Pairwise Jaccard overlap; two empty sets score 0 rather than 1.
 
-    Intersections come from one float32 product of 0/1 incidence matrices
-    over the task skills per row block. The counts are small integers, so
-    the BLAS product is exact in any blocking, summation order and thread
-    count; they are cast to float64 before the quotient, so each quotient
-    equals Python's ``int / int`` of the same counts.
+    Each row block's intersections are one ``np.bincount`` of the (volunteer,
+    task) pairs that its volunteers' skills expand to through the task skill
+    postings. The counts are exact integers in any blocking, and each
+    quotient equals Python's ``int / int`` of the same counts.
     """
-    index = skill_index(task_skills)
-    volunteers = skill_incidence(volunteer_skills, index)
-    tasks = skill_incidence(task_skills, index)
-    volunteer_sizes = np.array([len(s) for s in volunteer_skills], dtype=np.float64)
-    task_sizes = tasks.sum(axis=1, dtype=np.float64)
-    out = np.empty((len(volunteer_skills), len(task_skills)))
+    ids, ptr, cols = skill_postings(task_skills)
+    sizes = np.array([len(s) for s in volunteer_skills], dtype=np.intp)
+    owners = np.repeat(np.arange(len(sizes)), sizes)
+    keys = np.array([ids.get(s, len(ids)) for skills in volunteer_skills for s in skills], np.intp)
+    task_sizes = np.array([len(s) for s in task_skills], dtype=np.float64)
+    out = np.empty((len(sizes), len(task_skills)))
     for rows in row_blocks(*out.shape):
-        inter = (volunteers[rows] @ tasks.T).astype(np.float64)
+        lo, hi = np.searchsorted(owners, (rows.start, rows.stop))
+        owner, task = posting_pairs(ptr, cols, owners[lo:hi] - rows.start, keys[lo:hi])
+        block = out[rows]
+        inter = np.bincount(owner * block.shape[1] + task, minlength=block.size)
+        inter = inter.reshape(block.shape)  # not (-1, m): a block may hold no cells
         # the union is formed in the output block and divided in place; for
         # two empty sets it is 0, and so is their score
-        union = np.add(volunteer_sizes[rows, None], task_sizes, out=out[rows])
+        union = np.add(sizes[rows, None], task_sizes, out=block)
         union -= inter
         np.divide(inter, union, out=union, where=union > 0)
     return out
@@ -320,7 +341,6 @@ def cosine_matrix(
     xt = np.zeros((len(task_vectors), size))
     for x, vectors in ((xv, volunteer_vectors), (xt, task_vectors)):
         for i, vec in enumerate(vectors):
-            if len(vec.indices):
-                x[i, vec.indices] = vec.weights
+            x[i, vec.indices] = vec.weights
     out = xv @ xt.T
     return np.clip(out, 0.0, 1.0, out=out)

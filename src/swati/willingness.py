@@ -14,14 +14,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
 from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
 from .errors import ConfigError, DimensionError, ParseError, read_jsonl
 from .extraction import Profile, TaskSpec
-from .similarity import row_blocks
+from .similarity import _runs, posting_pairs, row_blocks, skill_postings
 
 # Cue vector layout: (domain_affinity, prior_exposure, stated_interest,
 # volunteering_history, availability). Affinity is halved when the volunteer
@@ -161,13 +160,6 @@ def cue_score_matrix(
     return scores
 
 
-def _runs(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """``arange(starts[k], starts[k] + lengths[k])`` for every k, concatenated."""
-    ends = np.cumsum(lengths)
-    total = int(ends[-1]) if ends.size else 0
-    return np.repeat(starts - ends + lengths, lengths) + np.arange(total)
-
-
 def tendency_matrix(
     profiles: Sequence[Profile],
     taskspecs: Sequence[TaskSpec],
@@ -181,12 +173,12 @@ def tendency_matrix(
     quotient of exact integer counts.
 
     Each profile's rows are gathered from the history columns once, and each
-    distinct skill name is mapped once to the tasks that require it (a
-    skill -> tasks table in compressed sparse rows). Volunteers are then
+    distinct skill name is mapped once to its row of the tasks'
+    ``skill_postings``, the index ``jaccard_matrix`` uses. Volunteers are then
     scored in blocks of at most ``_WALK_BLOCK`` history records (a volunteer
     with more records is a block of its own). A block's 0/1 relevance is one
-    scatter of the (record, task) pairs that every (record, skill) entry
-    expands to through that table. Its per-volunteer counts are one float32
+    scatter of the (record, task) pairs that ``posting_pairs`` expands its
+    (record, skill) entries to. Its per-volunteer counts are one float32
     product of a 0/1 membership matrix (each volunteer's records, then each
     volunteer's accepted records) with the 0/1 relevance; they are at most
     the block's record count, so float32 holds them exactly. Histories from
@@ -215,18 +207,11 @@ def _score_load(
     records = _runs(np.array([h.records.start for h in walks]), lengths)
     accepted = columns.accepted[records]
     overall = np.add.reduceat(accepted, offsets[:-1], dtype=np.int64) / lengths
-    requiring: dict[str, list[int]] = {}
-    for j, task in enumerate(taskspecs):
-        for skill in task.required_skills:
-            requiring.setdefault(skill, []).append(j)
-    per_skill = [requiring.get(name, ()) for name in columns.skills]
-    fan_out = np.array([len(tasks) for tasks in per_skill], dtype=np.intp)
-    task_ptr = np.concatenate(([0], np.cumsum(fan_out)))
-    task_cols = np.fromiter(chain.from_iterable(per_skill), np.intp, task_ptr[-1])
-    # the gathered records' skill entries, in record order
+    ids, ptr, cols = skill_postings([task.required_skills for task in taskspecs])
+    posting_rows = np.array([ids.get(name, len(ids)) for name in columns.skills], dtype=np.intp)
+    # the gathered records' skill entries, in record order, as posting rows
     entry_lengths = columns.offsets[records + 1] - columns.offsets[records]
-    entry_offsets = np.concatenate(([0], np.cumsum(entry_lengths)))
-    skills = columns.skill_ids[_runs(columns.offsets[records], entry_lengths)]
+    skills = posting_rows[columns.skill_ids[_runs(columns.offsets[records], entry_lengths)]]
     entry_records = np.repeat(np.arange(len(records)), entry_lengths)
     start = 0
     while start < len(rows):
@@ -235,13 +220,9 @@ def _score_load(
             size += lengths[stop]
             stop += 1
         first, last = offsets[start], offsets[stop]
-        lo, hi = entry_offsets[first], entry_offsets[last]
-        fan = fan_out[skills[lo:hi]]
+        lo, hi = np.searchsorted(entry_records, (first, last))
         relevant = np.zeros((size, len(taskspecs)), np.float32)
-        relevant[
-            np.repeat(entry_records[lo:hi] - first, fan),
-            task_cols[_runs(task_ptr[skills[lo:hi]], fan)],
-        ] = 1
+        relevant[posting_pairs(ptr, cols, entry_records[lo:hi] - first, skills[lo:hi])] = 1
         # rows [0, v) mark each volunteer's records, rows [v, 2v) its accepted ones
         v = stop - start
         members = np.zeros((2 * v, size), np.float32)

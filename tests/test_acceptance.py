@@ -270,7 +270,6 @@ def test_c05_similarity_math():
     toy = VectorizerModel(
         vocabulary={"ml": 0, "vision": 1},
         idf=np.array([1.0, 2.0]),
-        doc_count=3,
         settings=VectorizerSettings(use_stopwords=False),
     )
     weights = vectorize(toy, "ml ml vision").weights

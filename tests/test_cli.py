@@ -310,6 +310,14 @@ CONFIG_VALUE_ERRORS = {
     "remote_schema_version": {
         "extractor": {"remote": {"endpoint": "http://localhost:9", "schema_version": "v2"}}
     },
+    # each of these once got past load_config, or was reported as a TypeError
+    "remote_no_endpoint": {"extractor": {"remote": {"timeout": 3}}},
+    "remote_endpoint_number": {"extractor": {"remote": {"endpoint": 3}}},
+    "remote_endpoint_empty": {"extractor": {"remote": {"endpoint": ""}}},
+    "remote_endpoint_null": {"extractor": {"remote": {"endpoint": None, "retries": 1}}},
+    "remote_api_key_number": {
+        "extractor": {"remote": {"endpoint": "http://localhost:9", "api_key": 5}}
+    },
 }
 
 # the remote section is named like every other config section
@@ -323,6 +331,11 @@ REMOTE_SECTION_DETAILS = {
     "remote_schema_version": (
         "unknown keys ['schema_version'] in config section 'extractor.remote'"
     ),
+    "remote_no_endpoint": "extractor.remote endpoint must be a URL string, got None",
+    "remote_endpoint_number": "extractor.remote endpoint must be a URL string, got 3",
+    "remote_endpoint_empty": "extractor.remote endpoint must be a URL string, got ''",
+    "remote_endpoint_null": "extractor.remote endpoint must be a URL string, got None",
+    "remote_api_key_number": "extractor.remote api_key must be a string, got 5",
 }
 
 

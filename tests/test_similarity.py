@@ -17,7 +17,7 @@ from swati.similarity import (
     count_terms,
     fit_vectorizer,
     jaccard_matrix,
-    skill_incidence,
+    skill_postings,
     term_vectors,
     tokenize,
 )
@@ -95,7 +95,6 @@ def test_vectorize_hand_example_tf_weighting():
     model = VectorizerModel(
         vocabulary={"ml": 0, "vision": 1},
         idf=np.array([1.0, 2.0]),
-        doc_count=3,
         settings=VectorizerSettings(use_stopwords=False),
     )
     vec = vectorize(model, "ml ml vision")
@@ -113,11 +112,37 @@ def content_sim(a, b):
     return cosine_matrix([a], [b])[0, 0]
 
 
-def test_jaccard_matrix_is_pairwise():
-    volunteers = [frozenset("AB"), frozenset(), frozenset("ABCZ")]
-    tasks = [frozenset("A"), frozenset("BC"), frozenset()]
-    matrix = jaccard_matrix(volunteers, tasks)
-    assert matrix.tolist() == [[1 / 2, 1 / 3, 0.0], [0.0, 0.0, 0.0], [1 / 4, 2 / 4, 0.0]]
+@pytest.mark.parametrize(
+    "volunteers, tasks, expected",
+    [
+        (
+            ["AB", "", "ABCZ"],
+            ["A", "BC", ""],
+            [[1 / 2, 1 / 3, 0.0], [0.0, 0.0, 0.0], [1 / 4, 2 / 4, 0.0]],
+        ),
+        # an empty side: a (1, 0) result is a row block of no cells
+        (["A"], [], np.empty((1, 0))),
+        ([], ["A"], np.empty((0, 1))),
+        ([], [], np.empty((0, 0))),
+        # no task names a skill, so every skill is looked up in the empty postings row
+        (["AB", ""], ["", ""], [[0.0, 0.0], [0.0, 0.0]]),
+    ],
+)
+def test_jaccard_matrix_is_pairwise(volunteers, tasks, expected):
+    matrix = jaccard_matrix(list(map(frozenset, volunteers)), list(map(frozenset, tasks)))
+    assert matrix.shape == np.shape(expected)
+    assert matrix.tolist() == np.asarray(expected).tolist()
+
+
+@given(st.lists(st.frozensets(st.sampled_from("abcde"), max_size=4), max_size=6))
+def test_skill_postings_list_each_skills_tasks_in_order(task_skills):
+    ids, ptr, cols = skill_postings(task_skills)
+    assert set(ids) == set().union(*task_skills)
+    for name in "abcdef":  # f is required by no task
+        k = ids.get(name, len(ids))
+        assert cols[ptr[k] : ptr[k + 1]].tolist() == [
+            j for j, skills in enumerate(task_skills) if name in skills
+        ]
 
 
 def test_skill_sim_examples():
@@ -242,27 +267,6 @@ def test_vectorize_drops_unknown_terms_and_keeps_counts():
         assert got.weights.tobytes() == expected.weights.tobytes()
 
 
-def _incidence_row_by_row(skill_sets, index):
-    out = np.zeros((len(skill_sets), len(index)))
-    for i, skills in enumerate(skill_sets):
-        for skill in skills:
-            if skill in index:
-                out[i, index[skill]] = 1.0
-    return out
-
-
-@given(
-    st.lists(st.frozensets(st.sampled_from("abcdefg"), max_size=5), max_size=8),
-    st.frozensets(st.sampled_from("abcdeh"), max_size=6),
-)
-def test_skill_incidence_equals_row_by_row(skill_sets, indexed):
-    # skills f and g are never in the index; h is indexed but never named
-    index = {skill: k for k, skill in enumerate(sorted(indexed))}
-    expected = _incidence_row_by_row(skill_sets, index)
-    assert np.array_equal(skill_incidence(skill_sets, index), expected)
-    assert skill_incidence(skill_sets, index).dtype == np.float32
-
-
 _INVALID_VECTORS = [
     ([2, 1], [0.6, 0.8]),  # not increasing
     ([0, 1], [0.5, 0.5]),  # not unit norm
@@ -300,7 +304,7 @@ def test_batch_allows_indices_to_fall_between_vectors():
 @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1.0])
 def test_vectorizer_model_rejects_bad_idf(bad):
     with pytest.raises(ValueError):
-        VectorizerModel(vocabulary={"a": 0, "b": 1}, idf=np.array([1.0, bad]), doc_count=2)
+        VectorizerModel(vocabulary={"a": 0, "b": 1}, idf=np.array([1.0, bad]))
 
 
 # --- the batch counts and vectors against the per-document reference ---------

@@ -199,10 +199,11 @@ def test_tendency_matrix_equals_per_pair_reference(data):
     assert np.array_equal(got, _reference_tendency(profiles, tasks, rows))
 
 
-def test_tendency_matrix_blocks_at_full_size():
+@pytest.mark.parametrize("task_skills", [["A", "AB", "", "CD", "D", "ABCD"], ["", ""]])
+def test_tendency_matrix_blocks_at_full_size(task_skills):
     """Block edges at the module's block size: one history longer than a block,
     histories that fill several blocks, a shared history, no history, records
-    that no task names, and a task without skills."""
+    that no task names, and a task without skills, or only such tasks."""
     rng = random.Random(7)
 
     def rows(vid, n, skills="ABCDXY"):
@@ -227,7 +228,7 @@ def test_tendency_matrix_blocks_at_full_size():
     ]
     tasks = [
         TaskSpec(id=f"t{j}", required_skills=frozenset(skills), content_vector=SparseVector.empty())
-        for j, skills in enumerate(["A", "AB", "", "CD", "D", "ABCD"])
+        for j, skills in enumerate(task_skills)
     ]
     got = tendency_matrix(profiles, tasks, histories)
     assert np.array_equal(got, _reference_tendency(profiles, tasks, history_rows))
