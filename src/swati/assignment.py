@@ -31,6 +31,17 @@ from .extraction import Market, Profile, TaskSpec
 from .similarity import cosine_matrix, jaccard_matrix, row_blocks
 from .willingness import History, WillingnessParams, WillingnessState, willingness_matrix
 
+# Every swati digest goes through this SHA-256. CPython's built-in one gives
+# hashlib's bytes without mapping OpenSSL's libcrypto, a few MB resident. Bound
+# once: on 3.11 a failed import is not cached, and each retry scans sys.path.
+try:
+    from _sha2 import sha256  # CPython 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # CPython 3.10, 3.11
+    except ImportError:
+        from hashlib import sha256  # a build without the built-in hashes
+
 
 class UtilityForm(enum.Enum):
     PRODUCT = "product"
@@ -322,17 +333,6 @@ def canonical_assignment_bytes(assignment: Assignment) -> bytes:
         "pairs": [[p.volunteer_id, p.task_id, p.utility] for p in assignment.pairs],
     }
     return json.dumps(payload, sort_keys=True, separators=(",", ":")).encode("utf-8")
-
-
-def sha256(data: bytes):
-    """``hashlib.sha256(data)``, with hashlib imported at the first digest.
-
-    hashlib maps OpenSSL's libcrypto, a few MB resident, and ``match`` first
-    hashes after scoring, so importing it here keeps it off the scoring peak.
-    """
-    import hashlib
-
-    return hashlib.sha256(data)
 
 
 def assignment_digest(assignment: Assignment) -> bytes:

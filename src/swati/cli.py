@@ -14,6 +14,7 @@ import functools
 import gc
 import json
 import os
+import string
 import sys
 from dataclasses import asdict
 from typing import Optional, Sequence
@@ -264,12 +265,11 @@ def cmd_bench(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    try:
-        expected = bytes.fromhex(args.expect_head) if args.expect_head else None
-    except ValueError:
-        raise ConfigError(f"--expect-head must be hex, got {args.expect_head!r}") from None
+    head = args.expect_head  # "" is a head too, not "none given"
+    if head is not None and (len(head) != 64 or not set(head) <= set(string.hexdigits)):
+        raise ConfigError(f"--expect-head must be 64 hex digits, got {head!r}")
     ledger = load_ledger(args.ledger)
-    result = verify(ledger, expected_head=expected)
+    result = verify(ledger, expected_head=None if head is None else bytes.fromhex(head))
     print(
         json.dumps(
             {
@@ -328,7 +328,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="verify a ledger file")
     p_verify.add_argument("ledger", help="path to ledger.bin")
-    p_verify.add_argument("--expect-head", help="expected head digest (hex)")
+    p_verify.add_argument("--expect-head", help="expected head digest, 64 hex digits")
     p_verify.set_defaults(func=cmd_verify)
 
     return parser

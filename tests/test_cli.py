@@ -21,7 +21,7 @@ from swati.corpus import (
     save_corpus,
     save_history,
 )
-from swati.ledger import load_ledger
+from swati.ledger import Ledger, load_ledger, save_ledger
 
 
 def _sha(path):
@@ -490,14 +490,35 @@ def test_custom_config_overrides(tmp_path):
     assert rc == 0
 
 
-def test_verify_rejects_non_hex_head(tmp_path, capsys):
+# "" is what an unset shell variable passes; it must not skip the head check
+@pytest.mark.parametrize(
+    "head", ["zz", "", "00", "0" * 66, "0" * 62 + " 0"], ids=["zz", "empty", "00", "66", "space"]
+)
+def test_verify_rejects_a_head_that_is_not_64_hex_digits(tmp_path, capsys, head):
     gen = _gen(tmp_path)
     out = tmp_path / "match"
     main(["match", "--corpus", str(gen / "corpus.jsonl"), "--out", str(out)])
     capsys.readouterr()
-    rc = main(["verify", str(out / "ledger.bin"), "--expect-head", "zz"])
+    rc = main(["verify", str(out / "ledger.bin"), "--expect-head", head])
     assert rc == 2
     assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+    assert capsys.readouterr().out == ""
+
+
+def test_verify_pins_the_head_it_is_given(tmp_path, capsys):
+    gen = _gen(tmp_path)
+    out = tmp_path / "match"
+    main(["match", "--corpus", str(gen / "corpus.jsonl"), "--out", str(out)])
+    capsys.readouterr()
+    ledger_path = str(out / "ledger.bin")
+    assert main(["verify", ledger_path]) == 0
+    head = json.loads(capsys.readouterr().out)["head"]
+    assert main(["verify", ledger_path, "--expect-head", head.upper()]) == 0
+    capsys.readouterr()
+    short = str(tmp_path / "short.bin")
+    save_ledger(Ledger(load_ledger(ledger_path).records[:-1]), short)
+    assert main(["verify", short, "--expect-head", head]) == 1
+    assert json.loads(capsys.readouterr().out)["reason"] == "head mismatch"
 
 
 @pytest.mark.parametrize(
@@ -691,11 +712,12 @@ def test_a_bad_config_still_exits_2_with_one_json_line(tmp_path):
     assert proc.stdout == ""
 
 
-# --- hashlib at the first digest ------------------------------------------------
+# --- SHA-256 without OpenSSL ---------------------------------------------------
 
 # hashlib maps OpenSSL's libcrypto through ``_hashlib``; pytest has loaded it in
 # this process already, so each check runs in a fresh interpreter
 OPENSSL_MODULES = ("_hashlib", "ssl", "requests")
+PRINT_LOADED = f"print([m for m in {OPENSSL_MODULES!r} if m in sys.modules])\n"
 
 SCORE_PROBE = (
     "import sys\n"
@@ -715,12 +737,17 @@ SCORE_PROBE = (
     "print('_hashlib' in sys.modules)\n"
 )
 
+# runs ``swati`` with its arguments, then prints which OpenSSL modules are loaded
+CLI_PROBE = (
+    "import sys, swati.cli\n"
+    "code = swati.cli.main(sys.argv[1:])\n"
+    f"{PRINT_LOADED}"
+    "sys.exit(code)\n"
+)
+
 
 def test_importing_the_cli_loads_no_openssl(tmp_path):
-    proc = _python(
-        tmp_path, "-c",
-        f"import sys, swati.cli; print([m for m in {OPENSSL_MODULES!r} if m in sys.modules])",
-    )
+    proc = _python(tmp_path, "-c", f"import sys, swati.cli\n{PRINT_LOADED}")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
 
@@ -728,28 +755,46 @@ def test_importing_the_cli_loads_no_openssl(tmp_path):
 def test_scoring_a_market_with_history_loads_no_openssl(tmp_path):
     proc = _python(tmp_path, "-c", SCORE_PROBE)
     assert proc.returncode == 0, proc.stderr
-    # the first digest loads it, so the probe can see it
-    assert proc.stdout == "False\nTrue\n"
+    # the built-in SHA-256 needs no libcrypto, so hashing loads none either
+    assert proc.stdout == "False\nFalse\n"
 
 
-def test_match_loads_openssl_at_the_ledger(tmp_path):
+def test_match_and_verify_load_no_openssl(tmp_path):
     gen = _gen(tmp_path)
-    probe = (
-        "import sys\n"
-        "import swati.cli, swati.ledger\n"
-        "post_task = swati.ledger.Ledger.post_task\n"
-        "def first_post(self, *args, **kwargs):\n"
-        "    print('_hashlib' in sys.modules)\n"
-        "    swati.ledger.Ledger.post_task = post_task\n"
-        "    return post_task(self, *args, **kwargs)\n"
-        "swati.ledger.Ledger.post_task = first_post\n"
-        "code = swati.cli.main(sys.argv[1:])\n"
-        "print('_hashlib' in sys.modules)\n"
-        "sys.exit(code)\n"
-    )
-    args = _match_args(gen, _history_config(tmp_path, gen), tmp_path / "match")
-    proc = _python(tmp_path, "-c", probe, *args)
+    out = tmp_path / "match"
+    args = _match_args(gen, _history_config(tmp_path, gen), out)
+    proc = _python(tmp_path, "-c", CLI_PROBE, *args)
     assert proc.returncode == 0, proc.stderr
-    first, summary, last = proc.stdout.splitlines()
-    assert (first, last) == ("False", "True")
+    summary, loaded = proc.stdout.splitlines()
     assert summary.startswith("swati: total=")
+    assert loaded == "[]"
+    proc = _python(tmp_path, "-c", CLI_PROBE, "verify", str(out / "ledger.bin"))
+    assert proc.returncode == 0, proc.stderr
+    verdict, loaded = proc.stdout.splitlines()
+    assert json.loads(verdict)["ok"] is True
+    assert loaded == "[]"
+
+
+def _match_with_sha256(tmp_path, gen, name, setup=""):
+    """Run ``match`` after ``setup``; (is ``sha256`` hashlib's, ledger head)."""
+    probe = (
+        f"import sys, hashlib\n{setup}"
+        "import swati.cli\n"
+        "from swati.assignment import sha256\n"
+        "print(sha256 is hashlib.sha256)\n"
+        "sys.exit(swati.cli.main(sys.argv[1:]))\n"
+    )
+    out = tmp_path / name
+    proc = _python(tmp_path, "-c", probe, *_match_args(gen, _history_config(tmp_path, gen), out))
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[0], load_ledger(str(out / "ledger.bin")).head()
+
+
+def test_sha256_falls_back_to_hashlib_without_the_built_in_hashes(tmp_path):
+    gen = _gen(tmp_path)
+    builtin, builtin_head = _match_with_sha256(tmp_path, gen, "builtin")
+    # a None entry in sys.modules makes the import raise, as on a build without them
+    blocked = "sys.modules['_sha2'] = sys.modules['_sha256'] = None\n"
+    fallback, fallback_head = _match_with_sha256(tmp_path, gen, "fallback", blocked)
+    assert (builtin, fallback) == ("False", "True")
+    assert fallback_head == builtin_head

@@ -2,8 +2,10 @@ import dataclasses
 import hashlib
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from swati.assignment import Assignment, AssignedPair, assignment_digest
+from swati.assignment import Assignment, AssignedPair, assignment_digest, sha256
 from swati.errors import (
     DuplicateTaskError,
     IllegalTransitionError,
@@ -18,6 +20,27 @@ from swati.ledger import (
     save_ledger,
     verify,
 )
+
+
+# SHA-256 pads to 64-byte blocks: 55 bytes is the longest that leaves room for
+# the length in one block, so 55, 56, 63, 64 and 65 cross the padding's edges
+@settings(max_examples=300, deadline=None)
+@given(st.binary(max_size=200))
+@example(b"")
+@example(b"a" * 55)
+@example(b"b" * 56)
+@example(b"c" * 63)
+@example(b"d" * 64)
+@example(b"e" * 65)
+@example(bytes(range(200)))
+def test_sha256_matches_hashlib(data):
+    assert sha256(data).digest() == hashlib.sha256(data).digest()
+    assert sha256(data).hexdigest() == hashlib.sha256(data).hexdigest()
+
+
+def test_sha256_matches_hashlib_on_one_mebibyte():
+    data = (bytes(range(251)) * 4178)[: 1 << 20]  # a period prime to the block size
+    assert sha256(data).digest() == hashlib.sha256(data).digest()
 
 
 def _ledger_with_assignment():
