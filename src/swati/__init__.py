@@ -22,7 +22,6 @@ from .assignment import (
     assign_skill_only,
     assign_swati,
     match_market,
-    run_epoch,
     similarity_components,
     utility_matrix_from_components,
 )
@@ -70,11 +69,11 @@ from .willingness import (
     History,
     HistoryColumns,
     WillingnessParams,
-    WillingnessState,
     cue_score_matrix,
     histories_from_records,
     load_history,
     raw_willingness,
+    smooth,
     tendency_matrix,
     willingness_matrix,
 )

@@ -29,7 +29,7 @@ import numpy as np
 from .errors import ConfigError, DimensionError
 from .extraction import Market, Profile, TaskSpec
 from .similarity import cosine_matrix, jaccard_matrix, row_blocks
-from .willingness import History, WillingnessParams, WillingnessState, willingness_matrix
+from .willingness import History, WillingnessParams, smooth, willingness_matrix
 
 # Every swati digest goes through this SHA-256. CPython's built-in one gives
 # hashlib's bytes without mapping OpenSSL's libcrypto, a few MB resident. Bound
@@ -123,7 +123,8 @@ class UtilityMatrix:
             if len(set(ids)) < len(ids):
                 repeated = next(name for name, count in Counter(ids).items() if count > 1)
                 raise DimensionError(f"id {repeated!r} is repeated")
-        for name in ("utilities", "skill", "content", "willingness"):
+        # the components first, so an error names the input, not the product
+        for name in ("skill", "content", "willingness", "utilities"):
             arr = getattr(self, name)
             if arr.shape != shape:
                 raise DimensionError(f"{name} has shape {arr.shape}, expected {shape}")
@@ -359,51 +360,13 @@ def assign(
 
 @dataclass
 class EpochResult:
-    """What ``match_market`` returns: the last epoch's matrix, assignments and state."""
+    """What ``match_market`` returns: the last epoch's matrix and assignments."""
 
     matrix: UtilityMatrix
     assignments: dict[str, Assignment]
-    state: WillingnessState
-    # wall seconds of "similarity", "willingness" (before the last epoch's
-    # smoothing), "utility" (that smoothing and the matrix) and each method
+    # wall seconds of "similarity", "willingness" (the raw estimate and every
+    # epoch's smoothing), "utility" (the matrix) and each method
     seconds: dict[str, float]
-
-
-def run_epoch(
-    profiles: Sequence[Profile],
-    taskspecs: Sequence[TaskSpec],
-    skill: np.ndarray,
-    content: np.ndarray,
-    w_hat: np.ndarray,
-    caps: CapacityMap,
-    utility_params: UtilityParams,
-    willingness_params: WillingnessParams,
-    state: WillingnessState,
-    epoch: int = 0,
-    methods: Sequence[str] = ("swati",),
-    seed: Optional[int] = None,
-) -> EpochResult:
-    """One decision epoch: smooth willingness against state -> utilities -> each method.
-
-    ``skill`` and ``content`` are the market's ``similarity_components`` and
-    ``w_hat`` its raw ``willingness_matrix``; all three are fixed across epochs.
-    Each assignment is labelled with ``epoch``.
-    """
-    clock = time.perf_counter
-    start = clock()
-    volunteers = [p.id for p in profiles]
-    tasks = [t.id for t in taskspecs]
-    willingness = state.smooth(volunteers, tasks, w_hat, willingness_params)
-    matrix = utility_matrix_from_components(
-        volunteers, tasks, skill, content, willingness, utility_params
-    )
-    seconds = {"utility": clock() - start}
-    assignments = {}
-    for method in methods:
-        start = clock()
-        assignments[method] = replace(assign(method, matrix, caps, seed), epoch=epoch)
-        seconds[method] = clock() - start
-    return EpochResult(matrix=matrix, assignments=assignments, state=state, seconds=seconds)
 
 
 def match_market(
@@ -418,8 +381,9 @@ def match_market(
 ) -> EpochResult:
     """Score a market once, smooth its willingness over ``epochs``, run each method once.
 
-    Earlier epochs only advance the smoothing state, since their assignments
-    would never be read; every method assigns the last epoch's utilities.
+    Earlier epochs only advance the smoothing, since their assignments would
+    never be read; every method assigns the last epoch's utilities, and each
+    assignment is labelled with that epoch, ``epochs - 1``.
     """
     if epochs < 1:
         raise ConfigError("epochs must be >= 1")
@@ -430,16 +394,18 @@ def match_market(
     t1 = clock()
     # a Jaccard score is positive exactly where the pair shares a skill
     w_hat = willingness_matrix(profiles, taskspecs, histories, skill > 0, willingness_params)
-    volunteers = [p.id for p in profiles]
-    tasks = [t.id for t in taskspecs]
-    state = WillingnessState(volunteers, tasks)
+    willingness = w_hat
     for _ in range(epochs - 1):
-        state.smooth(volunteers, tasks, w_hat, willingness_params)
+        willingness = smooth(willingness, w_hat, willingness_params)
     t2 = clock()
-    result = run_epoch(
-        profiles, taskspecs, skill, content, w_hat, caps, utility_params,
-        willingness_params, state, epoch=epochs - 1, methods=methods, seed=seed,
+    matrix = utility_matrix_from_components(
+        [p.id for p in profiles], [t.id for t in taskspecs], skill, content, willingness,
+        utility_params,
     )
-    result.seconds["similarity"] = t1 - t0
-    result.seconds["willingness"] = t2 - t1
-    return result
+    seconds = {"similarity": t1 - t0, "willingness": t2 - t1, "utility": clock() - t2}
+    assignments = {}
+    for method in methods:
+        start = clock()
+        assignments[method] = replace(assign(method, matrix, caps, seed), epoch=epochs - 1)
+        seconds[method] = clock() - start
+    return EpochResult(matrix=matrix, assignments=assignments, seconds=seconds)

@@ -1,7 +1,9 @@
 """Command-line driver: gen, extract, match, bench, verify.
 
 Every command writes a ``manifest.json`` (config digest, input digests, seeds,
-package version, resolved arguments) sufficient to re-run it bit-identically.
+package version, resolved arguments). Its input digests cover the corpus and
+the ontology a command reads, not the files that ``history_path`` and
+``capacities.path`` name, so a manifest does not pin every input of ``match``.
 Commands never mutate their inputs, randomness only flows through explicit
 seeds, and failures exit nonzero with a machine-readable JSON error on stderr.
 """

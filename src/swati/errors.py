@@ -137,7 +137,7 @@ class RemoteTimeoutError(TransportError):
 
 
 class DimensionError(EngineError):
-    """Utility matrix construction needs at least one volunteer and one task."""
+    """A market or matrix is empty, has a mismatched shape or repeats an id."""
 
 
 class InconsistentInputError(EngineError):

@@ -95,44 +95,13 @@ class WillingnessParams:
             raise ConfigError("sigmoid_gain must be positive")
 
 
-class WillingnessState:
-    """Last smoothed willingness matrix of one market across decision epochs.
+def smooth(previous: np.ndarray, w_hat: np.ndarray, params: WillingnessParams) -> np.ndarray:
+    """Exponentially smooth the raw estimate ``w_hat`` against the previous epoch's matrix.
 
-    The state is created for fixed volunteer and task id orders and refuses
-    matrices scored for any other market. The scoring functions around it are
-    pure; this is the one mutable piece, with one writer per epoch.
+    A run starts from ``w_hat`` itself and smooths once per later epoch, so a
+    single-epoch run is smoothing-free.
     """
-
-    def __init__(self, volunteers: Sequence[str], tasks: Sequence[str]):
-        self.volunteers = tuple(volunteers)
-        self.tasks = tuple(tasks)
-        self.values: Optional[np.ndarray] = None
-
-    def smooth(
-        self,
-        volunteers: Sequence[str],
-        tasks: Sequence[str],
-        w_hat: np.ndarray,
-        params: WillingnessParams,
-    ) -> np.ndarray:
-        """Exponentially smooth ``w_hat`` against the stored matrix and store it.
-
-        The first epoch initializes directly from the raw estimate, so a
-        single-epoch run over a static corpus is smoothing-free.
-        """
-        if tuple(volunteers) != self.volunteers or tuple(tasks) != self.tasks:
-            raise DimensionError("willingness state belongs to other volunteer or task ids")
-        value = w_hat
-        if self.values is not None:
-            value = params.smoothing * self.values + (1.0 - params.smoothing) * w_hat
-        # written so that NaN fails it too
-        if value.size and not (value.min() >= 0.0 and value.max() <= 1.0):
-            raise ValueError("willingness out of [0, 1]")
-        self.values = value
-        return value
-
-    def __len__(self) -> int:
-        return 0 if self.values is None else self.values.size
+    return params.smoothing * previous + (1.0 - params.smoothing) * w_hat
 
 
 def cue_score_matrix(
@@ -261,10 +230,10 @@ def willingness_matrix(
 
     ``overlap[i, j]`` says whether volunteer i shares a skill with task j.
     The estimate depends only on the market, the history and ``params``, so a
-    multi-epoch run computes it once and smooths it per epoch with
-    ``WillingnessState.smooth``. The cue scores and the squash run per row
-    block, over the tendencies in place: every step is elementwise, so the
-    blocks give the whole matrix's values bit for bit.
+    multi-epoch run computes it once and smooths it per epoch with ``smooth``.
+    The cue scores and the squash run per row block, over the tendencies in
+    place: every step is elementwise, so the blocks give the whole matrix's
+    values bit for bit.
     """
     if not profiles or not taskspecs:
         raise DimensionError("need at least one volunteer and one task")

@@ -45,9 +45,10 @@ from swati.similarity import (
 )
 from swati.willingness import (
     WillingnessParams,
-    WillingnessState,
     histories_from_records,
     raw_willingness,
+    smooth,
+    willingness_matrix,
 )
 from swati.corpus import Corpus, Document
 
@@ -278,7 +279,7 @@ def test_c05_similarity_math():
     _verdict("C5 similarity math", all(checks), f"{sum(checks)}/{len(checks)} checks")
 
 
-def test_c06_willingness_math():
+def test_c06_willingness_math(builtin_ontology):
     params = WillingnessParams()
     checks = []
     checks.append(abs(raw_willingness(0.5, 0.5, params) - 0.5) <= 1e-12)
@@ -288,12 +289,18 @@ def test_c06_willingness_math():
     checks.append(
         abs(raw_willingness(0.0, 0.0, params) - 1 / (1 + math.exp(2))) <= 1e-12
     )
-    state = WillingnessState(["v"], ["t"])
-    state.smooth(["v"], ["t"], np.array([[0.4]]), params)
-    smoothed = state.smooth(["v"], ["t"], np.array([[0.8]]), params)
+    smoothed = smooth(np.array([[0.4]]), np.array([[0.8]]), params)
     checks.append(abs(smoothed[0, 0] - 0.52) <= 1e-12)
-    fresh = WillingnessState(["v"], ["t"])
-    checks.append(fresh.smooth(["v"], ["t"], np.array([[0.7]]), params)[0, 0] == 0.7)
+    # the first epoch takes the raw estimate
+    cfg = SyntheticConfig(seed=1, n_volunteers=6, n_tasks=5, **TEST_MARKET_SHAPE)
+    corpus = generate_synthetic(cfg, builtin_ontology)
+    histories = histories_from_records(generate_synthetic_history(cfg, corpus, builtin_ontology))
+    market = build_market(corpus, builtin_ontology)
+    first = match_market(market, histories, CapacityMap(), UtilityParams(), params, epochs=1)
+    raw = willingness_matrix(
+        market.profiles, market.taskspecs, histories, first.matrix.skill > 0, params
+    )
+    checks.append(first.matrix.willingness.tobytes() == raw.tobytes())
 
     grid = np.linspace(0.0, 1.0, 10)
     monotone = True

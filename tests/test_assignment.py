@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -15,13 +16,13 @@ from swati.assignment import (
     UtilityForm,
     UtilityMatrix,
     UtilityParams,
+    assign,
     assign_random,
     assign_skill_only,
     assign_swati,
     assignment_digest,
     canonical_assignment_bytes,
     match_market,
-    run_epoch,
     similarity_components,
     utility_matrix_from_components,
 )
@@ -31,8 +32,8 @@ from swati.extraction import Market, PreferenceCues, Profile, TaskSpec, build_ma
 from swati.similarity import SparseVector
 from swati.willingness import (
     WillingnessParams,
-    WillingnessState,
     histories_from_records,
+    smooth,
     willingness_matrix,
 )
 
@@ -65,10 +66,6 @@ def _matrix(utilities, skill=None, content=None, willingness=None, params=None):
 
 def _pairs(assignment):
     return {(p.volunteer_id, p.task_id) for p in assignment.pairs}
-
-
-def _state(profiles, taskspecs):
-    return WillingnessState([p.id for p in profiles], [t.id for t in taskspecs])
 
 
 def _match(market, histories, params, epochs=1):
@@ -104,6 +101,17 @@ def test_compute_utility_hand_value():
 def test_matrix_rejects_values_outside_unit_interval(bad):
     with pytest.raises(ValueError):
         _matrix([[0.5, bad]])
+
+
+@pytest.mark.parametrize("bad", [1.5, -0.1, np.nan])
+def test_matrix_rejects_willingness_outside_unit_interval(bad):
+    """The only check on smoothed willingness names it, also where the utilities inherit it."""
+    valid = np.full((1, 2), 0.5)
+    willingness = np.array([[0.5, bad]])
+    with pytest.raises(ValueError, match="^willingness "):
+        UtilityMatrix(("v1",), ("t1", "t2"), valid, valid, valid, willingness)
+    with pytest.raises(ValueError, match="^willingness "):
+        _matrix(valid, willingness=willingness)
 
 
 def test_utility_params_validation():
@@ -162,14 +170,15 @@ def test_matrix_matches_scalar_composition(builtin_ontology):
     # a different history weight per epoch makes the raw estimates move, so
     # smoothing combines distinct previous and new values
     epoch_params = [WillingnessParams(history_weight=hw) for hw in (0.5, 0.2, 0.9)]
+    volunteers, tasks = [p.id for p in profiles], [t.id for t in taskspecs]
     for form in UtilityForm:
         up = UtilityParams(skill_weight=0.6, content_weight=0.4, form=form)
-        state, ref_state = _state(profiles, taskspecs), {}
-        for epoch, wp in enumerate(epoch_params):
+        willingness, ref_state = None, {}
+        for wp in epoch_params:
             w_hat = willingness_matrix(profiles, taskspecs, histories, skill > 0, wp)
-            result = run_epoch(
-                profiles, taskspecs, skill, content, w_hat, CapacityMap(), up, wp,
-                state, epoch=epoch,
+            willingness = w_hat if willingness is None else smooth(willingness, w_hat, wp)
+            matrix = utility_matrix_from_components(
+                volunteers, tasks, skill, content, willingness, up
             )
             s_ref, c_ref, w_ref, u_ref = (np.empty(shape) for _ in range(4))
             for i, prof in enumerate(profiles):
@@ -181,30 +190,25 @@ def test_matrix_matches_scalar_composition(builtin_ontology):
                     # the reference cosine may differ from the BLAS product in
                     # the last bits, so utilities use the kernel's content
                     u_ref[i, j] = ref.compute_utility(s_ref[i, j], content[i, j], w_ref[i, j], up)
-            matrix = result.matrix
             assert np.array_equal(matrix.skill, s_ref)
             assert np.array_equal(matrix.willingness, w_ref)
             assert np.array_equal(matrix.utilities, u_ref)
             assert np.allclose(matrix.content, c_ref, rtol=0.0, atol=1e-12)
-            assert len(state) == len(ref_state)
+            assert len(ref_state) == skill.size
 
 
 def test_hoisted_raw_willingness_reproduces_epoch_states(builtin_ontology):
-    """Raw willingness scored once per market gives every epoch's state bit for bit.
+    """Raw willingness scored once per market gives every epoch's matrix bit for bit.
 
     The reference rescores each pair from its cues and history in every epoch
     and smooths it against the previous epoch, as ``match`` did before.
     """
     profiles, taskspecs, histories, records = _reference_market(builtin_ontology)
-    skill, content = similarity_components(profiles, taskspecs)
+    market = Market(profiles=tuple(profiles), taskspecs=tuple(taskspecs))
     params = WillingnessParams(smoothing=0.6)
-    w_hat = willingness_matrix(profiles, taskspecs, histories, skill > 0, params)
-    state, ref_state = _state(profiles, taskspecs), {}
+    ref_state = {}
     for epoch in range(3):
-        result = run_epoch(
-            profiles, taskspecs, skill, content, w_hat, CapacityMap(), UtilityParams(),
-            params, state, epoch=epoch,
-        )
+        result = _match(market, histories, params, epochs=epoch + 1)
         expected = np.array(
             [
                 [
@@ -216,8 +220,7 @@ def test_hoisted_raw_willingness_reproduces_epoch_states(builtin_ontology):
                 for prof in profiles
             ]
         )
-        assert np.array_equal(state.values, expected)
-        assert result.matrix.willingness is state.values
+        assert np.array_equal(result.matrix.willingness, expected)
         assert result.assignments["swati"].epoch == epoch
 
 
@@ -799,13 +802,22 @@ def _epoch_inputs(builtin_ontology, seed=23, n=6, m=5):
     return market, histories_from_records(rows)
 
 
-def test_run_epoch_digest_is_stable(builtin_ontology):
+def test_match_market_digest_is_stable(builtin_ontology):
     market, histories = _epoch_inputs(builtin_ontology)
     digests = []
     for _ in range(2):
         result = _match(market, histories, WillingnessParams())
         digests.append(assignment_digest(result.assignments["swati"]))
     assert digests[0] == digests[1]
+
+
+def test_first_epoch_takes_the_raw_estimate(builtin_ontology):
+    market, histories = _epoch_inputs(builtin_ontology)
+    params = WillingnessParams(smoothing=0.6)
+    result = _match(market, histories, params, epochs=1)
+    skill, _ = similarity_components(market.profiles, market.taskspecs)
+    w_hat = willingness_matrix(market.profiles, market.taskspecs, histories, skill > 0, params)
+    assert result.matrix.willingness.tobytes() == w_hat.tobytes()
 
 
 @pytest.mark.parametrize("smoothing", [0.0, 1.0, 0.7])
@@ -828,17 +840,24 @@ def test_match_market_equals_the_epoch_loop(builtin_ontology):
     )
     skill, content = similarity_components(market.profiles, market.taskspecs)
     w_hat = willingness_matrix(market.profiles, market.taskspecs, histories, skill > 0, params)
-    state = _state(market.profiles, market.taskspecs)
+    volunteers = [p.id for p in market.profiles]
+    tasks = [t.id for t in market.taskspecs]
+    willingness = w_hat
     for epoch in range(3):
-        expected = run_epoch(
-            market.profiles, market.taskspecs, skill, content, w_hat, caps, UtilityParams(),
-            params, state, epoch=epoch, methods=METHODS, seed=4,
+        if epoch:
+            willingness = smooth(willingness, w_hat, params)
+        matrix = utility_matrix_from_components(
+            volunteers, tasks, skill, content, willingness, UtilityParams()
         )
-    assert np.array_equal(result.matrix.utilities, expected.matrix.utilities)
-    assert result.assignments == expected.assignments
+        expected = {
+            method: replace(assign(method, matrix, caps, seed=4), epoch=epoch)
+            for method in METHODS
+        }
+    assert np.array_equal(result.matrix.utilities, matrix.utilities)
+    assert np.array_equal(result.matrix.willingness, willingness)
+    assert result.assignments == expected
     assert list(result.assignments) == list(METHODS)
     assert all(a.epoch == 2 for a in result.assignments.values())
-    assert len(result.state) == skill.size
 
 
 @pytest.mark.parametrize("method, calls", [("swati", 1), ("skill", 0)])

@@ -16,11 +16,11 @@ from swati.willingness import (
     History,
     HistoryColumns,
     WillingnessParams,
-    WillingnessState,
     cue_score_matrix,
     histories_from_records,
     load_history,
     raw_willingness,
+    smooth,
     tendency_matrix,
     willingness_matrix,
 )
@@ -55,15 +55,9 @@ def _history_tendency(records, task):
     return tendency_matrix([_profile(PreferenceCues())], [task], histories)[0, 0]
 
 
-def _state_with(value):
-    """State for the single pair (v1, t1) holding ``value`` from an earlier epoch."""
-    state = WillingnessState(["v1"], ["t1"])
-    state.smooth(["v1"], ["t1"], np.array([[value]]), WillingnessParams())
-    return state
-
-
-def _smooth(state, w_hat, params):
-    return state.smooth(["v1"], ["t1"], np.array([[w_hat]]), params)[0, 0]
+def _smooth(previous, w_hat, params):
+    """One pair's willingness after an epoch that held ``previous`` and now estimates ``w_hat``."""
+    return smooth(np.array([[previous]]), np.array([[w_hat]]), params)[0, 0]
 
 
 def test_cue_vector_zeros():
@@ -268,32 +262,26 @@ def test_raw_willingness_history_only_mixing():
         assert raw_willingness(0.3, f, params) == pytest.approx(expected, abs=1e-12)
 
 
-def test_smooth_first_epoch_initializes_from_raw():
-    state = WillingnessState(["v1"], ["t1"])
-    assert len(state) == 0
-    assert _smooth(state, 0.7, WillingnessParams()) == 0.7
-    assert state.values.tolist() == [[0.7]]
-    assert len(state) == 1
-
-
 def test_smooth_convex_combination():
-    state = _state_with(0.4)
     params = WillingnessParams(smoothing=0.7)
-    value = _smooth(state, 0.8, params)
-    assert value == pytest.approx(0.52, abs=1e-12)
-    assert state.values[0, 0] == pytest.approx(0.52, abs=1e-12)
+    assert _smooth(0.4, 0.8, params) == pytest.approx(0.52, abs=1e-12)
+
+
+def test_smooth_leaves_its_inputs_unchanged():
+    previous, w_hat = np.array([[0.4]]), np.array([[0.8]])
+    smooth(previous, w_hat, WillingnessParams())
+    assert previous.tolist() == [[0.4]] and w_hat.tolist() == [[0.8]]
 
 
 def test_smoothing_one_freezes_state():
-    state = _state_with(0.4)
     params = WillingnessParams(smoothing=1.0)
-    assert _smooth(state, 0.9, params) == pytest.approx(0.4)
+    assert _smooth(0.4, 0.9, params) == pytest.approx(0.4)
 
 
 @given(st.floats(0, 1), st.floats(0, 1))
 def test_smoothing_zero_is_identity(prev, w_hat):
     params = WillingnessParams(smoothing=0.0)
-    assert _smooth(_state_with(prev), w_hat, params) == w_hat
+    assert _smooth(prev, w_hat, params) == w_hat
 
 
 @given(st.floats(0, 1), st.floats(0, 1))
@@ -304,8 +292,8 @@ def test_raw_willingness_closure(g, f):
 @given(st.floats(0, 1), st.floats(0, 1), st.floats(0, 1), st.floats(0, 1), st.floats(0, 1))
 def test_smoothing_contraction(prev_a, prev_b, hat_a, hat_b, lam):
     params = WillingnessParams(smoothing=lam)
-    out_a = _smooth(_state_with(prev_a), hat_a, params)
-    out_b = _smooth(_state_with(prev_b), hat_b, params)
+    out_a = _smooth(prev_a, hat_a, params)
+    out_b = _smooth(prev_b, hat_b, params)
     bound = lam * abs(prev_a - prev_b) + (1 - lam) * abs(hat_a - hat_b)
     assert abs(out_a - out_b) <= bound + 1e-12
 
@@ -337,31 +325,13 @@ def test_params_validation(kwargs):
         WillingnessParams(**kwargs)
 
 
-def test_state_rejects_out_of_range():
-    state = WillingnessState(["v"], ["t"])
-    with pytest.raises(ValueError):
-        state.smooth(["v"], ["t"], np.array([[1.5]]), WillingnessParams())
-    with pytest.raises(ValueError):
-        state.smooth(["v"], ["t"], np.array([[np.nan]]), WillingnessParams())
-    assert len(state) == 0
-
-
-def test_state_rejects_other_market():
-    state = WillingnessState(["v1", "v2"], ["t1"])
-    with pytest.raises(DimensionError):
-        state.smooth(["v2", "v1"], ["t1"], np.full((2, 1), 0.5), WillingnessParams())
-
-
-def test_pair_willingness_composes_and_stores():
+def test_pair_willingness_composes():
     cues = PreferenceCues(1.0, 1.0, 1.0, 1.0, 1.0)
     value = willingness_matrix(
         [_profile(cues, {"A"})], [_task({"A"})], None, np.array([[True]]), WillingnessParams()
     )
     # g = 0.5 prior, f = 1.0 -> mix 0.75 -> sigma(1)
     assert value[0, 0] == pytest.approx(1.0 / (1.0 + math.exp(-1.0)), abs=1e-12)
-    state = WillingnessState(["v1"], ["t1"])
-    assert state.smooth(["v1"], ["t1"], value, WillingnessParams()) is value
-    assert state.values is value
 
 
 def _write_rows(path, rows):
