@@ -46,8 +46,6 @@ from .extraction import (
     SkillMention,
     TaskSpec,
     build_market,
-    build_profile,
-    build_taskspec,
     extract_corpus,
     extract_remote,
     extract_rule_based,
@@ -58,7 +56,7 @@ from .ledger import Ledger, LedgerRecord, TaskState, VerifyResult, load_ledger, 
 from .metrics import QualityReport, TimingReport, bench_scaling, quality, utility_cdf
 from .ontology import Ontology, SkillEntry, load_builtin_ontology, load_ontology
 from .similarity import (
-    SparseVector,
+    SparseRows,
     VectorizerModel,
     VectorizerSettings,
     cosine_matrix,

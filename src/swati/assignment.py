@@ -27,7 +27,7 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from .errors import ConfigError, DimensionError
-from .extraction import Market, Profile, TaskSpec
+from .extraction import Market
 from .similarity import cosine_matrix, jaccard_matrix, row_blocks
 from .willingness import History, WillingnessParams, smooth, willingness_matrix
 
@@ -184,20 +184,16 @@ def utility_matrix_from_components(
     )
 
 
-def similarity_components(
-    profiles: Sequence[Profile], taskspecs: Sequence[TaskSpec]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Pairwise skill-Jaccard and content-cosine matrices.
+def similarity_components(market: Market) -> tuple[np.ndarray, np.ndarray]:
+    """The market's pairwise skill-Jaccard and content-cosine matrices.
 
     Both depend only on the market, so a multi-epoch run computes them once.
     """
+    profiles, taskspecs = market.profiles, market.taskspecs
     if not profiles or not taskspecs:
         raise DimensionError("need at least one volunteer and one task")
     skill = jaccard_matrix([p.skills for p in profiles], [t.required_skills for t in taskspecs])
-    content = cosine_matrix(
-        [p.content_vector for p in profiles], [t.content_vector for t in taskspecs]
-    )
-    return skill, content
+    return skill, cosine_matrix(market.volunteer_vectors, market.task_vectors)
 
 
 def _id_ranks(ids: Sequence[str]) -> np.ndarray:
@@ -390,7 +386,7 @@ def match_market(
     profiles, taskspecs = market.profiles, market.taskspecs
     clock = time.perf_counter
     t0 = clock()
-    skill, content = similarity_components(profiles, taskspecs)
+    skill, content = similarity_components(market)
     t1 = clock()
     # a Jaccard score is positive exactly where the pair shares a skill
     w_hat = willingness_matrix(profiles, taskspecs, histories, skill > 0, willingness_params)

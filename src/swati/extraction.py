@@ -32,13 +32,7 @@ import numpy as np
 from .corpus import Document
 from .errors import ConfigError, RemoteTimeoutError, SchemaViolationError, TransportError
 from .ontology import _STRIP_CHARS, Ontology, normalize_skill
-from .similarity import (
-    SparseVector,
-    VectorizerSettings,
-    count_terms,
-    fit_vectorizer,
-    term_vectors,
-)
+from .similarity import SparseRows, VectorizerSettings, count_terms, fit_vectorizer, term_vectors
 
 SCHEMA_VERSION = "v1"
 
@@ -177,22 +171,20 @@ class ExtractionResult:
 
 @dataclass(frozen=True)
 class Profile:
-    """A matching-ready volunteer: canonical skills, content vector, cues and history key."""
+    """A matching-ready volunteer: canonical skills, cues and history key."""
 
     id: str
     skills: frozenset[str]
-    content_vector: SparseVector
     cues: PreferenceCues
     history_ref: Optional[str] = None
 
 
 @dataclass(frozen=True)
 class TaskSpec:
-    """A matching-ready task: required canonical skills and content vector."""
+    """A matching-ready task: required canonical skills."""
 
     id: str
     required_skills: frozenset[str]
-    content_vector: SparseVector
 
 
 def _trim_span(text: str, start: int, end: int) -> tuple[int, int]:
@@ -557,38 +549,18 @@ def extract_remote(
 # --- profile construction and statistics ----------------------------------
 
 
-def _skills(doc: Document, ex: ExtractionResult, ontology: Ontology) -> frozenset[str]:
-    if ex.doc_id != doc.id:
-        raise ValueError(f"extraction {ex.doc_id!r} does not match document {doc.id!r}")
-    return frozenset(ontology.canonicalize_set(m.raw for m in ex.mentions))
-
-
-def build_profile(
-    doc: Document, ex: ExtractionResult, ontology: Ontology, vector: SparseVector
-) -> Profile:
-    """The volunteer's profile; ``vector`` is ``doc``'s content vector."""
-    return Profile(
-        id=doc.id,
-        skills=_skills(doc, ex, ontology),
-        content_vector=vector,
-        cues=ex.cues,
-        history_ref=doc.meta.get("history_ref", doc.id),
-    )
-
-
-def build_taskspec(
-    doc: Document, ex: ExtractionResult, ontology: Ontology, vector: SparseVector
-) -> TaskSpec:
-    """The task's spec; ``vector`` is ``doc``'s content vector."""
-    return TaskSpec(id=doc.id, required_skills=_skills(doc, ex, ontology), content_vector=vector)
-
-
 @dataclass(frozen=True)
 class Market:
-    """The extracted volunteer profiles and task specs of one corpus."""
+    """The extracted volunteer profiles and task specs of one corpus, with their content vectors.
+
+    Row i of ``volunteer_vectors`` is profile i's content vector, and row j of
+    ``task_vectors`` is task spec j's.
+    """
 
     profiles: tuple[Profile, ...]
     taskspecs: tuple[TaskSpec, ...]
+    volunteer_vectors: SparseRows
+    task_vectors: SparseRows
 
 
 def build_market(
@@ -612,20 +584,28 @@ def build_market(
     results = extractor(docs, ontology)
     if len(results) != len(docs):
         raise ValueError(f"extractor returned {len(results)} results for {len(docs)} documents")
+    skills = []
+    for doc, res in zip(docs, results):
+        if res.doc_id != doc.id:
+            raise ValueError(f"extraction {res.doc_id!r} does not match document {doc.id!r}")
+        skills.append(frozenset(ontology.canonicalize_set(m.raw for m in res.mentions)))
     n_volunteers = len(corpus.volunteers)
     return Market(
         profiles=tuple(
-            build_profile(doc, res, ontology, vector)
-            for doc, res, vector in zip(
-                corpus.volunteers, results[:n_volunteers], vectors[:n_volunteers]
+            Profile(
+                id=doc.id,
+                skills=skills[i],
+                cues=results[i].cues,
+                history_ref=doc.meta.get("history_ref", doc.id),
             )
+            for i, doc in enumerate(corpus.volunteers)
         ),
         taskspecs=tuple(
-            build_taskspec(doc, res, ontology, vector)
-            for doc, res, vector in zip(
-                corpus.tasks, results[n_volunteers:], vectors[n_volunteers:]
-            )
+            TaskSpec(id=doc.id, required_skills=skills[n_volunteers + j])
+            for j, doc in enumerate(corpus.tasks)
         ),
+        volunteer_vectors=vectors.rows(0, n_volunteers),
+        task_vectors=vectors.rows(n_volunteers, len(docs)),
     )
 
 

@@ -73,71 +73,59 @@ def tokenize(text: str, settings: VectorizerSettings = VectorizerSettings()) -> 
     return out
 
 
-def _checked_vectors(indices, weights, offsets) -> tuple[np.ndarray, np.ndarray]:
-    """``indices`` as int64 and ``weights`` as float64, checked as a batch of vectors.
-
-    Vector d is the slice ``offsets[d]:offsets[d + 1]`` of both arrays. Raises
-    ``ValueError`` unless the arrays align, every index is a non-negative
-    integer, each vector's indices strictly increase, every weight is finite
-    and each non-empty vector has unit L2 norm within 1e-9.
-    """
-    indices, weights = np.asarray(indices), np.asarray(weights, dtype=np.float64)
-    if indices.shape != weights.shape or indices.ndim != 1:
-        raise ValueError("indices and weights must be aligned 1-D arrays")
-    if indices.size and indices.dtype.kind not in "iu":
-        raise ValueError("indices must be integers")
-    indices = indices.astype(np.int64, copy=False)
-    if np.any(indices < 0):
-        raise ValueError("indices must be non-negative")
-    offsets = np.asarray(offsets)
-    starts = offsets[:-1][np.diff(offsets) > 0]  # the first entry of each non-empty vector
-    rising = np.diff(indices) > 0
-    rising[starts[1:] - 1] = True  # a step into the next vector may fall
-    if not np.all(rising):
-        raise ValueError("indices must be strictly increasing")
-    if not np.all(np.isfinite(weights)):
-        raise ValueError("weights must be finite")
-    if len(starts):
-        norms = np.sqrt(np.add.reduceat(weights * weights, starts))
-        if np.any(np.abs(norms - 1.0) > 1e-9):
-            raise ValueError("non-empty vectors must have unit L2 norm")
-    return indices, weights
-
-
 @dataclass(eq=False)
-class SparseVector:
-    """Unit-norm sparse vector as parallel (index, weight) arrays."""
+class SparseRows:
+    """Unit-norm sparse rows in CSR form, ``indices`` as int64 and ``weights`` as float64.
+
+    Row r is the slice ``offsets[r]:offsets[r + 1]`` of both arrays. Raises
+    ``ValueError`` unless the offsets are 1-D integers that start at 0, never
+    decrease and end at the number of entries, the arrays align, every index
+    is a non-negative integer, each row's indices strictly increase, every
+    weight is finite and each non-empty row has unit L2 norm within 1e-9.
+    """
 
     indices: np.ndarray
     weights: np.ndarray
+    offsets: np.ndarray
 
     def __post_init__(self):
-        self.indices, self.weights = _checked_vectors(
-            self.indices, self.weights, [0, np.size(self.indices)]
+        indices, weights = np.asarray(self.indices), np.asarray(self.weights, dtype=np.float64)
+        if indices.shape != weights.shape or indices.ndim != 1:
+            raise ValueError("indices and weights must be aligned 1-D arrays")
+        if indices.size and indices.dtype.kind not in "iu":
+            raise ValueError("indices must be integers")
+        indices = indices.astype(np.int64, copy=False)
+        if np.any(indices < 0):
+            raise ValueError("indices must be non-negative")
+        offsets = np.asarray(self.offsets)
+        if offsets.ndim != 1 or not offsets.size or offsets.dtype.kind not in "iu":
+            raise ValueError("offsets must be a non-empty 1-D array of integers")
+        offsets = offsets.astype(np.int64, copy=False)
+        lengths = np.diff(offsets)
+        if offsets[0] != 0 or offsets[-1] != len(indices) or np.any(lengths < 0):
+            raise ValueError("offsets must rise from 0 to the number of entries")
+        starts = offsets[:-1][lengths > 0]  # the first entry of each non-empty row
+        rising = np.diff(indices) > 0
+        rising[starts[1:] - 1] = True  # a step into the next row may fall
+        if not np.all(rising):
+            raise ValueError("indices must be strictly increasing")
+        if not np.all(np.isfinite(weights)):
+            raise ValueError("weights must be finite")
+        if len(starts):
+            norms = np.sqrt(np.add.reduceat(weights * weights, starts))
+            if np.any(np.abs(norms - 1.0) > 1e-9):
+                raise ValueError("non-empty rows must have unit L2 norm")
+        self.indices, self.weights, self.offsets = indices, weights, offsets
+
+    def __len__(self) -> int:
+        return len(self.offsets) - 1
+
+    def rows(self, start: int, stop: int) -> "SparseRows":
+        """Rows ``start`` up to ``stop``; their indices and weights are views into these."""
+        lo, hi = self.offsets[start], self.offsets[stop]
+        return SparseRows(
+            self.indices[lo:hi], self.weights[lo:hi], self.offsets[start : stop + 1] - lo
         )
-
-    @classmethod
-    def batch(cls, indices, weights, offsets) -> list["SparseVector"]:
-        """One vector per slice ``offsets[d]:offsets[d + 1]``, checked once as a batch.
-
-        The checks are the constructor's; each vector's arrays are views into
-        the batch's.
-        """
-        indices, weights = _checked_vectors(indices, weights, offsets)
-        vectors = []
-        bounds = np.asarray(offsets).tolist()
-        for start, stop in zip(bounds, bounds[1:]):
-            vector = cls.__new__(cls)
-            vector.indices, vector.weights = indices[start:stop], weights[start:stop]
-            vectors.append(vector)
-        return vectors
-
-    @classmethod
-    def empty(cls) -> "SparseVector":
-        return cls(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64))
-
-    def is_empty(self) -> bool:
-        return len(self.indices) == 0
 
 
 @dataclass
@@ -226,8 +214,8 @@ def fit_vectorizer(
     return VectorizerModel(vocabulary=vocabulary, idf=idf, settings=settings)
 
 
-def term_vectors(model: VectorizerModel, terms: TermCounts) -> list[SparseVector]:
-    """Raw term counts times idf, L2-normalized, per counted document in order.
+def term_vectors(model: VectorizerModel, terms: TermCounts) -> SparseRows:
+    """Raw term counts times idf, L2-normalized: one row per counted document, in order.
 
     Out-of-vocabulary terms are dropped; a document with none left is empty.
     All documents' (column, count) pairs are sorted by (document, column) at
@@ -252,7 +240,7 @@ def term_vectors(model: VectorizerModel, terms: TermCounts) -> list[SparseVector
     for d in np.flatnonzero(lengths).tolist():
         norms[d] = np.linalg.norm(weights[bounds[d] : bounds[d + 1]])
     weights /= np.repeat(norms, lengths)
-    return SparseVector.batch(indices, weights, offsets)
+    return SparseRows(indices, weights, offsets)
 
 
 def _runs(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -322,25 +310,20 @@ def jaccard_matrix(
     return out
 
 
-def cosine_matrix(
-    volunteer_vectors: Sequence[SparseVector], task_vectors: Sequence[SparseVector]
-) -> np.ndarray:
-    """Pairwise content cosine, clipped to [0, 1]; empty vectors score 0.
+def cosine_matrix(volunteers: SparseRows, tasks: SparseRows) -> np.ndarray:
+    """Pairwise content cosine of the rows, clipped to [0, 1]; empty rows score 0.
 
     One dense product over the columns up to the highest index in use,
-    clipped in place. Its last bits depend on the operands' shapes and on the
-    BLAS thread count, so unlike the other n x m stages it is not blocked:
-    its dense (n + m) x vocabulary operands are the one transient beside the
-    array it returns.
+    clipped in place. Each dense operand is filled by one scatter of its
+    rows' entries. The product's last bits depend on the operands' shapes and
+    on the BLAS thread count, so unlike the other n x m stages it is not
+    blocked: its dense (n + m) x vocabulary operands are the one transient
+    beside the array it returns.
     """
-    size = 0
-    for vec in [*volunteer_vectors, *task_vectors]:
-        if len(vec.indices):
-            size = max(size, int(vec.indices[-1]) + 1)
-    xv = np.zeros((len(volunteer_vectors), size))
-    xt = np.zeros((len(task_vectors), size))
-    for x, vectors in ((xv, volunteer_vectors), (xt, task_vectors)):
-        for i, vec in enumerate(vectors):
-            x[i, vec.indices] = vec.weights
+    sides = (volunteers, tasks)
+    size = max((int(rows.indices.max()) + 1 for rows in sides if rows.indices.size), default=0)
+    xv, xt = (np.zeros((len(rows), size)) for rows in sides)
+    for x, rows in zip((xv, xt), sides):
+        x[np.repeat(np.arange(len(rows)), np.diff(rows.offsets)), rows.indices] = rows.weights
     out = xv @ xt.T
     return np.clip(out, 0.0, 1.0, out=out)

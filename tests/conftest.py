@@ -1,7 +1,8 @@
+import numpy as np
 import pytest
 
 from swati.ontology import Ontology, SkillEntry, load_builtin_ontology
-from swati.similarity import count_terms, term_vectors
+from swati.similarity import SparseRows, count_terms, term_vectors
 
 # The shape of every generated test market: narrower skill ranges and denser
 # cues than ``SyntheticConfig``'s defaults. Tests pass it explicitly, so their
@@ -14,8 +15,23 @@ TEST_MARKET_SHAPE = {
 
 
 def vectorize(model, text):
-    """``text``'s content vector, built by the engine's batch path as a batch of one."""
-    return term_vectors(model, count_terms([text], model.settings))[0]
+    """``text``'s content vector, built by the engine's batch path as a batch of one row."""
+    return term_vectors(model, count_terms([text], model.settings))
+
+
+def sparse_rows(rows):
+    """One ``SparseRows`` of ``(indices, weights)`` pairs, a pair per row."""
+    rows = list(rows)
+    return SparseRows(
+        np.array([i for indices, _ in rows for i in indices], dtype=np.int64),
+        np.array([w for _, weights in rows for w in weights], dtype=np.float64),
+        np.cumsum([0, *(len(indices) for indices, _ in rows)]),
+    )
+
+
+def row_list(rows):
+    """Each row of a ``SparseRows`` as a ``SparseRows`` of its own."""
+    return [rows.rows(r, r + 1) for r in range(len(rows))]
 
 
 @pytest.fixture(scope="session")

@@ -1,8 +1,9 @@
 """Pure-Python paths that the numpy greedy, one-scan extractor and batch vectorizer replaced.
 
 The global-sort greedy, the span-by-span alias scan, the per-lexicon cue
-counts and the per-document term counts and content vectors are kept only as
-references that tests compare the optimized code against, result for result.
+counts, the per-document term counts and content vectors and the row-by-row
+build of the cosine's dense operands are kept only as references that tests
+compare the optimized code against, result for result.
 """
 
 import re
@@ -24,7 +25,7 @@ from swati.extraction import (
     _trim_span,
 )
 from swati.ontology import normalize_skill
-from swati.similarity import SparseVector, TermCounts, VectorizerSettings, tokenize
+from swati.similarity import SparseRows, TermCounts, VectorizerSettings, tokenize
 
 
 def _phrase_regex(terms):
@@ -139,18 +140,35 @@ def count_terms(texts, settings=VectorizerSettings()):
 
 
 def term_vectors(model, terms):
-    """Build and check each document's vector on its own, sorting its (column, count) pairs."""
+    """Build and check each document's vector on its own, sorting its (column, count) pairs.
+
+    Returns one single-row ``SparseRows`` per document.
+    """
     columns = np.array([model.vocabulary.get(t, -1) for t in terms.terms], dtype=np.intp)
     bounds = terms.offsets.tolist()
     vectors = []
     for start, stop in zip(bounds, bounds[1:]):
         cols = columns[terms.ids[start:stop]].tolist()
         pairs = sorted(p for p in zip(cols, terms.counts[start:stop].tolist()) if p[0] >= 0)
-        if not pairs:
-            vectors.append(SparseVector.empty())
-            continue
         indices = np.array([col for col, _ in pairs], dtype=np.int64)
         weights = np.array([count for _, count in pairs], dtype=np.float64) * model.idf[indices]
-        weights /= np.linalg.norm(weights)
-        vectors.append(SparseVector(indices, weights))
+        if pairs:
+            weights /= np.linalg.norm(weights)
+        vectors.append(SparseRows(indices, weights, [0, len(pairs)]))
     return vectors
+
+
+def cosine_matrix(volunteers, tasks):
+    """The cosine with each dense operand filled one row at a time, then the same product."""
+    sides = [[rows.rows(r, r + 1) for r in range(len(rows))] for rows in (volunteers, tasks)]
+    size = 0
+    for vec in [*sides[0], *sides[1]]:
+        if len(vec.indices):
+            size = max(size, int(vec.indices[-1]) + 1)
+    xv = np.zeros((len(sides[0]), size))
+    xt = np.zeros((len(sides[1]), size))
+    for x, vectors in ((xv, sides[0]), (xt, sides[1])):
+        for i, vec in enumerate(vectors):
+            x[i, vec.indices] = vec.weights
+    out = xv @ xt.T
+    return np.clip(out, 0.0, 1.0, out=out)

@@ -23,8 +23,11 @@ def skill_sim(a, b):
 
 
 def content_sim(a, b):
-    """Cosine of two unit-norm sparse vectors over their shared indices, clipped."""
-    if a.is_empty() or b.is_empty():
+    """Cosine of two unit-norm sparse vectors over their shared indices, clipped.
+
+    ``a`` and ``b`` are single-row ``SparseRows``.
+    """
+    if not len(a.indices) or not len(b.indices):
         return 0.0
     _, ia, ib = np.intersect1d(a.indices, b.indices, assume_unique=True, return_indices=True)
     return min(1.0, max(0.0, float(np.dot(a.weights[ia], b.weights[ib]))))

@@ -35,7 +35,7 @@ from swati.extraction import build_market, extract_rule_based, extraction_stats
 from swati.ledger import Ledger, verify
 from swati.metrics import bench_scaling, quality, utility_cdf
 from swati.similarity import (
-    SparseVector,
+    SparseRows,
     VectorizerModel,
     VectorizerSettings,
     cosine_matrix,
@@ -243,9 +243,10 @@ def test_c05_similarity_math():
     checks.append(abs(jaccard[1, 2] - 0.5) <= 1e-9)
     checks.append(jaccard[2, 3] == 0.0)
 
-    a = SparseVector(np.array([0, 1]), np.array([0.6, 0.8]))
-    b = SparseVector(np.array([0]), np.array([1.0]))
-    cosine = cosine_matrix([a, SparseVector.empty()], [b, a])
+    # rows a = (0.6, 0.8) and b = (1, 0), and an empty row
+    volunteers = SparseRows(np.array([0, 1]), np.array([0.6, 0.8]), [0, 2, 2])
+    tasks = SparseRows(np.array([0, 0, 1]), np.array([1.0, 0.6, 0.8]), [0, 1, 3])
+    cosine = cosine_matrix(volunteers, tasks)
     checks.append(abs(cosine[0, 0] - 0.6) <= 1e-9)
     checks.append(abs(cosine[0, 1] - 1.0) <= 1e-9)
     checks.append(cosine[1, 0] == 0.0)

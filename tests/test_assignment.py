@@ -29,7 +29,7 @@ from swati.assignment import (
 from swati.corpus import SyntheticConfig, generate_synthetic, generate_synthetic_history
 from swati.errors import ConfigError, DimensionError
 from swati.extraction import Market, PreferenceCues, Profile, TaskSpec, build_market
-from swati.similarity import SparseVector
+from swati.similarity import SparseRows
 from swati.willingness import (
     WillingnessParams,
     histories_from_records,
@@ -45,7 +45,7 @@ from assignment_oracle import (
 )
 import python_reference as ref_paths
 import scalar_reference as ref
-from conftest import TEST_MARKET_SHAPE
+from conftest import TEST_MARKET_SHAPE, row_list, sparse_rows
 
 
 def _matrix(utilities, skill=None, content=None, willingness=None, params=None):
@@ -139,6 +139,21 @@ def _tiny_market(seed=3, n=4, m=3, builtin=None):
     return build_market(corpus, builtin)
 
 
+def _take_rows(rows, order):
+    """The rows ``order`` of ``rows``, in that order."""
+    each = row_list(rows)
+    return sparse_rows((each[i].indices, each[i].weights) for i in order)
+
+
+def _take_volunteers(market, order):
+    """``market`` with its volunteers, and their vectors, ``order`` in that order."""
+    return replace(
+        market,
+        profiles=tuple(market.profiles[i] for i in order),
+        volunteer_vectors=_take_rows(market.volunteer_vectors, order),
+    )
+
+
 def _reference_market(builtin_ontology):
     """Generated market with history, plus every branch the kernel special-cases.
 
@@ -147,11 +162,17 @@ def _reference_market(builtin_ontology):
     Returns the histories and, for the reference, the same rows as records.
     """
     market, rows = _epoch_rows(builtin_ontology, seed=31, n=40, m=30)
-    profiles = [
-        *market.profiles,
-        Profile("v-empty", frozenset(), SparseVector.empty(), PreferenceCues(0.6, 0.2)),
-    ]
-    taskspecs = [*market.taskspecs, TaskSpec("t-empty", frozenset(), SparseVector.empty())]
+
+    def with_empty_row(rows):
+        return SparseRows(rows.indices, rows.weights, [*rows.offsets, rows.offsets[-1]])
+
+    market = Market(
+        profiles=(*market.profiles, Profile("v-empty", frozenset(), PreferenceCues(0.6, 0.2))),
+        taskspecs=(*market.taskspecs, TaskSpec("t-empty", frozenset())),
+        volunteer_vectors=with_empty_row(market.volunteer_vectors),
+        task_vectors=with_empty_row(market.task_vectors),
+    )
+    profiles = market.profiles
     dropped = {profiles[0].history_ref, profiles[1].history_ref}
     rows = [row for row in rows if row["volunteer_id"] not in dropped]
     rows += [
@@ -159,13 +180,15 @@ def _reference_market(builtin_ontology):
          "accepted": accepted}
         for accepted in (True, False, True)
     ]
-    return profiles, taskspecs, histories_from_records(rows), ref.history_records(rows)
+    return market, histories_from_records(rows), ref.history_records(rows)
 
 
 def test_matrix_matches_scalar_composition(builtin_ontology):
     """The kernel equals the per-pair reference bit for bit across smoothing epochs."""
-    profiles, taskspecs, histories, records = _reference_market(builtin_ontology)
-    skill, content = similarity_components(profiles, taskspecs)
+    market, histories, records = _reference_market(builtin_ontology)
+    profiles, taskspecs = market.profiles, market.taskspecs
+    vectors = row_list(market.volunteer_vectors), row_list(market.task_vectors)
+    skill, content = similarity_components(market)
     shape = (len(profiles), len(taskspecs))
     # a different history weight per epoch makes the raw estimates move, so
     # smoothing combines distinct previous and new values
@@ -185,7 +208,7 @@ def test_matrix_matches_scalar_composition(builtin_ontology):
                 history = records.get(prof.history_ref or prof.id)
                 for j, task in enumerate(taskspecs):
                     s_ref[i, j] = ref.skill_sim(prof.skills, task.required_skills)
-                    c_ref[i, j] = ref.content_sim(prof.content_vector, task.content_vector)
+                    c_ref[i, j] = ref.content_sim(vectors[0][i], vectors[1][j])
                     w_ref[i, j] = ref.pair_willingness(prof, task, history, ref_state, wp)
                     # the reference cosine may differ from the BLAS product in
                     # the last bits, so utilities use the kernel's content
@@ -203,8 +226,8 @@ def test_hoisted_raw_willingness_reproduces_epoch_states(builtin_ontology):
     The reference rescores each pair from its cues and history in every epoch
     and smooths it against the previous epoch, as ``match`` did before.
     """
-    profiles, taskspecs, histories, records = _reference_market(builtin_ontology)
-    market = Market(profiles=tuple(profiles), taskspecs=tuple(taskspecs))
+    market, histories, records = _reference_market(builtin_ontology)
+    profiles, taskspecs = market.profiles, market.taskspecs
     params = WillingnessParams(smoothing=0.6)
     ref_state = {}
     for epoch in range(3):
@@ -224,35 +247,33 @@ def test_hoisted_raw_willingness_reproduces_epoch_states(builtin_ontology):
         assert result.assignments["swati"].epoch == epoch
 
 
-def _constant_willingness_matrix(profiles, taskspecs, w):
-    skill, content = similarity_components(profiles, taskspecs)
+def _constant_willingness_matrix(market, w):
+    skill, content = similarity_components(market)
     return utility_matrix_from_components(
-        [p.id for p in profiles], [t.id for t in taskspecs], skill, content,
+        [p.id for p in market.profiles], [t.id for t in market.taskspecs], skill, content,
         np.full(skill.shape, w), UtilityParams(),
     )
 
 
 def test_matrix_shape_and_range(builtin_ontology):
     market = _tiny_market(seed=5, n=2, m=3, builtin=builtin_ontology)
-    matrix = _constant_willingness_matrix(market.profiles, market.taskspecs, 0.5)
+    matrix = _constant_willingness_matrix(market, 0.5)
     assert matrix.utilities.shape == (2, 3)
     assert matrix.utilities.min() >= 0.0 and matrix.utilities.max() <= 1.0
 
 
 def test_matrix_row_permutation(builtin_ontology):
     market = _tiny_market(seed=9, n=4, m=3, builtin=builtin_ontology)
-    base = _constant_willingness_matrix(market.profiles, market.taskspecs, 0.7)
+    base = _constant_willingness_matrix(market, 0.7)
     perm = [2, 0, 3, 1]
-    shuffled = _constant_willingness_matrix(
-        [market.profiles[i] for i in perm], market.taskspecs, 0.7
-    )
+    shuffled = _constant_willingness_matrix(_take_volunteers(market, perm), 0.7)
     assert np.allclose(shuffled.utilities, base.utilities[perm, :])
 
 
 def test_matrix_requires_nonempty_inputs(builtin_ontology):
     market = _tiny_market(builtin=builtin_ontology)
     with pytest.raises(DimensionError):
-        similarity_components([], market.taskspecs)
+        similarity_components(_take_volunteers(market, []))
     with pytest.raises(DimensionError):
         willingness_matrix(
             [], market.taskspecs, None, np.zeros((0, 3), dtype=bool), WillingnessParams()
@@ -292,9 +313,14 @@ def test_repeated_ids_are_a_dimension_error(volunteers, tasks, message):
 def test_match_market_rejects_a_market_with_a_repeated_id(builtin_ontology, repeat):
     market = _tiny_market(builtin=builtin_ontology)
     if repeat == "profile":
-        market = Market(profiles=market.profiles + market.profiles[:1], taskspecs=market.taskspecs)
+        market = _take_volunteers(market, [*range(len(market.profiles)), 0])
     else:
-        market = Market(profiles=market.profiles, taskspecs=market.taskspecs[1:] * 2)
+        order = [*range(1, len(market.taskspecs))] * 2
+        market = replace(
+            market,
+            taskspecs=tuple(market.taskspecs[j] for j in order),
+            task_vectors=_take_rows(market.task_vectors, order),
+        )
     with pytest.raises(DimensionError, match="is repeated"):
         match_market(market, None, CapacityMap(), UtilityParams(), WillingnessParams())
 
@@ -307,23 +333,22 @@ def _exact_vector(rng):
     of two such vectors is a sum of multiples of 1/4, exact in any order."""
     kind = rng.randrange(3)
     if kind == 0:
-        return SparseVector.empty()
+        return [], []
     indices = sorted(rng.sample(range(8), 1 if kind == 1 else 4))
-    return SparseVector(np.array(indices), np.full(len(indices), 1.0 if kind == 1 else 0.5))
+    return indices, [1.0 if kind == 1 else 0.5] * len(indices)
 
 
 def _random_market(seed, n, m):
     rng = random.Random(seed)
-    profiles = [
-        Profile(f"v{i}", frozenset(rng.sample(_SKILL_NAMES, rng.randint(0, 3))),
-                _exact_vector(rng), PreferenceCues(*(rng.random() for _ in range(5))))
-        for i in range(n)
-    ]
-    taskspecs = [
-        TaskSpec(f"t{j}", frozenset(rng.sample(_SKILL_NAMES, rng.randint(0, 3))),
-                 _exact_vector(rng))
-        for j in range(m)
-    ]
+    profiles, volunteer_vectors, taskspecs, task_vectors = [], [], [], []
+    for i in range(n):
+        skills = frozenset(rng.sample(_SKILL_NAMES, rng.randint(0, 3)))
+        volunteer_vectors.append(_exact_vector(rng))
+        profiles.append(Profile(f"v{i}", skills, PreferenceCues(*(rng.random() for _ in range(5)))))
+    for j in range(m):
+        skills = frozenset(rng.sample(_SKILL_NAMES, rng.randint(0, 3)))
+        task_vectors.append(_exact_vector(rng))
+        taskspecs.append(TaskSpec(f"t{j}", skills))
     rows = [
         {"volunteer_id": p.id, "task_skills": rng.sample(_SKILL_NAMES + "XY", rng.randint(0, 2)),
          "accepted": rng.random() < 0.5}
@@ -331,7 +356,13 @@ def _random_market(seed, n, m):
         if rng.random() < 0.7
         for _ in range(rng.randint(1, 4))
     ]
-    return profiles, taskspecs, rows
+    market = Market(
+        profiles=tuple(profiles),
+        taskspecs=tuple(taskspecs),
+        volunteer_vectors=sparse_rows(volunteer_vectors),
+        task_vectors=sparse_rows(task_vectors),
+    )
+    return market, rows
 
 
 @settings(max_examples=150, deadline=None)
@@ -347,12 +378,13 @@ def _random_market(seed, n, m):
 @example(seed=3, n=7, m=3, cells=6, with_history=True)  # 2-row blocks, 7 rows
 def test_row_blocks_equal_the_scalar_reference_bit_for_bit(seed, n, m, cells, with_history):
     """Every n x m stage, and the greedy's cutoff, with blocks of a few cells."""
-    profiles, taskspecs, rows = _random_market(seed, n, m)
+    market, rows = _random_market(seed, n, m)
+    profiles, taskspecs = market.profiles, market.taskspecs
     histories = histories_from_records(rows) if with_history else None
     records = ref.history_records(rows if with_history else [])
     wp = WillingnessParams()
     with mock.patch.object(similarity, "_BLOCK_CELLS", cells):
-        skill, content = similarity_components(profiles, taskspecs)
+        skill, content = similarity_components(market)
         w = willingness_matrix(profiles, taskspecs, histories, skill > 0, wp)
         matrices = {
             form: utility_matrix_from_components(
@@ -366,8 +398,8 @@ def test_row_blocks_equal_the_scalar_reference_bit_for_bit(seed, n, m, cells, wi
         }
     s_ref = np.array([[ref.skill_sim(p.skills, t.required_skills) for t in taskspecs]
                       for p in profiles])
-    c_ref = np.array([[ref.content_sim(p.content_vector, t.content_vector) for t in taskspecs]
-                      for p in profiles])
+    c_ref = np.array([[ref.content_sim(a, b) for b in row_list(market.task_vectors)]
+                      for a in row_list(market.volunteer_vectors)])
     w_ref = np.array([
         [ref.raw_willingness(ref.history_tendency(records.get(p.id), t),
                              ref.profile_score(ref.cue_vector(p, t), wp), wp)
@@ -815,7 +847,7 @@ def test_first_epoch_takes_the_raw_estimate(builtin_ontology):
     market, histories = _epoch_inputs(builtin_ontology)
     params = WillingnessParams(smoothing=0.6)
     result = _match(market, histories, params, epochs=1)
-    skill, _ = similarity_components(market.profiles, market.taskspecs)
+    skill, _ = similarity_components(market)
     w_hat = willingness_matrix(market.profiles, market.taskspecs, histories, skill > 0, params)
     assert result.matrix.willingness.tobytes() == w_hat.tobytes()
 
@@ -838,7 +870,7 @@ def test_match_market_equals_the_epoch_loop(builtin_ontology):
     result = match_market(
         market, histories, caps, UtilityParams(), params, methods=METHODS, epochs=3, seed=4
     )
-    skill, content = similarity_components(market.profiles, market.taskspecs)
+    skill, content = similarity_components(market)
     w_hat = willingness_matrix(market.profiles, market.taskspecs, histories, skill > 0, params)
     volunteers = [p.id for p in market.profiles]
     tasks = [t.id for t in market.taskspecs]

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from swati.cli import main
-from swati.corpus import Document, SyntheticConfig, generate_synthetic
+from swati.corpus import Corpus, Document, SyntheticConfig, generate_synthetic
 from swati.errors import RemoteTimeoutError, SchemaViolationError, TransportError
 from swati.extraction import (
     _LEX,
@@ -23,8 +23,6 @@ from swati.extraction import (
     RemoteExtractorConfig,
     SkillMention,
     build_market,
-    build_profile,
-    build_taskspec,
     extract_corpus,
     extract_remote,
     extract_rule_based,
@@ -34,10 +32,9 @@ from swati.extraction import (
     validate_extraction,
 )
 from swati.ontology import Ontology, SkillEntry
-from swati.similarity import count_terms, fit_vectorizer
 
 import python_reference as ref
-from conftest import TEST_MARKET_SHAPE, vectorize
+from conftest import TEST_MARKET_SHAPE
 
 
 def _doc(text, doc_id="d1", kind="volunteer"):
@@ -654,14 +651,22 @@ def test_prompt_template_is_packaged():
     assert "{doc_id}" in template and "{text}" in template
 
 
-# --- profile construction ---------------------------------------------------
+# --- market construction ----------------------------------------------------
 
 
-def _vector(text):
-    return vectorize(fit_vectorizer(count_terms(["apple banana sql", "banana cherry"])), text)
+def _stub_market(ontology, volunteers, tasks, results):
+    """``build_market`` over the documents, with ``results`` as their extraction."""
+    corpus = Corpus(volunteers=tuple(volunteers), tasks=tuple(tasks))
+    return build_market(corpus, ontology, extractor=lambda docs, _: results)
 
 
-def test_build_profile_canonicalizes(mini_ontology):
+_SQL_TASK = _doc("needs sql", doc_id="t9", kind="task")
+_SQL_TASK_RESULT = ExtractionResult(
+    doc_id="t9", mentions=(SkillMention("sql", (6, 9), 0.5),), cues=PreferenceCues()
+)
+
+
+def test_build_market_canonicalizes_profiles(mini_ontology):
     doc = _doc("CV and cv again")
     ex = ExtractionResult(
         doc_id="d1",
@@ -671,33 +676,42 @@ def test_build_profile_canonicalizes(mini_ontology):
         ),
         cues=PreferenceCues(stated_interest=0.5),
     )
-    profile = build_profile(doc, ex, mini_ontology, _vector(doc.text))
+    referred = Document(id="d2", kind="volunteer", text="cv", meta={"history_ref": "h7"})
+    blank = ExtractionResult(doc_id="d2", mentions=(), cues=PreferenceCues())
+    market = _stub_market(mini_ontology, [doc, referred], [], [ex, blank])
+    profile = market.profiles[0]
     assert profile.skills == {"Computer Vision"}
     assert profile.cues.stated_interest == 0.5
+    # a volunteer's history key is its document's history_ref, else its id
+    assert [p.history_ref for p in market.profiles] == ["d1", "h7"]
 
 
-def test_build_profile_empty_for_foreign_text(mini_ontology):
-    doc = _doc("zzz qqq")
+def test_build_market_gives_foreign_text_an_empty_vector(mini_ontology):
+    doc = _doc("日本語の テキスト")
     ex = ExtractionResult(doc_id="d1", mentions=(), cues=PreferenceCues())
-    profile = build_profile(doc, ex, mini_ontology, _vector(doc.text))
-    assert profile.skills == frozenset()
-    assert profile.content_vector.is_empty()
+    market = _stub_market(mini_ontology, [doc], [_SQL_TASK], [ex, _SQL_TASK_RESULT])
+    assert market.profiles[0].skills == frozenset()
+    assert market.volunteer_vectors.offsets.tolist() == [0, 0]
+    assert market.task_vectors.offsets.tolist() == [0, 2]
 
 
-def test_build_profile_rejects_mismatched_ids(mini_ontology):
+def test_build_market_rejects_mismatched_ids(mini_ontology):
     doc = _doc("anything")
     ex = ExtractionResult(doc_id="other", mentions=(), cues=PreferenceCues())
-    with pytest.raises(ValueError):
-        build_profile(doc, ex, mini_ontology, _vector(doc.text))
+    with pytest.raises(ValueError, match="extraction 'other' does not match document 'd1'"):
+        _stub_market(mini_ontology, [doc], [_SQL_TASK], [ex, _SQL_TASK_RESULT])
+    ex = ExtractionResult(doc_id="d1", mentions=(), cues=PreferenceCues())
+    with pytest.raises(ValueError, match="extraction 'd1' does not match document 't9'"):
+        _stub_market(mini_ontology, [doc], [_SQL_TASK], [ex, ex])
 
 
-def test_build_taskspec_symmetric(mini_ontology):
-    doc = _doc("needs sql", doc_id="t9", kind="task")
+def test_build_market_canonicalizes_tasks_as_profiles(mini_ontology):
+    volunteer = _doc("sql", doc_id="v1")
     ex = ExtractionResult(
-        doc_id="t9", mentions=(SkillMention("sql", (6, 9), 0.5),), cues=PreferenceCues()
+        doc_id="v1", mentions=(SkillMention("sql", (0, 3), 0.5),), cues=PreferenceCues()
     )
-    spec = build_taskspec(doc, ex, mini_ontology, _vector(doc.text))
-    assert spec.required_skills == {"SQL"}
+    market = _stub_market(mini_ontology, [volunteer], [_SQL_TASK], [ex, _SQL_TASK_RESULT])
+    assert market.taskspecs[0].required_skills == {"SQL"} == market.profiles[0].skills
 
 
 def test_build_market_round_trip(builtin_ontology):

@@ -35,9 +35,13 @@ def test_traced_match_reports_counts(tmp_path):
     assert proc.returncode == 0, proc.stderr
     trace = json.loads(spans.read_text())
     assert trace["exit_code"] == 0
-    # perfbench/child.py still wraps the deleted assignment.run_epoch; it lists
-    # the name as missing until the benchmark drops that span (ROADMAP item 2)
-    assert trace["missing"] == ["assignment.run_epoch"]
+    # perfbench/child.py still wraps the deleted build_profile, build_taskspec
+    # and run_epoch; it lists the names as missing until the benchmark drops
+    # those spans (ROADMAP item 2)
+    assert trace["missing"] == [
+        "extraction.build_profile", "extraction.build_taskspec", "assignment.run_epoch"
+    ]
+    assert trace["counts"]["similarity.vocab_size"] > 0
 
     def lines(name):
         return sum(1 for line in (gen / name).read_text().splitlines() if line.strip())

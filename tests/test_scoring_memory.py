@@ -2,7 +2,8 @@
 
 ``tracemalloc`` traces numpy's array buffers, so the peak of a call is the
 most bytes its arrays ever held at once. Each stage fills the array it returns
-one row block at a time, so beyond that array it may hold only a few blocks.
+one row block at a time, so beyond that array it may hold only a few blocks;
+the content cosine, which is not blocked, holds its two dense operands.
 ``swati match`` lets every n x m array go before its artifact stage.
 """
 
@@ -18,8 +19,10 @@ from swati.assignment import UtilityForm, UtilityParams, utility_matrix_from_com
 from swati.cli import main
 from swati.extraction import PreferenceCues, Profile, TaskSpec
 from swati.ledger import Ledger
-from swati.similarity import SparseVector, jaccard_matrix
+from swati.similarity import cosine_matrix, jaccard_matrix
 from swati.willingness import WillingnessParams, histories_from_records, willingness_matrix
+
+from conftest import sparse_rows
 
 # 400 x 400 cells are about ten blocks of the module's block size, so a stage
 # that holds whole-matrix temporaries exceeds its bound several times over
@@ -33,12 +36,12 @@ def market():
     rng = random.Random(5)
     names = "ABCDEFGH"
     profiles = [
-        Profile(f"v{i}", frozenset(rng.sample(names, rng.randint(0, 3))), SparseVector.empty(),
+        Profile(f"v{i}", frozenset(rng.sample(names, rng.randint(0, 3))),
                 PreferenceCues(*(rng.random() for _ in range(5))))
         for i in range(N)
     ]
     tasks = [
-        TaskSpec(f"t{j}", frozenset(rng.sample(names, rng.randint(0, 3))), SparseVector.empty())
+        TaskSpec(f"t{j}", frozenset(rng.sample(names, rng.randint(0, 3))))
         for j in range(M)
     ]
     rows = [
@@ -89,6 +92,29 @@ def test_willingness_matrix_holds_its_output_a_few_blocks_and_one_walk_block(mar
     # counts, taken as two float64 arrays of _WALK_BLOCK rows of M cells
     walk_bytes = 2 * willingness._WALK_BLOCK * M * 8
     assert peak <= out.nbytes + BLOCKS * _block_bytes() + walk_bytes
+
+
+def _unit_rows(rng, n_rows, vocabulary):
+    """``n_rows`` rows of up to 40 random columns of ``vocabulary``, some of them empty."""
+    rows = []
+    for _ in range(n_rows):
+        columns = sorted(rng.sample(range(vocabulary), rng.randint(0, 40)))
+        weights = np.array([rng.random() + 0.1 for _ in columns])
+        rows.append((columns, weights / np.linalg.norm(weights) if columns else weights))
+    return sparse_rows(rows)
+
+
+def test_cosine_matrix_holds_its_output_its_operands_and_a_row_index():
+    rng = random.Random(11)
+    vocabulary = 3000
+    volunteers, tasks = _unit_rows(rng, N, vocabulary), _unit_rows(rng, M, vocabulary)
+    size = int(max(volunteers.indices.max(), tasks.indices.max())) + 1
+    out, peak = _traced_peak(lambda: cosine_matrix(volunteers, tasks))
+    assert out.shape == (N, M)
+    operands = (N + M) * size * 8
+    # one int64 row index per stored entry, for the scatter into an operand
+    row_index = (len(volunteers.indices) + len(tasks.indices)) * 8
+    assert peak <= out.nbytes + operands + row_index
 
 
 @pytest.mark.parametrize("form", list(UtilityForm))

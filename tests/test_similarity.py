@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from swati import similarity
@@ -10,7 +10,7 @@ from swati.corpus import Corpus, Document, SyntheticConfig, generate_synthetic
 from swati.errors import EmptyCorpusError
 from swati.extraction import build_market
 from swati.similarity import (
-    SparseVector,
+    SparseRows,
     VectorizerModel,
     VectorizerSettings,
     cosine_matrix,
@@ -23,7 +23,7 @@ from swati.similarity import (
 )
 
 import python_reference as ref
-from conftest import TEST_MARKET_SHAPE, vectorize
+from conftest import TEST_MARKET_SHAPE, row_list, sparse_rows, vectorize
 
 # Hand-evaluated from idf(t) = ln((1 + n_docs) / (1 + df)) + 1 on the
 # three-document micro-corpus below (independent of the implementation).
@@ -88,7 +88,7 @@ def test_vectorize_single_term_unit_weight():
 def test_vectorize_all_oov_is_empty():
     model = _fit(_micro_corpus())
     vec = vectorize(model, "zebra quagga")
-    assert vec.is_empty()
+    assert vec.offsets.tolist() == [0, 0]
 
 
 def test_vectorize_hand_example_tf_weighting():
@@ -108,8 +108,12 @@ def skill_sim(a, b):
     return jaccard_matrix([frozenset(a)], [frozenset(b)])[0, 0]
 
 
+def _row(indices, weights):
+    return SparseRows(np.array(indices, dtype=np.int64), np.array(weights), [0, len(indices)])
+
+
 def content_sim(a, b):
-    return cosine_matrix([a], [b])[0, 0]
+    return cosine_matrix(a, b)[0, 0]
 
 
 @pytest.mark.parametrize(
@@ -162,20 +166,20 @@ def test_content_sim_self_similarity():
 
 
 def test_content_sim_disjoint_supports():
-    a = SparseVector(np.array([0]), np.array([1.0]))
-    b = SparseVector(np.array([1]), np.array([1.0]))
+    a = _row([0], [1.0])
+    b = _row([1], [1.0])
     assert content_sim(a, b) == 0.0
 
 
 def test_content_sim_hand_example():
-    a = SparseVector(np.array([0, 1]), np.array([0.6, 0.8]))
-    b = SparseVector(np.array([0]), np.array([1.0]))
+    a = _row([0, 1], [0.6, 0.8])
+    b = _row([0], [1.0])
     assert content_sim(a, b) == pytest.approx(0.6, abs=1e-9)
 
 
 def test_content_sim_empty_is_zero():
-    a = SparseVector.empty()
-    b = SparseVector(np.array([0]), np.array([1.0]))
+    a = _row([], [])
+    b = _row([0], [1.0])
     assert content_sim(a, b) == 0.0
     assert content_sim(b, a) == 0.0
 
@@ -206,8 +210,8 @@ def test_adding_shared_skill_never_decreases(a, b):
 def test_content_sim_symmetric(wa, wb):
     a_raw = np.array(wa)
     b_raw = np.array(wb)
-    a = SparseVector(np.arange(len(wa)), a_raw / np.linalg.norm(a_raw))
-    b = SparseVector(np.arange(len(wb)), b_raw / np.linalg.norm(b_raw))
+    a = _row(np.arange(len(wa)), a_raw / np.linalg.norm(a_raw))
+    b = _row(np.arange(len(wb)), b_raw / np.linalg.norm(b_raw))
     assert content_sim(a, b) == content_sim(b, a)
 
 
@@ -219,7 +223,7 @@ def test_vectorize_norm_invariant_over_corpus(builtin_ontology):
     model = _fit(corpus)
     for doc in corpus.documents():
         vec = vectorize(model, doc.text)
-        if not vec.is_empty():
+        if vec.indices.size:
             assert abs(np.linalg.norm(vec.weights) - 1.0) <= 1e-9
 
 
@@ -230,10 +234,10 @@ def _vectorize_per_document(model, text):
         if term in model.vocabulary:
             counts[model.vocabulary[term]] = counts.get(model.vocabulary[term], 0) + 1
     if not counts:
-        return SparseVector.empty()
+        return _row([], [])
     indices = np.array(sorted(counts), dtype=np.int64)
     weights = np.array([counts[i] for i in indices], dtype=np.float64) * model.idf[indices]
-    return SparseVector(indices, weights / np.linalg.norm(weights))
+    return _row(indices, weights / np.linalg.norm(weights))
 
 
 def test_build_market_tokenizes_each_document_once(builtin_ontology, monkeypatch):
@@ -252,7 +256,7 @@ def test_build_market_tokenizes_each_document_once(builtin_ontology, monkeypatch
     monkeypatch.undo()
     assert sorted(seen) == sorted(doc.text for doc in corpus.documents())
     model = _fit(corpus)
-    built = [item.content_vector for item in (*market.profiles, *market.taskspecs)]
+    built = [*row_list(market.volunteer_vectors), *row_list(market.task_vectors)]
     for doc, vector in zip(corpus.documents(), built, strict=True):
         expected = _vectorize_per_document(model, doc.text)
         assert np.array_equal(vector.indices, expected.indices)
@@ -277,28 +281,89 @@ _INVALID_VECTORS = [
 ]
 
 
-def test_sparse_vector_invariants_enforced():
+def test_sparse_rows_invariants_enforced():
     for indices, weights in _INVALID_VECTORS:
         with pytest.raises(ValueError):
-            SparseVector(np.array(indices), np.array(weights))
-        # the batch runs the same checks, here on a vector between two valid ones
+            SparseRows(np.array(indices), np.array(weights), [0, len(weights)])
+        # the same checks hold for a row between two valid ones
         n = len(indices)
         with pytest.raises(ValueError):
-            SparseVector.batch(
+            SparseRows(
                 np.array([0, *indices, 0]), np.array([1.0, *weights, 1.0]), [0, 1, 1 + n, 2 + n]
             )
+
+
+@pytest.mark.parametrize(
+    "indices, weights, offsets",
+    [
+        ([0, 1, 2], [1.0, 0.6, 0.8], [0, 1, 2]),  # ends before the last entry
+        ([0, 1], [0.6, 0.8], [0, 2, 1]),  # falls, and ends before the last entry
+        ([0, 0], [1.0, 1.0], [0, 2, 1, 2]),  # falls: row 0 would repeat index 0
+        ([0, 1], [0.6, 1.0], [1, 2]),  # starts after entry 0
+        ([0, 1, 2], [1.0, 0.6, 0.8], [0.0, 1.0, 3.0]),  # not integers
+        ([0, 1, 2], [1.0, 0.6, 0.8], [[0, 1, 3]]),  # not 1-D
+        ([], [], []),  # no start
+    ],
+    ids=["short", "falling-short", "falling", "late-start", "float", "2-d", "empty"],
+)
+def test_sparse_rows_rejects_bad_offsets(indices, weights, offsets):
+    with pytest.raises(ValueError, match="offsets"):
+        SparseRows(np.array(indices, dtype=np.int64), np.array(weights), np.array(offsets))
 
 
 def test_negative_index_is_rejected_before_the_cosine():
     # index -1 once scored two disjoint vectors as identical
     with pytest.raises(ValueError, match="non-negative"):
-        cosine_matrix([SparseVector([-1], [1.0])], [SparseVector([3], [1.0])])
+        cosine_matrix(_row([-1], [1.0]), _row([3], [1.0]))
 
 
-def test_batch_allows_indices_to_fall_between_vectors():
-    vectors = SparseVector.batch(np.array([3, 0, 1]), np.array([1.0, 0.6, 0.8]), [0, 1, 1, 3])
-    assert [v.indices.tolist() for v in vectors] == [[3], [], [0, 1]]
-    assert [v.weights.tolist() for v in vectors] == [[1.0], [], [0.6, 0.8]]
+def test_rows_allow_indices_to_fall_between_rows():
+    rows = SparseRows(np.array([3, 0, 1]), np.array([1.0, 0.6, 0.8]), [0, 1, 1, 3])
+    assert [r.indices.tolist() for r in row_list(rows)] == [[3], [], [0, 1]]
+    assert [r.weights.tolist() for r in row_list(rows)] == [[1.0], [], [0.6, 0.8]]
+
+
+@pytest.mark.parametrize("start, stop", [(0, 3), (1, 3), (0, 1), (2, 2), (3, 3)])
+def test_rows_are_views_of_a_slice(start, stop):
+    rows = SparseRows(np.array([3, 0, 1]), np.array([1.0, 0.6, 0.8]), [0, 1, 1, 3])
+    part = rows.rows(start, stop)
+    assert len(part) == stop - start
+    assert part.offsets[0] == 0
+    lo, hi = rows.offsets[start], rows.offsets[stop]
+    assert part.offsets.tolist() == (rows.offsets[start : stop + 1] - lo).tolist()
+    assert part.indices.tolist() == rows.indices[lo:hi].tolist()
+    assert part.weights.tolist() == rows.weights[lo:hi].tolist()
+    if hi > lo:
+        assert np.shares_memory(part.indices, rows.indices)
+        assert np.shares_memory(part.weights, rows.weights)
+
+
+_UNIT_ROWS = st.lists(
+    st.one_of(
+        st.just(([], [])),
+        st.lists(st.integers(0, 5000), min_size=1, max_size=6, unique=True).flatmap(
+            lambda cols: st.lists(
+                st.floats(0.01, 10.0), min_size=len(cols), max_size=len(cols)
+            ).map(
+                lambda w: (sorted(cols), (np.array(w) / np.linalg.norm(w)).tolist())
+            )
+        ),
+    ),
+    max_size=6,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_UNIT_ROWS, _UNIT_ROWS)
+@example([([], [])], [([], []), ([], [])])  # size 0: no row has an entry
+@example([([0], [1.0])], [([4999], [1.0])])  # single rows, one at a large column
+@example([([0, 1], [0.6, 0.8]), ([], [])], [])  # a side with no rows
+def test_cosine_matrix_equals_the_row_by_row_operand_build(volunteers, tasks):
+    volunteers, tasks = sparse_rows(volunteers), sparse_rows(tasks)
+    got = cosine_matrix(volunteers, tasks)
+    expected = ref.cosine_matrix(volunteers, tasks)
+    assert got.shape == expected.shape == (len(volunteers), len(tasks))
+    assert got.tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1.0])
@@ -323,7 +388,7 @@ _TEXTS = st.lists(
 
 def _same_vectors(got, expected):
     assert len(got) == len(expected)
-    for a, b in zip(got, expected):
+    for a, b in zip(row_list(got), expected):
         assert a.indices.tobytes() == b.indices.tobytes()
         assert a.weights.tobytes() == b.weights.tobytes()
 

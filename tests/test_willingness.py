@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from swati import willingness
 from swati.errors import ConfigError, DimensionError, ParseError
 from swati.extraction import PreferenceCues, Profile, TaskSpec
-from swati.similarity import SparseVector
 from swati.willingness import (
     History,
     HistoryColumns,
@@ -34,11 +33,11 @@ SIGMA_MINUS = 0.11920292202211755
 
 
 def _profile(cues: PreferenceCues, skills=frozenset()):
-    return Profile(id="v1", skills=frozenset(skills), content_vector=SparseVector.empty(), cues=cues)
+    return Profile(id="v1", skills=frozenset(skills), cues=cues)
 
 
 def _task(skills=frozenset()):
-    return TaskSpec(id="t1", required_skills=frozenset(skills), content_vector=SparseVector.empty())
+    return TaskSpec(id="t1", required_skills=frozenset(skills))
 
 
 def _cue_score(cues, overlap=True, params=WillingnessParams()):
@@ -180,12 +179,12 @@ def test_tendency_matrix_equals_per_pair_reference(data):
         st.lists(st.sampled_from(["h0", "h1", "h2", "h3", "h4", "none"]), min_size=1, max_size=6)
     )
     profiles = [
-        Profile(id=hid, skills=frozenset(), content_vector=SparseVector.empty(),
-                cues=PreferenceCues(), history_ref=None if k % 2 else hid)
+        Profile(id=hid, skills=frozenset(), cues=PreferenceCues(),
+                history_ref=None if k % 2 else hid)
         for k, hid in enumerate(refs)
     ]
     tasks = [
-        TaskSpec(id=f"t{j}", required_skills=skills, content_vector=SparseVector.empty())
+        TaskSpec(id=f"t{j}", required_skills=skills)
         for j, skills in enumerate(data.draw(st.lists(_TASK_SKILLS, min_size=1, max_size=5)))
     ]
     with mock.patch.object(willingness, "_WALK_BLOCK", block):
@@ -214,14 +213,13 @@ def test_tendency_matrix_blocks_at_full_size(task_skills):
     ]
     histories = histories_from_records(history_rows)
     profiles = [
-        Profile(id=vid, skills=frozenset(), content_vector=SparseVector.empty(),
-                cues=PreferenceCues(), history_ref=hid)
+        Profile(id=vid, skills=frozenset(), cues=PreferenceCues(), history_ref=hid)
         for vid, hid in [("v0", "h0"), ("long", None), ("v2", "h1"), ("v3", "h1"),
                          ("v4", "none"), ("irrelevant", None),
                          *((f"w{k}", f"h{k}") for k in range(2, 8))]
     ]
     tasks = [
-        TaskSpec(id=f"t{j}", required_skills=frozenset(skills), content_vector=SparseVector.empty())
+        TaskSpec(id=f"t{j}", required_skills=frozenset(skills))
         for j, skills in enumerate(task_skills)
     ]
     got = tendency_matrix(profiles, tasks, histories)
