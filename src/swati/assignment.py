@@ -379,7 +379,9 @@ def match_market(
 
     Earlier epochs only advance the smoothing, since their assignments would
     never be read; every method assigns the last epoch's utilities, and each
-    assignment is labelled with that epoch, ``epochs - 1``.
+    assignment is labelled with that epoch, ``epochs - 1``. The smoothing
+    stops at the first epoch that returns its input unchanged, because every
+    later epoch would return it too, so a large ``epochs`` costs no more.
     """
     if epochs < 1:
         raise ConfigError("epochs must be >= 1")
@@ -392,7 +394,12 @@ def match_market(
     w_hat = willingness_matrix(profiles, taskspecs, histories, skill > 0, willingness_params)
     willingness = w_hat
     for _ in range(epochs - 1):
-        willingness = smooth(willingness, w_hat, willingness_params)
+        smoothed = smooth(willingness, w_hat, willingness_params)
+        # every epoch smooths the same raw estimate, so once an epoch returns
+        # its input bit for bit, so does every later one
+        if np.array_equal(smoothed, willingness):
+            break
+        willingness = smoothed
     t2 = clock()
     matrix = utility_matrix_from_components(
         [p.id for p in profiles], [t.id for t in taskspecs], skill, content, willingness,

@@ -75,10 +75,18 @@ class Ontology:
             (len(key.split()) for key in self.alias_index), default=0
         )
         # a span of two or more words can match only if its first token, stripped
-        # like a whole key, is one of these
-        self.alias_first_keys = frozenset(
-            key.split(" ", 1)[0].rstrip(_STRIP_CHARS) for key in self.alias_index if " " in key
-        )
+        # like a whole key, is one of these; each maps to the most words of a
+        # key that starts with it
+        self.alias_first_keys: dict[str, int] = {}
+        for key in self.alias_index:
+            if " " in key:
+                first = key.split(" ", 1)[0].rstrip(_STRIP_CHARS)
+                words = key.count(" ") + 1
+                self.alias_first_keys[first] = max(words, self.alias_first_keys.get(first, 0))
+        # an alias scan can start a match only at a token whose stripped key is
+        # an alias, the first key of a multi-word alias, or empty (punctuation
+        # only: its spans strip to spans of the next tokens)
+        self.alias_start_keys = frozenset(self.alias_index).union(self.alias_first_keys, ("",))
 
     def _check_acyclic(self) -> None:
         for start in self._parents:

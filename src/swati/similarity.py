@@ -13,18 +13,19 @@ and positive).
 
 from __future__ import annotations
 
+import functools
+import math
 import re
 from array import array
 from collections import defaultdict
 from dataclasses import dataclass, field
 from importlib import resources
+from itertools import filterfalse
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .errors import ConfigError, EmptyCorpusError
-
-_TOKEN_RE = re.compile(r"[a-z0-9]+")
 
 
 def _load_stopwords() -> frozenset[str]:
@@ -64,13 +65,22 @@ class VectorizerSettings:
             raise ConfigError(f"use_stopwords must be true or false, got {self.use_stopwords!r}")
 
 
+@functools.cache
+def _term_re(min_len: int) -> re.Pattern:
+    """The maximal runs of ``[a-z0-9]`` of at least ``min_len`` characters.
+
+    ``findall`` tries a run only at its first character, and a run shorter
+    than ``min_len`` fails there and at each later character of it.
+    """
+    return re.compile(f"[a-z0-9]{{{max(min_len, 1)},}}")
+
+
 def tokenize(text: str, settings: VectorizerSettings = VectorizerSettings()) -> list[str]:
     """Lowercase, split on non-alphanumeric runs, drop short and stop tokens."""
-    tokens = _TOKEN_RE.findall(text.lower())
-    out = [t for t in tokens if len(t) >= settings.min_token_len]
+    tokens = _term_re(settings.min_token_len).findall(text.lower())
     if settings.use_stopwords:
-        out = [t for t in out if t not in _STOPWORDS]
-    return out
+        return list(filterfalse(_STOPWORDS.__contains__, tokens))
+    return tokens
 
 
 @dataclass(eq=False)
@@ -219,9 +229,10 @@ def term_vectors(model: VectorizerModel, terms: TermCounts) -> SparseRows:
 
     Out-of-vocabulary terms are dropped; a document with none left is empty.
     All documents' (column, count) pairs are sorted by (document, column) at
-    once. Each document's weights are divided by ``np.linalg.norm`` of their
-    own contiguous slice, the same call on the same values as for a vector
-    built alone, so the weights do not depend on the batch.
+    once. Each document's weights are divided by the norm of their own
+    contiguous slice, ``sqrt(x.dot(x))`` as ``np.linalg.norm`` computes it for
+    a 1-D array: the same arithmetic on the same values as for a vector built
+    alone, so the weights do not depend on the batch.
     """
     columns = np.array([model.vocabulary.get(t, -1) for t in terms.terms], dtype=np.int64)
     cols = columns[terms.ids]
@@ -238,7 +249,8 @@ def term_vectors(model: VectorizerModel, terms: TermCounts) -> SparseRows:
     bounds = offsets.tolist()
     norms = np.ones(len(lengths))
     for d in np.flatnonzero(lengths).tolist():
-        norms[d] = np.linalg.norm(weights[bounds[d] : bounds[d + 1]])
+        row = weights[bounds[d] : bounds[d + 1]]
+        norms[d] = math.sqrt(row.dot(row))  # np.linalg.norm's sum, without its checks
     weights /= np.repeat(norms, lengths)
     return SparseRows(indices, weights, offsets)
 

@@ -1,9 +1,11 @@
-"""Pure-Python paths that the numpy greedy, one-scan extractor and batch vectorizer replaced.
+"""Pure-Python paths that the numpy greedy, chunked extractor and batch vectorizer replaced.
 
-The global-sort greedy, the span-by-span alias scan, the per-lexicon cue
-counts, the per-document term counts and content vectors and the row-by-row
-build of the cosine's dense operands are kept only as references that tests
-compare the optimized code against, result for result.
+The global-sort greedy, the per-document span-by-span alias scan (every span
+of every token of one text, its offsets from ``re.finditer``), the
+per-lexicon cue counts, the dominant root's share, the per-document term
+counts and content vectors and the row-by-row build of the cosine's dense
+operands are kept only as references that tests compare the optimized code
+against, result for result.
 """
 
 import re
@@ -20,11 +22,9 @@ from swati.extraction import (
     ExtractionResult,
     PreferenceCues,
     SkillMention,
-    _domain_affinity,
     _span_distance,
-    _trim_span,
 )
-from swati.ontology import normalize_skill
+from swati.ontology import _STRIP_CHARS, normalize_skill
 from swati.similarity import SparseRows, TermCounts, VectorizerSettings, tokenize
 
 
@@ -36,6 +36,18 @@ def _phrase_regex(terms):
 _CUE_RES = {name: _phrase_regex(terms) for name, terms in _LEX["lexicons"].items()}
 _EXPERTISE_RE = _phrase_regex(_PROF["expertise_terms"])
 _YEARS_RE = re.compile(r"\b(\d+)\s*\+\s*years?\b", re.IGNORECASE)
+
+
+def domain_affinity(canonicals, root_of):
+    """The most common root's count over the number of skills; ties broken by name."""
+    if not canonicals:
+        return 0.0
+    roots = {}
+    for skill in canonicals:
+        root = root_of(skill)
+        roots[root] = roots.get(root, 0) + 1
+    dominant = min(roots, key=lambda r: (-roots[r], r))
+    return roots[dominant] / len(canonicals)
 
 
 def greedy(matrix, sort_scores, caps, epoch):
@@ -60,6 +72,14 @@ def greedy(matrix, sort_scores, caps, epoch):
         if len(taken) == m:
             break
     return Assignment(pairs=tuple(pairs), epoch=epoch)
+
+
+def _trim_span(text, start, end):
+    while start < end and text[start] in _STRIP_CHARS:
+        start += 1
+    while end > start and text[end - 1] in _STRIP_CHARS:
+        end -= 1
+    return start, end
 
 
 def find_alias_mentions(text, ontology):
@@ -113,7 +133,7 @@ def extract_rule_based(doc, ontology):
     )
     counts = {name: len(rx.findall(text)) for name, rx in _CUE_RES.items()}
     cues = PreferenceCues(
-        domain_affinity=_domain_affinity({c for _, _, c in found}, ontology.root_of),
+        domain_affinity=domain_affinity({c for _, _, c in found}, ontology.root_of),
         prior_exposure=min(1.0, CUE_STEP * counts["prior_exposure"]),
         stated_interest=min(1.0, CUE_STEP * counts["stated_interest"]),
         volunteering_history=min(1.0, CUE_STEP * counts["volunteering_history"]),

@@ -1,3 +1,4 @@
+import functools
 import random
 from dataclasses import replace
 from unittest import mock
@@ -890,6 +891,30 @@ def test_match_market_equals_the_epoch_loop(builtin_ontology):
     assert result.assignments == expected
     assert list(result.assignments) == list(METHODS)
     assert all(a.epoch == 2 for a in result.assignments.values())
+
+
+def test_smoothing_stops_once_an_epoch_changes_nothing(builtin_ontology, monkeypatch):
+    """A huge ``epochs`` smooths only until the matrix stops changing, with the same result."""
+    import swati.assignment as assignment
+
+    calls = []
+    monkeypatch.setattr(
+        assignment, "smooth", lambda *args: calls.append(1) or smooth(*args)
+    )
+    market, histories = _epoch_inputs(builtin_ontology)
+    params = WillingnessParams(smoothing=0.6)
+    run = functools.partial(
+        match_market, market, histories, CapacityMap(), UtilityParams(), params,
+        methods=METHODS, seed=4,
+    )
+    huge = run(epochs=10**6)
+    assert len(calls) <= 3
+    five = run(epochs=5)
+    assert huge.matrix.utilities.tobytes() == five.matrix.utilities.tobytes()
+    assert huge.matrix.willingness.tobytes() == five.matrix.willingness.tobytes()
+    assert {method: a.pairs for method, a in huge.assignments.items()} == {
+        method: a.pairs for method, a in five.assignments.items()
+    }
 
 
 @pytest.mark.parametrize("method, calls", [("swati", 1), ("skill", 0)])

@@ -5,16 +5,19 @@ import threading
 import time
 from importlib import resources
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from swati import extraction
 from swati.cli import main
 from swati.corpus import Corpus, Document, SyntheticConfig, generate_synthetic
 from swati.errors import RemoteTimeoutError, SchemaViolationError, TransportError
 from swati.extraction import (
     _LEX,
+    _NEXT_PAIRS,
     _START_PAIRS,
     CUE_NAMES,
     SCHEMA_VERSION,
@@ -27,6 +30,7 @@ from swati.extraction import (
     extract_remote,
     extract_rule_based,
     extraction_stats,
+    _chunks,
     _start_pairs,
     find_alias_mentions,
     validate_extraction,
@@ -846,10 +850,17 @@ def test_rule_based_matches_reference_on_overlaps_and_non_ascii(mini_ontology, t
     assert extract_rule_based(doc, mini_ontology) == ref.extract_rule_based(doc, mini_ontology)
 
 
-# Phrase halves for the start and the end of a document: a scan across
-# documents would match an end and the next start joined.
-_FIRST_HALVES = ["service", "years", "+ years", "on-call", "time", "\x00years", ""]
-_LAST_HALVES = ["community", "java 5+", "java 12 +", "java 5", "hands-", "part-", "x\x00", ""]
+# Phrase and alias halves for the start and the end of a document: a scan
+# across documents would match an end and the next start joined, or let a
+# match run on over the next document's punctuation-only tokens.
+_FIRST_HALVES = [
+    "service", "years", "+ years", "on-call", "time", "\x00years", "\x00 java",
+    "learning", "v8", "-- learning", "--", ", ...", "",
+]
+_LAST_HALVES = [
+    "community", "java 5+", "java 12 +", "java 5", "hands-", "part-", "x\x00", "java \x00",
+    "machine", "yolo", "java --", "--", "",
+]
 
 
 def _corpus_texts(ontology):
@@ -881,6 +892,31 @@ def test_extract_corpus_matches_reference_per_document(
     assert extract_corpus(docs, ontology) == [ref.extract_rule_based(d, ontology) for d in docs]
 
 
+@pytest.mark.parametrize("chunk_chars", [1, 48])
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_extract_corpus_matches_reference_across_chunks(
+    mini_ontology, builtin_ontology, chunk_chars, data
+):
+    # with chunks this small, documents are longer than a chunk and chunk
+    # boundaries fall between any two documents
+    ontology = data.draw(st.sampled_from([mini_ontology, builtin_ontology]))
+    texts = data.draw(_corpus_texts(ontology))
+    docs = [Document(f"d{i}", "volunteer", text) for i, text in enumerate(texts)]
+    expected = [ref.extract_rule_based(d, ontology) for d in docs]
+    with mock.patch.object(extraction, "_CHUNK_CHARS", chunk_chars):
+        assert extract_corpus(docs, ontology) == expected
+
+
+def test_chunks_hold_whole_documents(monkeypatch):
+    monkeypatch.setattr(extraction, "_CHUNK_CHARS", 10)
+    texts = ["aaaa", "bbbb", "cc", "d" * 14, "\u0130", "e", "f", "g" * 10]
+    # ASCII texts of at most 10 characters in all, a longer text alone, and a
+    # non-ASCII text alone
+    assert list(_chunks(texts)) == [(0, 3), (3, 4), (4, 5), (5, 7), (7, 8)]
+    assert list(_chunks([])) == []
+
+
 def test_extract_corpus_keeps_phrases_inside_documents(mini_ontology):
     texts = ["java community", "service 5+", "years expert", "İ 12+", "years on-call\x00"]
     docs = [Document(f"d{i}", "volunteer", text) for i, text in enumerate(texts)]
@@ -896,22 +932,31 @@ _ASCII_SPACES = [chr(code) for code in range(128) if re.match(r"\s", chr(code))]
 
 @pytest.mark.parametrize(
     "terms",
-    [_CUE_TERMS, ["a b", "c3po", "x", "9 lives", "q\tz"]],
+    [_CUE_TERMS, ["a b", "c3po", "x", "9 lives", "q\tz", "de f", "gh"]],
     ids=["lexicons", "space-digit-single"],
 )
 def test_start_pairs_admit_every_term_start(terms):
-    # the scan tries the regex only where the table admits the first two characters
-    table = _start_pairs(terms)
+    # the scan tries the regex only where the tables admit the first three characters
+    first, after = _start_pairs(terms), _start_pairs(terms, offset=1)
+    texts = []
     for term in terms:
         pattern = re.compile(re.escape(term).replace(r"\ ", r"\s+"))
         for space in _ASCII_SPACES:
-            text = term.replace(" ", space) + "\x00"
-            assert pattern.match(text)
-            assert table[ord(text[0]), ord(text[1])], (term, space)
+            for run in (space, 2 * space):  # \s+ matches a run of whitespace
+                texts.append(term.replace(" ", run) + "\x00\x00")
+                assert pattern.match(texts[-1])
+    years = re.compile(r"\d+\s*\+\s*years?")
+    for space in _ASCII_SPACES:
+        texts += [f"5+{space}years", f"12{space}+{space}year", f"3{space}{space}+years"]
+        assert all(years.match(text) for text in texts[-3:])
+    for text in texts:
+        assert first[ord(text[0]), ord(text[1])], text
+        assert after[ord(text[1]), ord(text[2])], text
     for digit in string.digits:  # "N+ years"
-        assert table[ord(digit)].all()
+        assert first[ord(digit)].all()
     if terms is _CUE_TERMS:
-        assert (table == _START_PAIRS).all()
+        assert (first == _START_PAIRS).all()
+        assert (after == _NEXT_PAIRS).all()
 
 
 def test_phrase_terms_are_lowercase_ascii():

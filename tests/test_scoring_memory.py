@@ -1,9 +1,10 @@
-"""Peak memory of the n x m scoring stages, counted by ``tracemalloc``.
+"""Peak memory of the n x m scoring stages and of ``build_market``, counted by ``tracemalloc``.
 
 ``tracemalloc`` traces numpy's array buffers, so the peak of a call is the
 most bytes its arrays ever held at once. Each stage fills the array it returns
 one row block at a time, so beyond that array it may hold only a few blocks;
 the content cosine, which is not blocked, holds its two dense operands.
+``build_market`` scans the corpus text one chunk of documents at a time.
 ``swati match`` lets every n x m array go before its artifact stage.
 """
 
@@ -17,7 +18,8 @@ import pytest
 from swati import similarity, willingness
 from swati.assignment import UtilityForm, UtilityParams, utility_matrix_from_components
 from swati.cli import main
-from swati.extraction import PreferenceCues, Profile, TaskSpec
+from swati.corpus import SyntheticConfig, generate_synthetic
+from swati.extraction import PreferenceCues, Profile, TaskSpec, build_market
 from swati.ledger import Ledger
 from swati.similarity import cosine_matrix, jaccard_matrix
 from swati.willingness import WillingnessParams, histories_from_records, willingness_matrix
@@ -128,6 +130,23 @@ def test_utility_matrix_holds_its_output_and_a_few_blocks(form):
         )
     )
     assert peak <= matrix.utilities.nbytes + BLOCKS * _block_bytes()
+
+
+# build_market's traced peak on the seed-1 400 x 400 corpus before the text
+# stages were chunked, and the margin above it: whole-corpus token lists of
+# the alias scan add about 2.5 MB of str
+MARKET_PEAK_BYTES = 2_790_000
+MARKET_MARGIN_BYTES = 1_000_000
+
+
+def test_build_market_scans_text_in_bounded_chunks(builtin_ontology):
+    corpus = generate_synthetic(
+        SyntheticConfig(seed=1, n_volunteers=N, n_tasks=M), builtin_ontology
+    )
+    build_market(corpus, builtin_ontology)  # load what the first call loads
+    market, peak = _traced_peak(lambda: build_market(corpus, builtin_ontology))
+    assert len(market.profiles) == N
+    assert peak <= MARKET_PEAK_BYTES + MARKET_MARGIN_BYTES
 
 
 def test_match_frees_every_n_by_m_array_before_the_ledger(tmp_path, monkeypatch):
