@@ -275,7 +275,7 @@ _PRIMARY_DOMAIN_BIAS = 0.85
 
 
 def _check_templates(ontology: Ontology) -> None:
-    from .extraction import find_alias_mentions  # extraction imports this module
+    from .extraction import _alias_matches, _buffer  # extraction imports this module
 
     pools = [
         _VOLUNTEER_INTROS,
@@ -289,15 +289,16 @@ def _check_templates(ontology: Ontology) -> None:
         _CONTEXT_SENTENCES,
         [lead.format("") for lead in _SKILL_LEADS + _REQUIREMENT_LEADS],
     ]
-    for pool in pools:
-        for sentence in pool:
-            found = find_alias_mentions(sentence, ontology)
-            if found:
-                start, end, _ = found[0]
-                raise ConfigError(
-                    f"ontology alias {normalize_skill(sentence[start:end])!r} collides with "
-                    f"generator template {sentence!r}; generated skill sets would not be exact"
-                )
+    sentences = [sentence for pool in pools for sentence in pool]
+    # one scan of all sentences, each matched on its own
+    found = _alias_matches(*_buffer(sentences), ontology)
+    if found:
+        d, start, end, _ = found[0]
+        sentence = sentences[d]
+        raise ConfigError(
+            f"ontology alias {normalize_skill(sentence[start:end])!r} collides with "
+            f"generator template {sentence!r}; generated skill sets would not be exact"
+        )
 
 
 def _sample_entries(rng: random.Random, by_root, outside_root, roots, count):

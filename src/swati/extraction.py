@@ -4,15 +4,16 @@ Two interchangeable extractors produce the same schema: a deterministic
 rule-based scanner (the reference) and a remote HTTP client for an external
 model endpoint. Downstream code never cares which one produced a result.
 
-The rule-based scanner extracts a corpus in chunks of whole documents. Each
-chunk is lowercased and joined into one buffer, which two scans read once:
-the alias scan matches ontology aliases as whole-token sequences of a
-document, longest match first, without overlaps, and one regular-expression
-scan finds the phrases of fixed trigger lexicons shipped in
-``data/cue_lexicons.json``, so runs are reproducible. The phrases give the
-preference cues and the proficiency of nearby mentions; proficiency is
-carried through to diagnostics but deliberately plays no role in matching. A
-non-ASCII document is a chunk of its own and keeps its case.
+The rule-based scanner extracts a corpus in chunks of whole documents, each
+of ASCII documents only or of non-ASCII documents only. Each chunk is joined
+into one buffer, lowercased if it is ASCII, which two scans read once: the
+alias scan matches ontology aliases as whole-token sequences of a document,
+longest match first, without overlaps, and one regular-expression scan
+(with IGNORECASE on a non-ASCII buffer) finds the phrases of fixed trigger
+lexicons shipped in ``data/cue_lexicons.json``, so runs are reproducible. The
+phrases give the preference cues and the proficiency of nearby mentions;
+proficiency is carried through to diagnostics but deliberately plays no role
+in matching.
 """
 
 from __future__ import annotations
@@ -129,17 +130,19 @@ _NEXT_PAIRS = _start_pairs(_TERMS, offset=1)
 # character that can start a phrase match
 _WORD_BYTES = bytes(re.match(r"\w", chr(code)) is not None for code in range(256))
 _FIRST_BYTES = _START_PAIRS.any(axis=1).tobytes()
-# bytes.translate table of _space_kinds for ASCII text: str.split splits at
-# every whitespace character, and str.strip(_STRIP_CHARS) removes only those
-# of string.whitespace (kind 1), not '\x1c' to '\x1f' (kind 2)
+# _space_kinds of each ASCII character, as a bytes.translate table: str.split
+# splits at every whitespace character, and str.strip(_STRIP_CHARS) removes
+# only those of string.whitespace (kind 1), not '\x1c' to '\x1f' (kind 2)
 _SPACE_BYTES = bytes(
     0 if not chr(code).isspace() else 1 if chr(code) in string.whitespace else 2
     for code in range(128)
 ) + bytes(128)
+# whitespace that str.strip(_STRIP_CHARS), and so normalize_skill, leaves in place
+_UNSTRIPPED_SPACE_RE = re.compile(r"[^\S" + re.escape(string.whitespace) + "]")
 # Most characters of the documents scanned as one buffer. The alias and phrase
-# scans lowercase, join and scan a corpus one chunk of whole documents at a
-# time, so their buffers and token lists stay chunk-sized whatever the
-# corpus's size; a longer document is a chunk of its own. Chunks of 16 to 64
+# scans join and scan a corpus one chunk of whole documents at a time, so
+# their buffers and token lists stay chunk-sized whatever the corpus's size;
+# a longer document is a chunk of its own. Chunks of 16 to 64
 # Ki characters scan a corpus equally fast, and at 64 Ki a `match` run on a
 # 120 x 480 market peaked 0.7 MB higher in RSS.
 _CHUNK_CHARS = 1 << 15
@@ -219,20 +222,26 @@ def _space_kinds(text: str) -> np.ndarray:
     ``str.strip(_STRIP_CHARS)`` removes it and 2 if not."""
     if text.isascii():
         return np.frombuffer(text.encode("ascii").translate(_SPACE_BYTES), dtype=np.uint8)
-    return np.array([2 * c.isspace() - (c in string.whitespace) for c in text], dtype=np.uint8)
+    # string.whitespace is ASCII; any other whitespace is kind 2
+    codes = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
+    kinds = np.frombuffer(_SPACE_BYTES, dtype=np.uint8)[np.minimum(codes, 127)]
+    kinds[[m.start() for m in _UNSTRIPPED_SPACE_RE.finditer(text)]] = 2
+    return kinds
 
 
-def _buffer(texts: Sequence[str]) -> str:
-    r"""The texts as one buffer: a space, the texts separated by ``" \x00 "``, a space.
+def _buffer(texts: Sequence[str]) -> tuple[str, np.ndarray, np.ndarray]:
+    r"""The texts as one buffer, with each text's offset in it and its length.
 
-    ASCII texts are lowercased, which keeps every offset. A non-ASCII text is
-    the only text of its buffer and keeps its case, because lowercasing can
-    move offsets there (``'İ'.lower()`` is two characters). Text d starts at
-    ``1 + sum(len(texts[k]) + 3 for k < d)``.
+    The buffer is a space, the texts separated by ``" \x00 "``, and a space,
+    so text d starts at ``1 + sum(len(texts[k]) + 3 for k < d)``. An ASCII
+    buffer is lowercased, which keeps every offset. Any other buffer keeps
+    its case, because lowercasing can move offsets there (``'İ'.lower()`` is
+    two characters).
     """
-    if len(texts) == 1 and not texts[0].isascii():
-        return " " + texts[0] + " "
-    return " " + " \x00 ".join(texts).lower() + " "
+    buffer = " " + " \x00 ".join(texts) + " "
+    lengths = np.array([len(text) for text in texts], dtype=np.intp)
+    bases = np.cumsum(lengths + 3) - lengths - 2
+    return (buffer.lower() if buffer.isascii() else buffer), bases, lengths
 
 
 def _alias_matches(
@@ -325,7 +334,7 @@ def find_alias_mentions(text: str, ontology: Ontology) -> list[tuple[int, int, s
 
     The one-text call of the corpus scan (``_alias_matches``).
     """
-    matches = _alias_matches(_buffer([text]), np.array([1]), np.array([len(text)]), ontology)
+    matches = _alias_matches(*_buffer([text]), ontology)
     return [(start, end, canonical) for _, start, end, canonical in matches]
 
 
@@ -401,32 +410,33 @@ def _domain_affinity(canonicals: set[str], root_of: Callable[[str], str]) -> flo
     return max(map(roots.count, roots)) / len(roots)
 
 
-def _chunks(texts: Sequence[str]) -> Iterator[tuple[int, int]]:
-    """Consecutive ``(start, stop)`` ranges of ``texts``, each scanned as one ``_buffer``.
+def _chunks(texts: Sequence[str]) -> Iterator[list[int]]:
+    """Groups of indices into ``texts``, in increasing order, each scanned as one ``_buffer``.
 
-    A range holds ASCII texts of at most ``_CHUNK_CHARS`` characters in all,
-    or one longer ASCII text, or one non-ASCII text.
+    A group holds texts of at most ``_CHUNK_CHARS`` characters in all, or one
+    longer text. Its texts are all ASCII or all not, so that ASCII texts keep
+    the lowercased buffer and its prefiltered phrase scan, and each kind is
+    grouped on its own, so that a corpus alternating between them still
+    gets full chunks.
     """
-    start, size = 0, 0
+    groups: dict[bool, list[int]] = {True: [], False: []}  # by isascii()
+    sizes = {True: 0, False: 0}
     for i, text in enumerate(texts):
-        if i > start and (
-            size + len(text) > _CHUNK_CHARS or not text.isascii() or not texts[start].isascii()
-        ):
-            yield start, i
-            start, size = i, 0
-        size += len(text)
-    if texts:
-        yield start, len(texts)
+        kind = text.isascii()
+        if groups[kind] and sizes[kind] + len(text) > _CHUNK_CHARS:
+            yield groups[kind]
+            groups[kind], sizes[kind] = [], 0
+        groups[kind].append(i)
+        sizes[kind] += len(text)
+    yield from filter(None, groups.values())
 
 
 def _extract_chunk(
     docs: Sequence[Document], ontology: Ontology, root_of: Callable[[str], str]
 ) -> list[ExtractionResult]:
-    """``extract_corpus`` of documents that ``_chunks`` puts in one range."""
+    """``extract_corpus`` of documents that ``_chunks`` puts in one group."""
     texts = [doc.text for doc in docs]
-    buffer = _buffer(texts)
-    lengths = np.array([len(text) for text in texts])
-    bases = np.cumsum(lengths + 3) - lengths - 2
+    buffer, bases, lengths = _buffer(texts)
     found = _alias_matches(buffer, bases, lengths, ontology)
     phrases = dict(zip(_PHRASES, _phrase_matches(buffer)))
     phrases["years"] = [
@@ -474,14 +484,16 @@ def extract_corpus(docs: Sequence[Document], ontology: Ontology) -> list[Extract
     """Deterministic extractor, one result per document: alias scan plus lexicon-driven cues.
 
     Documents are scanned in chunks of whole documents (``_chunks``), each
-    lowercased and joined into one buffer once: the alias scan and the
-    phrase scan each make one pass over it, and the results are assembled
-    per chunk. A non-ASCII document is a chunk of its own.
+    joined into one buffer once (``_buffer``): the alias scan and the phrase
+    scan each make one pass over it, and the results are assembled per
+    chunk.
     """
     root_of = functools.cache(ontology.root_of)
-    results = []
-    for start, stop in _chunks([doc.text for doc in docs]):
-        results += _extract_chunk(docs[start:stop], ontology, root_of)
+    results: list[Optional[ExtractionResult]] = [None] * len(docs)
+    for group in _chunks([doc.text for doc in docs]):
+        chunk = _extract_chunk([docs[i] for i in group], ontology, root_of)
+        for i, result in zip(group, chunk):
+            results[i] = result
     return results
 
 

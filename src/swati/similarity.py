@@ -14,7 +14,6 @@ and positive).
 from __future__ import annotations
 
 import functools
-import math
 import re
 from array import array
 from collections import defaultdict
@@ -229,10 +228,9 @@ def term_vectors(model: VectorizerModel, terms: TermCounts) -> SparseRows:
 
     Out-of-vocabulary terms are dropped; a document with none left is empty.
     All documents' (column, count) pairs are sorted by (document, column) at
-    once. Each document's weights are divided by the norm of their own
-    contiguous slice, ``sqrt(x.dot(x))`` as ``np.linalg.norm`` computes it for
-    a 1-D array: the same arithmetic on the same values as for a vector built
-    alone, so the weights do not depend on the batch.
+    once. Each document's weights are divided by ``np.linalg.norm`` of their
+    own contiguous slice, the same call on the same values as for a vector
+    built alone, so the weights do not depend on the batch.
     """
     columns = np.array([model.vocabulary.get(t, -1) for t in terms.terms], dtype=np.int64)
     cols = columns[terms.ids]
@@ -249,8 +247,7 @@ def term_vectors(model: VectorizerModel, terms: TermCounts) -> SparseRows:
     bounds = offsets.tolist()
     norms = np.ones(len(lengths))
     for d in np.flatnonzero(lengths).tolist():
-        row = weights[bounds[d] : bounds[d + 1]]
-        norms[d] = math.sqrt(row.dot(row))  # np.linalg.norm's sum, without its checks
+        norms[d] = np.linalg.norm(weights[bounds[d] : bounds[d + 1]])
     weights /= np.repeat(norms, lengths)
     return SparseRows(indices, weights, offsets)
 

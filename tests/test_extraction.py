@@ -31,6 +31,7 @@ from swati.extraction import (
     extract_rule_based,
     extraction_stats,
     _chunks,
+    _space_kinds,
     _start_pairs,
     find_alias_mentions,
     validate_extraction,
@@ -910,21 +911,37 @@ def test_extract_corpus_matches_reference_across_chunks(
 
 def test_chunks_hold_whole_documents(monkeypatch):
     monkeypatch.setattr(extraction, "_CHUNK_CHARS", 10)
-    texts = ["aaaa", "bbbb", "cc", "d" * 14, "\u0130", "e", "f", "g" * 10]
-    # ASCII texts of at most 10 characters in all, a longer text alone, and a
-    # non-ASCII text alone
-    assert list(_chunks(texts)) == [(0, 3), (3, 4), (4, 5), (5, 7), (7, 8)]
+    texts = ["aaaa", "bbbb", "cc", "d" * 14, "\u0130", "\u00e9\u00e9", "e", "f", "g" * 10]
+    texts.append("\u00e9" * 11)
+    # texts of at most 10 characters in all or a longer text alone, and ASCII
+    # and non-ASCII texts grouped apart
+    assert list(_chunks(texts)) == [[0, 1, 2], [3], [6, 7], [4, 5], [8], [9]]
     assert list(_chunks([])) == []
+
+
+# every character str.split splits at, and a lone surrogate
+_SPACES = [chr(code) for code in range(0x110000) if chr(code).isspace()]
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=st.text(st.characters() | st.sampled_from([*_SPACES, "\ud800", "\u0130"])))
+def test_space_kinds_marks_what_split_and_strip_see(text):
+    expected = [0 if not c.isspace() else 1 if c in string.whitespace else 2 for c in text]
+    assert _space_kinds(text).tolist() == expected
 
 
 def test_extract_corpus_keeps_phrases_inside_documents(mini_ontology):
     texts = ["java community", "service 5+", "years expert", "İ 12+", "years on-call\x00"]
+    # non-ASCII documents share a chunk: alias and phrase halves across them
+    texts += ["İ machine", "learning ſ community", "service\u00a0yolo", "v8 İ"]
     docs = [Document(f"d{i}", "volunteer", text) for i, text in enumerate(texts)]
     results = extract_corpus(docs, mini_ontology)
     assert results == [ref.extract_rule_based(d, mini_ontology) for d in docs]
-    assert [r.cues.volunteering_history for r in results] == [0.0] * 5
+    assert [r.cues.volunteering_history for r in results] == [0.0] * 9
     assert results[0].mentions[0].proficiency == 0.5
     assert results[4].cues.availability == 0.25
+    assert [r.mentions for r in results[5:7]] == [(), ()]
+    assert [m.raw for r in results[7:] for m in r.mentions] == ["yolo"]  # not "yolo v8"
 
 
 _ASCII_SPACES = [chr(code) for code in range(128) if re.match(r"\s", chr(code))]
