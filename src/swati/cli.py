@@ -171,6 +171,9 @@ def _score_match(args, cfg: EngineConfig, seed: Optional[int]):
 
 
 def cmd_match(args) -> int:
+    # the assignment's epoch label, epochs - 1, goes into the ledger's u64 field
+    if not 1 <= args.epochs <= 1 << 64:
+        raise ConfigError(f"--epochs must lie in [1, 2^64], got {args.epochs}")
     cfg = load_config(args.config)
     seed = args.seed
     if seed is None and args.method == "random":

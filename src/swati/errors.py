@@ -154,3 +154,7 @@ class UnknownTaskError(EngineError):
 
 class IllegalTransitionError(EngineError):
     """Requested task state change is not allowed by the lifecycle."""
+
+
+class EpochRangeError(EngineError):
+    """An epoch outside what the ledger's u64 epoch field holds, [0, 2^64)."""

@@ -11,9 +11,15 @@ alias scan matches ontology aliases as whole-token sequences of a document,
 longest match first, without overlaps, and one regular-expression scan
 (with IGNORECASE on a non-ASCII buffer) finds the phrases of fixed trigger
 lexicons shipped in ``data/cue_lexicons.json``, so runs are reproducible. The
-phrases give the preference cues and the proficiency of nearby mentions;
-proficiency is carried through to diagnostics but deliberately plays no role
-in matching.
+phrases give the preference cues and the proficiency of nearby mentions.
+
+Two assemblies share these scans. ``extract_corpus`` (``swati extract``)
+builds every document's mentions, with raw text, evidence span and
+proficiency, and its cues; proficiency is carried through to diagnostics but
+deliberately plays no role in matching. ``build_market``'s rule-based path
+(``swati match``) reads only what matching does: each document's canonical
+skills, straight from the alias scan, and the cues of volunteers, whose
+text alone is phrase-scanned.
 """
 
 from __future__ import annotations
@@ -245,7 +251,7 @@ def _buffer(texts: Sequence[str]) -> tuple[str, np.ndarray, np.ndarray]:
 
 
 def _alias_matches(
-    buffer: str, bases: np.ndarray, lengths: np.ndarray, ontology: Ontology
+    buffer: str, bases: np.ndarray, lengths: np.ndarray, ontology: Ontology, spans: bool = True
 ) -> list[tuple[int, int, int, str]]:
     r"""Every text's alias matches in a ``_buffer``, as (text, start, end, canonical).
 
@@ -257,7 +263,9 @@ def _alias_matches(
     by one space and stripped, unless the text has whitespace that the strip
     does not remove (then the span's text is normalized). Token offsets come
     from one whitespace mask of the buffer. A match never leaves its text:
-    the ``"\x00"`` token between two texts belongs to neither.
+    the ``"\x00"`` token between two texts belongs to neither. Without
+    ``spans``, start and end are left as the indices of a match's first and
+    last token in ``buffer.split()``.
     """
     tokens = buffer.split()
     words = tokens if buffer.isascii() else buffer.lower().split()
@@ -314,6 +322,8 @@ def _alias_matches(
                 found.append((d, i, last, canonical))
                 resume = last + 1
                 break
+    if not spans:
+        return found
     firsts = starts[[i for _, i, _, _ in found]].tolist()
     lasts = starts[[last for _, _, last, _ in found]].tolist()
     bases = bases.tolist()
@@ -431,53 +441,85 @@ def _chunks(texts: Sequence[str]) -> Iterator[list[int]]:
     yield from filter(None, groups.values())
 
 
+def _texts_of(bases: np.ndarray, spans: Sequence[tuple[int, int]]) -> np.ndarray:
+    """The text of each buffer span, for a ``_buffer`` whose texts start at ``bases``."""
+    return np.searchsorted(bases, [start for start, _ in spans], side="right") - 1
+
+
+def _cues(
+    skills: Sequence[set[str]],
+    phrases: dict[str, list[tuple[int, int]]],
+    bases: np.ndarray,
+    root_of: Callable[[str], str],
+) -> list[PreferenceCues]:
+    """Each text's cues, from its canonical skills and its buffer's phrases by name."""
+    counts = [
+        np.bincount(_texts_of(bases, phrases[name]), minlength=len(skills))
+        for name in CUE_NAMES[1:]
+    ]
+    rows = np.minimum(1.0, CUE_STEP * np.array(counts)).T.tolist()
+    return [
+        PreferenceCues(_domain_affinity(canonicals, root_of), *row)
+        for canonicals, row in zip(skills, rows)
+    ]
+
+
+def _in_chunks(texts: Sequence[str], scan: Callable[[list[str]], list]) -> list:
+    """One result per text, in order: ``scan`` of each ``_chunks`` group of texts gives theirs."""
+    results = [None] * len(texts)
+    for group in _chunks(texts):
+        for i, result in zip(group, scan([texts[i] for i in group])):
+            results[i] = result
+    return results
+
+
 def _extract_chunk(
-    docs: Sequence[Document], ontology: Ontology, root_of: Callable[[str], str]
-) -> list[ExtractionResult]:
-    """``extract_corpus`` of documents that ``_chunks`` puts in one group."""
-    texts = [doc.text for doc in docs]
+    texts: Sequence[str], ontology: Ontology, root_of: Callable[[str], str]
+) -> list[tuple[tuple[SkillMention, ...], PreferenceCues]]:
+    """Each text's mentions and cues, for texts that ``_chunks`` puts in one group."""
     buffer, bases, lengths = _buffer(texts)
     found = _alias_matches(buffer, bases, lengths, ontology)
     phrases = dict(zip(_PHRASES, _phrase_matches(buffer)))
-    phrases["years"] = [
-        (start, end)
-        for start, end in phrases["years"]
-        if _at_least_min_years(buffer[start:end].partition("+")[0])
-    ]
-    texts_of = {
-        name: np.searchsorted(bases, [start for start, _ in spans], side="right") - 1
-        for name, spans in phrases.items()
-    }
-    counts = [np.bincount(texts_of[name], minlength=len(docs)) for name in CUE_NAMES[1:]]
-    cue_rows = np.minimum(1.0, CUE_STEP * np.array(counts)).T.tolist()
-    bases = bases.tolist()
+    offsets = bases.tolist()
     expertise, years = {}, {}  # each text's proficiency phrases, by text
     for name, by_text in (("expertise", expertise), ("years", years)):
-        for d, (start, end) in zip(texts_of[name].tolist(), phrases[name]):
-            by_text.setdefault(d, []).append((start - bases[d], end - bases[d]))
+        for d, (start, end) in zip(_texts_of(bases, phrases[name]).tolist(), phrases[name]):
+            start, end = start - offsets[d], end - offsets[d]
+            # "N+ years" counts from min_years; the buffer at most lowercases the text
+            if name == "expertise" or _at_least_min_years(texts[d][start:end].partition("+")[0]):
+                by_text.setdefault(d, []).append((start, end))
     base = _proficiency((0, 1), (), ())  # without a phrase near
-    mentions = [
-        SkillMention(
-            texts[d][start:end],
-            (start, end),
-            (
-                _proficiency((start, end), expertise.get(d, ()), years.get(d, ()))
-                if d in expertise or d in years
-                else base
-            ),
+    mentions = [[] for _ in texts]
+    skills = [set() for _ in texts]
+    for d, start, end, canonical in found:
+        proficiency = (
+            _proficiency((start, end), expertise.get(d, ()), years.get(d, ()))
+            if d in expertise or d in years
+            else base
         )
-        for d, start, end, _ in found
-    ]
-    canonicals = [match[3] for match in found]
-    bounds = np.searchsorted([match[0] for match in found], np.arange(len(docs) + 1)).tolist()
-    results = []
-    for d, (doc, cues) in enumerate(zip(docs, cue_rows)):
-        lo, hi = bounds[d], bounds[d + 1]
-        affinity = _domain_affinity(set(canonicals[lo:hi]), root_of)
-        results.append(
-            ExtractionResult(doc.id, tuple(mentions[lo:hi]), PreferenceCues(affinity, *cues))
-        )
-    return results
+        mentions[d].append(SkillMention(texts[d][start:end], (start, end), proficiency))
+        skills[d].add(canonical)
+    return list(zip(map(tuple, mentions), _cues(skills, phrases, bases, root_of)))
+
+
+def _market_chunk(
+    texts: Sequence[str], ontology: Ontology, root_of: Callable[[str], str], cues: bool
+) -> list[tuple[frozenset[str], Optional[PreferenceCues]]]:
+    """Each text's canonical skills and, if ``cues``, its cues, for texts of one ``_chunks`` group.
+
+    The canonicals come straight from the alias scan, which resolves each
+    match's key, so no raw string is resolved again, and no match's span or
+    ``SkillMention`` is built. Without ``cues`` no phrase is scanned.
+    """
+    buffer, bases, lengths = _buffer(texts)
+    skills = [set() for _ in texts]
+    for d, _, _, canonical in _alias_matches(buffer, bases, lengths, ontology, spans=False):
+        skills[d].add(canonical)
+    if not cues:
+        return [(frozenset(canonicals), None) for canonicals in skills]
+    phrases = dict(zip(_PHRASES, _phrase_matches(buffer)))
+    found_cues = _cues(skills, phrases, bases, root_of)
+    return [(frozenset(canonicals), c) for canonicals, c in zip(skills, found_cues)]
 
 
 def extract_corpus(docs: Sequence[Document], ontology: Ontology) -> list[ExtractionResult]:
@@ -489,12 +531,10 @@ def extract_corpus(docs: Sequence[Document], ontology: Ontology) -> list[Extract
     chunk.
     """
     root_of = functools.cache(ontology.root_of)
-    results: list[Optional[ExtractionResult]] = [None] * len(docs)
-    for group in _chunks([doc.text for doc in docs]):
-        chunk = _extract_chunk([docs[i] for i in group], ontology, root_of)
-        for i, result in zip(group, chunk):
-            results[i] = result
-    return results
+    found = _in_chunks(
+        [doc.text for doc in docs], lambda texts: _extract_chunk(texts, ontology, root_of)
+    )
+    return [ExtractionResult(doc.id, mentions, cues) for doc, (mentions, cues) in zip(docs, found)]
 
 
 def extract_rule_based(doc: Document, ontology: Ontology) -> ExtractionResult:
@@ -690,29 +730,52 @@ def build_market(
 
     The vectorizer is fitted jointly over volunteers and tasks. Each document
     is tokenized once: its term counts give both the document frequencies and
-    its content vector. ``extractor(docs, ontology)`` returns one result per
-    document, in order; it defaults to the rule-based ``extract_corpus``, and
-    any callable with the same signature (remote client, stub) slots in
-    unchanged.
+    its content vector.
+
+    With the default, rule-based ``extract_corpus``, the market is read
+    straight from the scans (``_market_chunk``): a document's canonical
+    skills are the ones its alias scan resolved, and only volunteer text is
+    scanned for preference cues, since only profiles carry them. No evidence
+    span or proficiency is computed, as matching reads neither; ``swati
+    extract`` gets them from ``extract_corpus``. The market is the one that
+    ``extract_corpus``'s results would give. Any other ``extractor(docs,
+    ontology)`` (remote client, stub) returns one result per document, in
+    order, and each result's raw skills are resolved through the ontology.
     """
     docs = corpus.documents()
     terms = count_terms((doc.text for doc in docs), settings)
     vectors = term_vectors(fit_vectorizer(terms, settings), terms)
-    results = extractor(docs, ontology)
-    if len(results) != len(docs):
-        raise ValueError(f"extractor returned {len(results)} results for {len(docs)} documents")
-    skills = []
-    for doc, res in zip(docs, results):
-        if res.doc_id != doc.id:
-            raise ValueError(f"extraction {res.doc_id!r} does not match document {doc.id!r}")
-        skills.append(frozenset(ontology.canonicalize_set(m.raw for m in res.mentions)))
     n_volunteers = len(corpus.volunteers)
+    if extractor is extract_corpus:
+        root_of = functools.cache(ontology.root_of)
+        volunteers = _in_chunks(
+            [doc.text for doc in corpus.volunteers],
+            lambda texts: _market_chunk(texts, ontology, root_of, cues=True),
+        )
+        tasks = _in_chunks(
+            [doc.text for doc in corpus.tasks],
+            lambda texts: _market_chunk(texts, ontology, root_of, cues=False),
+        )
+        skills = [canonicals for canonicals, _ in volunteers + tasks]
+        cues = [doc_cues for _, doc_cues in volunteers]
+    else:
+        results = extractor(docs, ontology)
+        if len(results) != len(docs):
+            raise ValueError(
+                f"extractor returned {len(results)} results for {len(docs)} documents"
+            )
+        skills = []
+        for doc, res in zip(docs, results):
+            if res.doc_id != doc.id:
+                raise ValueError(f"extraction {res.doc_id!r} does not match document {doc.id!r}")
+            skills.append(frozenset(ontology.canonicalize_set(m.raw for m in res.mentions)))
+        cues = [res.cues for res in results[:n_volunteers]]
     return Market(
         profiles=tuple(
             Profile(
                 id=doc.id,
                 skills=skills[i],
-                cues=results[i].cues,
+                cues=cues[i],
                 history_ref=doc.meta.get("history_ref", doc.id),
             )
             for i, doc in enumerate(corpus.volunteers)

@@ -35,6 +35,7 @@ from typing import Callable, Iterable, Optional, TypeVar
 from .assignment import Assignment, assignment_digest, sha256
 from .errors import (
     DuplicateTaskError,
+    EpochRangeError,
     IllegalTransitionError,
     ParseError,
     UnknownTaskError,
@@ -144,6 +145,10 @@ class Ledger:
         epoch: int,
         digest: Optional[bytes],
     ) -> LedgerRecord:
+        # a record encodes its epoch as a u64; a commit's pairs share one
+        # epoch, so its first append refuses it before anything is appended
+        if not 0 <= epoch < 1 << 64:
+            raise EpochRangeError(f"epoch {epoch} is outside [0, 2^64)")
         index, prev_hash, timestamp = len(self.records), self.head(), self._clock
         core = _core_bytes(
             index, prev_hash, task_id, event, volunteer_id, epoch, digest, timestamp

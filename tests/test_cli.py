@@ -469,6 +469,34 @@ def test_match_rejects_zero_epochs(tmp_path, capsys):
     assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
 
 
+def test_match_labels_the_last_u64_epoch(tmp_path):
+    # --epochs 2^64 labels its assignment 2^64 - 1, the ledger field's largest
+    gen = _gen(tmp_path)
+    out = tmp_path / "match"
+    args = ["match", "--corpus", str(gen / "corpus.jsonl"), "--out", str(out)]
+    assert main([*args, "--epochs", str(1 << 64)]) == 0
+    ledger = load_ledger(str(out / "ledger.bin"))
+    assert {record.epoch for record in ledger.records} == {(1 << 64) - 1}
+
+
+def test_match_rejects_an_epoch_label_past_u64_before_writing(tmp_path, capsys):
+    gen = _gen(tmp_path)
+    out = tmp_path / "match"
+    rc = main(
+        [
+            "match", "--corpus", str(gen / "corpus.jsonl"),
+            "--epochs", str((1 << 64) + 1), "--out", str(out),
+        ]
+    )
+    assert rc == 2
+    error = json.loads(capsys.readouterr().err)
+    assert error == {
+        "error": "ConfigError",
+        "detail": f"--epochs must lie in [1, 2^64], got {(1 << 64) + 1}",
+    }
+    assert not out.exists()
+
+
 def test_custom_config_overrides(tmp_path):
     config_path = tmp_path / "config.json"
     config_path.write_text(

@@ -22,9 +22,12 @@ from swati.extraction import (
     CUE_NAMES,
     SCHEMA_VERSION,
     ExtractionResult,
+    Market,
     PreferenceCues,
+    Profile,
     RemoteExtractorConfig,
     SkillMention,
+    TaskSpec,
     build_market,
     extract_corpus,
     extract_remote,
@@ -37,6 +40,7 @@ from swati.extraction import (
     validate_extraction,
 )
 from swati.ontology import Ontology, SkillEntry
+from swati.similarity import VectorizerSettings, count_terms, fit_vectorizer, term_vectors
 
 import python_reference as ref
 from conftest import TEST_MARKET_SHAPE
@@ -864,7 +868,7 @@ _LAST_HALVES = [
 ]
 
 
-def _corpus_texts(ontology):
+def _corpus_texts(ontology, min_size=0):
     """Lists of texts from ``_texts`` or empty, with phrase halves at their ends."""
 
     def half(halves):
@@ -878,7 +882,7 @@ def _corpus_texts(ontology):
         _texts(ontology) | st.just(""),
         half(_LAST_HALVES),
     )
-    return st.lists(text.map("".join), max_size=6)
+    return st.lists(text.map("".join), min_size=min_size, max_size=6)
 
 
 @pytest.mark.parametrize("which", ["mini", "builtin"])
@@ -907,6 +911,91 @@ def test_extract_corpus_matches_reference_across_chunks(
     expected = [ref.extract_rule_based(d, ontology) for d in docs]
     with mock.patch.object(extraction, "_CHUNK_CHARS", chunk_chars):
         assert extract_corpus(docs, ontology) == expected
+
+
+def _reference_market(corpus, ontology):
+    """The market of ``extract_corpus``'s results, each document's raw skills resolved
+    by ``canonicalize_set``, with the default vectorizer settings."""
+    docs = corpus.documents()
+    results = extract_corpus(docs, ontology)
+    skills = [frozenset(ontology.canonicalize_set(m.raw for m in r.mentions)) for r in results]
+    terms = count_terms((doc.text for doc in docs), VectorizerSettings())
+    vectors = term_vectors(fit_vectorizer(terms, VectorizerSettings()), terms)
+    n_volunteers = len(corpus.volunteers)
+    return Market(
+        profiles=tuple(
+            Profile(doc.id, skills[i], results[i].cues, doc.meta.get("history_ref", doc.id))
+            for i, doc in enumerate(corpus.volunteers)
+        ),
+        taskspecs=tuple(
+            TaskSpec(doc.id, skills[n_volunteers + j]) for j, doc in enumerate(corpus.tasks)
+        ),
+        volunteer_vectors=vectors.rows(0, n_volunteers),
+        task_vectors=vectors.rows(n_volunteers, len(docs)),
+    )
+
+
+def _rows_bytes(rows):
+    return [rows.indices.tobytes(), rows.weights.tobytes(), rows.offsets.tobytes()]
+
+
+@pytest.mark.parametrize("chunk_chars", [1, 48, extraction._CHUNK_CHARS])
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_build_market_equals_the_market_of_resolved_extractions(
+    mini_ontology, builtin_ontology, chunk_chars, data
+):
+    # volunteers and tasks interleave in file order, as load_corpus reads them;
+    # the texts hold non-ASCII letters and alias and phrase halves at their ends
+    ontology = data.draw(st.sampled_from([mini_ontology, builtin_ontology]))
+    texts = data.draw(_corpus_texts(ontology, min_size=1))
+    kinds = data.draw(
+        st.lists(st.sampled_from(["volunteer", "task"]), min_size=len(texts), max_size=len(texts))
+    )
+    docs = [
+        Document(f"d{i}", kind, text, {"history_ref": f"h{i}"} if i % 3 == 0 else {})
+        for i, (kind, text) in enumerate(zip(kinds, texts))
+    ]
+    corpus = Corpus(
+        volunteers=tuple(doc for doc in docs if doc.kind == "volunteer"),
+        tasks=tuple(doc for doc in docs if doc.kind == "task"),
+    )
+    with mock.patch.object(extraction, "_CHUNK_CHARS", chunk_chars):
+        market = build_market(corpus, ontology)
+        expected = _reference_market(corpus, ontology)
+    assert market.profiles == expected.profiles
+    assert market.taskspecs == expected.taskspecs
+    assert _rows_bytes(market.volunteer_vectors) == _rows_bytes(expected.volunteer_vectors)
+    assert _rows_bytes(market.task_vectors) == _rows_bytes(expected.task_vectors)
+
+
+def test_build_market_builds_no_mention_and_scans_no_task_for_cues(builtin_ontology, monkeypatch):
+    corpus = generate_synthetic(
+        SyntheticConfig(seed=5, n_volunteers=8, n_tasks=8, **TEST_MARKET_SHAPE),
+        builtin_ontology,
+    )
+    mentions, buffers = [], []
+    mention, phrase_matches = extraction.SkillMention, extraction._phrase_matches
+
+    def record_mention(*args, **kwargs):
+        mentions.append(args)
+        return mention(*args, **kwargs)
+
+    def record_buffer(buffer):
+        buffers.append(buffer)
+        return phrase_matches(buffer)
+
+    monkeypatch.setattr(extraction, "SkillMention", record_mention)
+    monkeypatch.setattr(extraction, "_phrase_matches", record_buffer)
+    market = build_market(corpus, builtin_ontology)
+    assert mentions == []
+    scanned = "".join(buffers)
+    assert all(doc.text.lower() in scanned for doc in corpus.volunteers)
+    assert not any(doc.text.lower() in scanned for doc in corpus.tasks)
+    # the reference's extract_corpus builds its mentions and scans every text
+    # through the same recorders
+    assert market.profiles == _reference_market(corpus, builtin_ontology).profiles
+    assert mentions and all(doc.text.lower() in "".join(buffers) for doc in corpus.tasks)
 
 
 def test_chunks_hold_whole_documents(monkeypatch):

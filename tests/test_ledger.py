@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from swati.assignment import Assignment, AssignedPair, assignment_digest, sha256
 from swati.errors import (
     DuplicateTaskError,
+    EpochRangeError,
     IllegalTransitionError,
     ParseError,
     UnknownTaskError,
@@ -133,6 +134,46 @@ def test_transitions():
         ledger.transition("t9", "Completed")
     with pytest.raises(IllegalTransitionError):
         ledger.transition("t1", "Posted")
+
+
+_U64_END = 1 << 64  # the first epoch the record encoding cannot hold
+
+
+@pytest.mark.parametrize("epoch", [-1, _U64_END])
+def test_an_epoch_outside_u64_is_refused_and_appends_nothing(epoch):
+    ledger, _ = _ledger_with_assignment()
+    before = list(ledger.records)
+    with pytest.raises(EpochRangeError, match=f"epoch {epoch} is outside"):
+        ledger.post_task("t4", epoch=epoch)
+    with pytest.raises(EpochRangeError):
+        ledger.transition("t3", "Cancelled", epoch=epoch)
+    ledger.post_task("t4")
+    ledger.post_task("t5")
+    before += ledger.records[-2:]
+    bad = Assignment(
+        pairs=(AssignedPair("v1", "t4", 0.5), AssignedPair("v2", "t5", 0.5)), epoch=epoch
+    )
+    with pytest.raises(EpochRangeError):
+        ledger.commit_assignment(bad)
+    assert ledger.records == before
+    assert [ledger.state_index[t].value for t in ("t3", "t4", "t5")] == ["Posted"] * 3
+    assert verify(ledger).ok
+
+
+def test_the_u64_epoch_edges_round_trip(tmp_path):
+    ledger = Ledger()
+    ledger.post_task("t1", epoch=0)
+    ledger.post_task("t2", epoch=_U64_END - 1)
+    ledger.commit_assignment(
+        Assignment(pairs=(AssignedPair("v1", "t2", 0.5),), epoch=_U64_END - 1)
+    )
+    ledger.transition("t1", "Cancelled", epoch=_U64_END - 1)
+    path = tmp_path / "ledger.bin"
+    save_ledger(ledger, str(path))
+    loaded = load_ledger(str(path))
+    assert loaded.records == ledger.records
+    assert [r.epoch for r in loaded.records] == [0] + [_U64_END - 1] * 3
+    assert verify(loaded).ok
 
 
 def test_verify_clean_ledger():
