@@ -31,11 +31,14 @@ for mention in result.mentions:
     canonical = ontology.resolve(mention.raw)
     print(f"  {mention.raw!r:28} {mention.evidence}  rho={mention.proficiency:.2f}  -> {canonical}")
 
+print("\ncanonical skills (resolved once, by the extractor):", sorted(result.skills))
+print("unresolved raws:", list(result.unresolved))
+
 print("\npreference cues:")
 for name in ("domain_affinity", "prior_exposure", "stated_interest",
              "volunteering_history", "availability"):
     print(f"  {name:22} {getattr(result.cues, name):.2f}")
 
-stats = extraction_stats([result], ontology)
+stats = extraction_stats([result])
 print(f"\nstats: total={stats.total_skills} unique={stats.unique_vocabulary} "
       f"avg/doc={stats.avg_per_doc}")

@@ -74,10 +74,10 @@ def _synthetic_config(cfg: EngineConfig, args) -> SyntheticConfig:
 
 
 def _extractor(cfg: EngineConfig):
-    """The configured extractor, called as ``extractor(docs, ontology)``."""
+    """The configured extractor, ``extractor(docs, ontology)``, or None for the rule-based scan."""
     if cfg.extractor_kind == "remote":
-        return lambda docs, ontology: [extract_remote(doc, cfg.remote) for doc in docs]
-    return extract_corpus
+        return lambda docs, ontology: [extract_remote(doc, cfg.remote, ontology) for doc in docs]
+    return None
 
 
 def cmd_gen(args) -> int:
@@ -112,17 +112,13 @@ def cmd_extract(args) -> int:
     corpus = load_corpus(args.corpus, strict=args.strict)
     out = _ensure_out(args.out)
     docs = corpus.documents()
-    results = _extractor(cfg)(docs, ontology)
-    records = []
-    for doc, result in zip(docs, results):
-        skills, unresolved = ontology.canonicalize_report(
-            m.raw for m in result.mentions
-        )
-        records.append(
-            dict(asdict(result), kind=doc.kind, skills=sorted(skills), unresolved=unresolved)
-        )
+    results = (_extractor(cfg) or extract_corpus)(docs, ontology)
+    records = [
+        dict(asdict(result), kind=doc.kind, skills=sorted(result.skills))
+        for doc, result in zip(docs, results)
+    ]
     write_jsonl(os.path.join(out, "extraction.jsonl"), records)
-    stats = extraction_stats(results, ontology)
+    stats = extraction_stats(results)
     _write_json(os.path.join(out, "extraction_stats.json"), asdict(stats))
     _write_manifest(
         out,

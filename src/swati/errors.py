@@ -157,4 +157,4 @@ class IllegalTransitionError(EngineError):
 
 
 class EpochRangeError(EngineError):
-    """An epoch outside what the ledger's u64 epoch field holds, [0, 2^64)."""
+    """An epoch that is not an integer in [0, 2^64), the ledger's u64 epoch field's range."""

@@ -2,7 +2,8 @@
 
 Two interchangeable extractors produce the same schema: a deterministic
 rule-based scanner (the reference) and a remote HTTP client for an external
-model endpoint. Downstream code never cares which one produced a result.
+model endpoint. Each resolves a document's skills once; downstream code
+reads them and never cares which one produced a result.
 
 The rule-based scanner extracts a corpus in chunks of whole documents, each
 of ASCII documents only or of non-ASCII documents only. Each chunk is joined
@@ -15,11 +16,11 @@ phrases give the preference cues and the proficiency of nearby mentions.
 
 Two assemblies share these scans. ``extract_corpus`` (``swati extract``)
 builds every document's mentions, with raw text, evidence span and
-proficiency, and its cues; proficiency is carried through to diagnostics but
-deliberately plays no role in matching. ``build_market``'s rule-based path
-(``swati match``) reads only what matching does: each document's canonical
-skills, straight from the alias scan, and the cues of volunteers, whose
-text alone is phrase-scanned.
+proficiency, its canonical skills and its cues; proficiency is carried
+through to diagnostics but deliberately plays no role in matching.
+``build_market``'s rule-based path (``swati match``) reads only what
+matching does: each document's canonical skills, straight from the alias
+scan, and the cues of volunteers, whose text alone is phrase-scanned.
 """
 
 from __future__ import annotations
@@ -192,11 +193,13 @@ class PreferenceCues:
 
 @dataclass(frozen=True)
 class ExtractionResult:
-    """An extractor's output for one document: skill mentions and preference cues."""
+    """One document's mentions and cues, their raws' canonical skills and the unresolved raws."""
 
     doc_id: str
     mentions: tuple[SkillMention, ...]
     cues: PreferenceCues
+    skills: frozenset[str]
+    unresolved: tuple[str, ...]
 
 
 @dataclass(frozen=True)
@@ -339,15 +342,6 @@ def _alias_matches(
     return matches
 
 
-def find_alias_mentions(text: str, ontology: Ontology) -> list[tuple[int, int, str]]:
-    """All non-overlapping alias matches in ``text`` as (start, end, canonical), longest first.
-
-    The one-text call of the corpus scan (``_alias_matches``).
-    """
-    matches = _alias_matches(*_buffer([text]), ontology)
-    return [(start, end, canonical) for _, start, end, canonical in matches]
-
-
 def _phrase_matches(buffer: str) -> list[list[tuple[int, int]]]:
     r"""Every phrase's matches in a ``_buffer``, as (start, end) lists in ``_PHRASES`` order.
 
@@ -475,8 +469,8 @@ def _in_chunks(texts: Sequence[str], scan: Callable[[list[str]], list]) -> list:
 
 def _extract_chunk(
     texts: Sequence[str], ontology: Ontology, root_of: Callable[[str], str]
-) -> list[tuple[tuple[SkillMention, ...], PreferenceCues]]:
-    """Each text's mentions and cues, for texts that ``_chunks`` puts in one group."""
+) -> list[tuple[tuple[SkillMention, ...], PreferenceCues, frozenset[str]]]:
+    """Each text's mentions, cues and alias-scan canonicals, for texts of one ``_chunks`` group."""
     buffer, bases, lengths = _buffer(texts)
     found = _alias_matches(buffer, bases, lengths, ontology)
     phrases = dict(zip(_PHRASES, _phrase_matches(buffer)))
@@ -499,7 +493,8 @@ def _extract_chunk(
         )
         mentions[d].append(SkillMention(texts[d][start:end], (start, end), proficiency))
         skills[d].add(canonical)
-    return list(zip(map(tuple, mentions), _cues(skills, phrases, bases, root_of)))
+    cues = _cues(skills, phrases, bases, root_of)
+    return list(zip(map(tuple, mentions), cues, map(frozenset, skills)))
 
 
 def _market_chunk(
@@ -528,13 +523,13 @@ def extract_corpus(docs: Sequence[Document], ontology: Ontology) -> list[Extract
     Documents are scanned in chunks of whole documents (``_chunks``), each
     joined into one buffer once (``_buffer``): the alias scan and the phrase
     scan each make one pass over it, and the results are assembled per
-    chunk.
+    chunk. Every mention is an alias match, so none is unresolved.
     """
     root_of = functools.cache(ontology.root_of)
     found = _in_chunks(
         [doc.text for doc in docs], lambda texts: _extract_chunk(texts, ontology, root_of)
     )
-    return [ExtractionResult(doc.id, mentions, cues) for doc, (mentions, cues) in zip(docs, found)]
+    return [ExtractionResult(doc.id, *parts, ()) for doc, parts in zip(docs, found)]
 
 
 def extract_rule_based(doc: Document, ontology: Ontology) -> ExtractionResult:
@@ -566,12 +561,15 @@ def _closed_object(value: object, prefix: str, fields: Iterable[str]) -> dict:
     return value
 
 
-def validate_extraction(raw_response: object, doc: Document) -> ExtractionResult:
+def validate_extraction(
+    raw_response: object, doc: Document, ontology: Ontology
+) -> ExtractionResult:
     """Check a structured extractor response against the schema and the text.
 
     The first failing field is reported by path, e.g. ``mentions[0].evidence``.
     Every evidence span must actually contain its raw skill string
-    (case-insensitive), so extractors cannot cite text they never saw.
+    (case-insensitive), so extractors cannot cite text they never saw. The
+    raws of a valid response are resolved through ``ontology`` once.
     """
     response = _closed_object(raw_response, "", ("skills", "cues"))
     for name in ("skills", "cues"):
@@ -614,8 +612,9 @@ def validate_extraction(raw_response: object, doc: Document) -> ExtractionResult
             raise SchemaViolationError(f"cues.{name}", "missing")
         values[name] = _unit_number(cues_obj[name], f"cues.{name}")
 
+    skills, unresolved = ontology.canonicalize_report(m.raw for m in mentions)
     return ExtractionResult(
-        doc_id=doc.id, mentions=tuple(mentions), cues=PreferenceCues(**values)
+        doc.id, tuple(mentions), PreferenceCues(**values), frozenset(skills), tuple(unresolved)
     )
 
 
@@ -655,14 +654,15 @@ _BACKOFF_MAX_S = 4.0
 
 
 def extract_remote(
-    doc: Document, cfg: RemoteExtractorConfig, sleep=time.sleep
+    doc: Document, cfg: RemoteExtractorConfig, ontology: Ontology, sleep=time.sleep
 ) -> ExtractionResult:
     """POST the document to a schema-constrained endpoint and parse the reply.
 
     Schema-invalid responses and 5xx statuses are retried, ``cfg.retries``
     times in all; a 5xx retry first waits with bounded exponential backoff
     through ``sleep``. Other statuses, transport failures and timeouts are
-    surfaced immediately. No local state is touched.
+    surfaced immediately. No local state is touched. The valid reply's raws
+    are resolved through ``ontology`` (``validate_extraction``).
     """
     import requests  # only the remote extractor needs it; it is slow to import
 
@@ -696,7 +696,7 @@ def extract_remote(
             last_error = SchemaViolationError("", "response is not valid JSON")
             continue
         try:
-            return validate_extraction(body, doc)
+            return validate_extraction(body, doc, ontology)
         except SchemaViolationError as exc:
             last_error = exc
     assert last_error is not None
@@ -724,7 +724,7 @@ def build_market(
     corpus,
     ontology: Ontology,
     settings: VectorizerSettings = VectorizerSettings(),
-    extractor=extract_corpus,
+    extractor=None,
 ) -> Market:
     """Extract every document and assemble matching-ready profiles and specs.
 
@@ -732,21 +732,21 @@ def build_market(
     is tokenized once: its term counts give both the document frequencies and
     its content vector.
 
-    With the default, rule-based ``extract_corpus``, the market is read
-    straight from the scans (``_market_chunk``): a document's canonical
-    skills are the ones its alias scan resolved, and only volunteer text is
-    scanned for preference cues, since only profiles carry them. No evidence
-    span or proficiency is computed, as matching reads neither; ``swati
-    extract`` gets them from ``extract_corpus``. The market is the one that
-    ``extract_corpus``'s results would give. Any other ``extractor(docs,
-    ontology)`` (remote client, stub) returns one result per document, in
-    order, and each result's raw skills are resolved through the ontology.
+    Without an ``extractor`` the market is read straight from the rule-based
+    scans (``_market_chunk``): a document's canonical skills are the ones its
+    alias scan resolved, and only volunteer text is scanned for preference
+    cues, since only profiles carry them. No evidence span or proficiency is
+    computed, as matching reads neither; ``swati extract`` gets them from
+    ``extract_corpus``. The market is the one that ``extract_corpus``'s
+    results would give. An ``extractor(docs, ontology)`` (remote client,
+    stub) returns one result per document, in order, and each result's
+    ``skills`` are read as they are.
     """
     docs = corpus.documents()
     terms = count_terms((doc.text for doc in docs), settings)
     vectors = term_vectors(fit_vectorizer(terms, settings), terms)
     n_volunteers = len(corpus.volunteers)
-    if extractor is extract_corpus:
+    if extractor is None:
         root_of = functools.cache(ontology.root_of)
         volunteers = _in_chunks(
             [doc.text for doc in corpus.volunteers],
@@ -764,11 +764,10 @@ def build_market(
             raise ValueError(
                 f"extractor returned {len(results)} results for {len(docs)} documents"
             )
-        skills = []
         for doc, res in zip(docs, results):
             if res.doc_id != doc.id:
                 raise ValueError(f"extraction {res.doc_id!r} does not match document {doc.id!r}")
-            skills.append(frozenset(ontology.canonicalize_set(m.raw for m in res.mentions)))
+        skills = [res.skills for res in results]
         cues = [res.cues for res in results[:n_volunteers]]
     return Market(
         profiles=tuple(
@@ -798,17 +797,12 @@ class ExtractionStats:
     avg_per_doc: int
 
 
-def extraction_stats(
-    results: Sequence[ExtractionResult], ontology: Ontology
-) -> ExtractionStats:
+def extraction_stats(results: Sequence[ExtractionResult]) -> ExtractionStats:
+    """The totals of the results' canonical skills."""
     if not results:
         return ExtractionStats(0, 0, 0)
-    union: set[str] = set()
-    total = 0
-    for result in results:
-        skills = ontology.canonicalize_set(m.raw for m in result.mentions)
-        total += len(skills)
-        union |= skills
+    total = sum(len(result.skills) for result in results)
+    union = frozenset().union(*(result.skills for result in results))
     return ExtractionStats(
         total_skills=total,
         unique_vocabulary=len(union),

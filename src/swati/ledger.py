@@ -147,8 +147,8 @@ class Ledger:
     ) -> LedgerRecord:
         # a record encodes its epoch as a u64; a commit's pairs share one
         # epoch, so its first append refuses it before anything is appended
-        if not 0 <= epoch < 1 << 64:
-            raise EpochRangeError(f"epoch {epoch} is outside [0, 2^64)")
+        if isinstance(epoch, bool) or not isinstance(epoch, int) or not 0 <= epoch < 1 << 64:
+            raise EpochRangeError(f"epoch {epoch!r} is not an integer in [0, 2^64)")
         index, prev_hash, timestamp = len(self.records), self.head(), self._clock
         core = _core_bytes(
             index, prev_hash, task_id, event, volunteer_id, epoch, digest, timestamp

@@ -123,13 +123,8 @@ class Ontology:
     def root_of(self, skill: str) -> str:
         return self.rollup(skill, len(self._parents))
 
-    def canonicalize_set(self, raws: Iterable[str]) -> set[str]:
-        """Resolve each raw skill, drop the unresolved, deduplicate."""
-        resolved, _ = self.canonicalize_report(raws)
-        return resolved
-
     def canonicalize_report(self, raws: Iterable[str]) -> tuple[set[str], list[str]]:
-        """Like canonicalize_set, but also returns the raws that did not resolve."""
+        """The canonicals the raw skills resolve to, and the raws that resolve to none."""
         resolved: set[str] = set()
         unresolved: list[str] = []
         for raw in raws:

@@ -1,11 +1,12 @@
 """Pure-Python paths that the numpy greedy, chunked extractor and batch vectorizer replaced.
 
 The global-sort greedy, the per-document span-by-span alias scan (every span
-of every token of one text, its offsets from ``re.finditer``), the
-per-lexicon cue counts, the dominant root's share, the per-document term
-counts and content vectors and the row-by-row build of the cosine's dense
-operands are kept only as references that tests compare the optimized code
-against, result for result.
+of every token of one text, its offsets from ``re.finditer``) with each
+mention's raw resolved again through the ontology, the per-lexicon cue
+counts, the dominant root's share, the per-document term counts and content
+vectors and the row-by-row build of the cosine's dense operands are kept only
+as references that tests compare the optimized code against, result for
+result.
 """
 
 import re
@@ -139,7 +140,9 @@ def extract_rule_based(doc, ontology):
         volunteering_history=min(1.0, CUE_STEP * counts["volunteering_history"]),
         availability=min(1.0, CUE_STEP * counts["availability"]),
     )
-    return ExtractionResult(doc_id=doc.id, mentions=mentions, cues=cues)
+    # resolved afresh from the raws, not taken from the scan's canonicals
+    skills, unresolved = ontology.canonicalize_report(m.raw for m in mentions)
+    return ExtractionResult(doc.id, mentions, cues, frozenset(skills), tuple(unresolved))
 
 
 def count_terms(texts, settings=VectorizerSettings()):

@@ -133,7 +133,7 @@ def test_generate_plants_exact_skill_counts(builtin_ontology):
     corpus = generate_synthetic(cfg, builtin_ontology)
     for doc in corpus.volunteers:
         result = extract_rule_based(doc, builtin_ontology)
-        skills = builtin_ontology.canonicalize_set(m.raw for m in result.mentions)
+        skills, _ = builtin_ontology.canonicalize_report(m.raw for m in result.mentions)
         assert len(skills) == 3
         assert skills == set(doc.meta["planted_skills"].split("|"))
 

@@ -33,10 +33,11 @@ from swati.extraction import (
     extract_remote,
     extract_rule_based,
     extraction_stats,
+    _alias_matches,
+    _buffer,
     _chunks,
     _space_kinds,
     _start_pairs,
-    find_alias_mentions,
     validate_extraction,
 )
 from swati.ontology import Ontology, SkillEntry
@@ -165,10 +166,14 @@ def test_rule_based_outputs_pass_validator(builtin_ontology):
     )
     for doc in corpus.documents():
         result = extract_rule_based(doc, builtin_ontology)
-        assert validate_extraction(_wire(result), doc) == result
+        assert validate_extraction(_wire(result), doc, builtin_ontology) == result
 
 
 # --- schema validation ------------------------------------------------------
+
+
+# the ontology the validator resolves ``_valid_payload``'s raws through
+_CV = Ontology([SkillEntry("Computer Vision", ("CV",))])
 
 
 def _valid_payload():
@@ -186,16 +191,17 @@ def _valid_payload():
 
 def test_validator_accepts_valid_payload():
     doc = _doc("Knows CV well")
-    result = validate_extraction(_valid_payload(), doc)
+    result = validate_extraction(_valid_payload(), doc, _CV)
     assert result.mentions == (SkillMention(raw="CV", evidence=(6, 8), proficiency=0.7),)
     assert result.cues.stated_interest == 1.0
+    assert (result.skills, result.unresolved) == ({"Computer Vision"}, ())
 
 
 def test_validator_rejects_uncited_evidence():
     payload = _valid_payload()
     payload["skills"][0]["raw"] = "SQL"
     with pytest.raises(SchemaViolationError) as err:
-        validate_extraction(payload, _doc("Knows CV well"))
+        validate_extraction(payload, _doc("Knows CV well"), _CV)
     assert err.value.path == "mentions[0].evidence"
 
 
@@ -203,7 +209,7 @@ def test_validator_rejects_span_past_end():
     payload = _valid_payload()
     payload["skills"][0]["evidence"] = [6, 999]
     with pytest.raises(SchemaViolationError) as err:
-        validate_extraction(payload, _doc("Knows CV well"))
+        validate_extraction(payload, _doc("Knows CV well"), _CV)
     assert err.value.path == "mentions[0].evidence"
 
 
@@ -211,7 +217,7 @@ def test_validator_rejects_out_of_range_proficiency():
     payload = _valid_payload()
     payload["skills"][0]["proficiency"] = 1.4
     with pytest.raises(SchemaViolationError) as err:
-        validate_extraction(payload, _doc("Knows CV well"))
+        validate_extraction(payload, _doc("Knows CV well"), _CV)
     assert err.value.path == "mentions[0].proficiency"
 
 
@@ -219,7 +225,7 @@ def test_validator_rejects_missing_cue():
     payload = _valid_payload()
     del payload["cues"]["availability"]
     with pytest.raises(SchemaViolationError) as err:
-        validate_extraction(payload, _doc("Knows CV well"))
+        validate_extraction(payload, _doc("Knows CV well"), _CV)
     assert err.value.path == "cues.availability"
 
 
@@ -227,13 +233,13 @@ def test_validator_rejects_unknown_fields():
     payload = _valid_payload()
     payload["confidence"] = 0.9
     with pytest.raises(SchemaViolationError) as err:
-        validate_extraction(payload, _doc("Knows CV well"))
+        validate_extraction(payload, _doc("Knows CV well"), _CV)
     assert err.value.path == "confidence"
 
 
 def test_validator_rejects_non_object():
     with pytest.raises(SchemaViolationError):
-        validate_extraction([1, 2], _doc("Knows CV well"))
+        validate_extraction([1, 2], _doc("Knows CV well"), _CV)
 
 
 def _edited(edit):
@@ -381,7 +387,7 @@ _VIOLATIONS = {
 )
 def test_validator_reports_each_violation_by_path_and_reason(edit, path, reason):
     with pytest.raises(SchemaViolationError) as err:
-        validate_extraction(_edited(edit), _doc("Knows CV well"))
+        validate_extraction(_edited(edit), _doc("Knows CV well"), _CV)
     assert (err.value.path, str(err.value)) == (path, f"{path}: {reason}" if path else reason)
 
 
@@ -397,7 +403,7 @@ def test_validator_reports_each_violation_by_path_and_reason(edit, path, reason)
     ids=["no_skills", "raw_other_case", "whole_text_span", "integer_proficiency", "cue_ends"],
 )
 def test_validator_accepts_edge_values(edit):
-    validate_extraction(_edited(edit), _doc("Knows CV well"))
+    validate_extraction(_edited(edit), _doc("Knows CV well"), _CV)
 
 
 # --- the published wire schema agrees with the validator ---------------------
@@ -422,7 +428,7 @@ _NUMBERS = [
 
 def _rejected_path(payload):
     with pytest.raises(SchemaViolationError) as err:
-        validate_extraction(payload, _doc("Knows CV well"))
+        validate_extraction(payload, _doc("Knows CV well"), _CV)
     return err.value.path
 
 
@@ -463,7 +469,7 @@ def test_validator_enforces_each_schema_range(level, key):
     for value in (prop["minimum"], prop["maximum"]):
         payload = _valid_payload()
         container(payload)[key] = value
-        validate_extraction(payload, _doc("Knows CV well"))
+        validate_extraction(payload, _doc("Knows CV well"), _CV)
     for value in (prop["minimum"] - 0.01, prop["maximum"] + 0.01):
         payload = _valid_payload()
         container(payload)[key] = value
@@ -519,7 +525,7 @@ def _remote_cfg(server, **kwargs):
 def test_remote_parses_valid_response(scripted_server):
     scripted_server.script.append((200, _valid_payload(), 0.0))
     doc = _doc("Knows CV well")
-    result = extract_remote(doc, _remote_cfg(scripted_server, api_key="sekrit"))
+    result = extract_remote(doc, _remote_cfg(scripted_server, api_key="sekrit"), _CV)
     assert len(result.mentions) == 1
     sent = scripted_server.requests[0]
     assert sent["body"] == {"doc_id": "d1", "text": "Knows CV well", "schema_version": "v1"}
@@ -530,7 +536,7 @@ def test_remote_retries_then_succeeds(scripted_server):
     bad = _valid_payload()
     bad["skills"][0]["proficiency"] = 1.4
     scripted_server.script.extend([(200, bad, 0.0), (200, _valid_payload(), 0.0)])
-    result = extract_remote(_doc("Knows CV well"), _remote_cfg(scripted_server, retries=2))
+    result = extract_remote(_doc("Knows CV well"), _remote_cfg(scripted_server, retries=2), _CV)
     assert len(result.mentions) == 1
     assert len(scripted_server.requests) == 2
 
@@ -540,7 +546,7 @@ def test_remote_schema_violation_after_retries(scripted_server):
     bad["skills"][0]["proficiency"] = 1.4
     scripted_server.script.extend([(200, bad, 0.0)] * 3)
     with pytest.raises(SchemaViolationError):
-        extract_remote(_doc("Knows CV well"), _remote_cfg(scripted_server, retries=2))
+        extract_remote(_doc("Knows CV well"), _remote_cfg(scripted_server, retries=2), _CV)
     assert len(scripted_server.requests) == 3
 
 
@@ -548,7 +554,7 @@ def test_remote_schema_violation_after_retries(scripted_server):
 def test_remote_unreadable_json_is_schema_violation(scripted_server, body):
     scripted_server.script.extend([(200, body, 0.0)] * 2)
     with pytest.raises(SchemaViolationError, match="not valid JSON"):
-        extract_remote(_doc("Knows CV well"), _remote_cfg(scripted_server, retries=1))
+        extract_remote(_doc("Knows CV well"), _remote_cfg(scripted_server, retries=1), _CV)
     assert len(scripted_server.requests) == 2
 
 
@@ -575,12 +581,70 @@ def test_remote_extract_names_no_path_for_the_whole_response(
     assert len(scripted_server.requests) == 2
 
 
+def _count_resolutions(monkeypatch):
+    """A list that gets one entry per ``Ontology.canonicalize_report`` call from now on."""
+    calls, report = [], Ontology.canonicalize_report
+
+    def counting(self, raws):
+        calls.append(None)
+        return report(self, raws)
+
+    monkeypatch.setattr(Ontology, "canonicalize_report", counting)
+    return calls
+
+
+def _extract_records(tmp_path, texts, config=None):
+    """``swati extract`` of a corpus of ``texts``, returning its extraction records."""
+    corpus_path = tmp_path / "corpus.jsonl"
+    corpus_path.write_text("".join(
+        json.dumps({"id": f"d{i}", "kind": "volunteer", "text": text}) + "\n"
+        for i, text in enumerate(texts)
+    ))
+    argv = ["extract", "--corpus", str(corpus_path), "--out", str(tmp_path / "ex")]
+    if config is not None:
+        (tmp_path / "config.json").write_text(json.dumps(config))
+        argv += ["--config", str(tmp_path / "config.json")]
+    assert main(argv) == 0
+    lines = (tmp_path / "ex" / "extraction.jsonl").read_text().splitlines()
+    return [json.loads(line) for line in lines]
+
+
+def test_rule_based_extract_resolves_no_raw_again(tmp_path, monkeypatch):
+    calls = _count_resolutions(monkeypatch)
+    records = _extract_records(tmp_path, ["Knows CV well", "sql and java", "nothing here"])
+    assert calls == []
+    assert [(r["skills"], r["unresolved"]) for r in records] == [
+        (["Computer Vision"], []), (["Java", "SQL"], []), ([], [])
+    ]
+
+
+def test_remote_extract_resolves_each_document_once(scripted_server, tmp_path, monkeypatch):
+    bad = _valid_payload()
+    bad["skills"][0]["proficiency"] = 1.4
+    well = {"raw": "well", "evidence": [9, 13], "proficiency": 0.5}
+    answer = _valid_payload()
+    answer["skills"].append(well)
+    # the first document's first reply is retried; its second is resolved
+    scripted_server.script.extend([(200, bad, 0.0)] + [(200, answer, 0.0)] * 3)
+    calls = _count_resolutions(monkeypatch)
+    remote = {"endpoint": _remote_cfg(scripted_server).endpoint, "retries": 1}
+    config = {"extractor": {"kind": "remote", "remote": remote}}
+    records = _extract_records(tmp_path, ["Knows CV well"] * 3, config)
+    assert len(scripted_server.requests) == 4
+    assert len(calls) == 3
+    assert [(r["skills"], r["unresolved"]) for r in records] == [
+        (["Computer Vision"], ["well"])
+    ] * 3
+
+
 def test_remote_bad_status_is_transport_error(scripted_server):
     # a 5xx on every try: retried, with backoff, until the budget is spent
     scripted_server.script.extend([(500, {}, 0.0)] * 3)
     waits = []
     with pytest.raises(TransportError, match="status 500"):
-        extract_remote(_doc("Knows CV well"), _remote_cfg(scripted_server), sleep=waits.append)
+        extract_remote(
+            _doc("Knows CV well"), _remote_cfg(scripted_server), _CV, sleep=waits.append
+        )
     assert len(scripted_server.requests) == 3
     assert waits == [0.5, 1.0]
 
@@ -589,7 +653,7 @@ def test_remote_retries_a_5xx_then_succeeds(scripted_server):
     scripted_server.script.extend([(503, {}, 0.0), (200, _valid_payload(), 0.0)])
     waits = []
     result = extract_remote(
-        _doc("Knows CV well"), _remote_cfg(scripted_server, retries=2), sleep=waits.append
+        _doc("Knows CV well"), _remote_cfg(scripted_server, retries=2), _CV, sleep=waits.append
     )
     assert len(result.mentions) == 1
     assert len(scripted_server.requests) == 2
@@ -601,7 +665,7 @@ def test_remote_5xx_backoff_is_bounded(scripted_server):
     waits = []
     with pytest.raises(TransportError, match="status 502"):
         extract_remote(
-            _doc("Knows CV well"), _remote_cfg(scripted_server, retries=6), sleep=waits.append
+            _doc("Knows CV well"), _remote_cfg(scripted_server, retries=6), _CV, sleep=waits.append
         )
     assert waits == [0.5, 1.0, 2.0, 4.0, 4.0, 4.0]
 
@@ -611,7 +675,7 @@ def test_remote_4xx_is_not_retried(scripted_server):
     waits = []
     with pytest.raises(TransportError, match="status 400"):
         extract_remote(
-            _doc("Knows CV well"), _remote_cfg(scripted_server, retries=2), sleep=waits.append
+            _doc("Knows CV well"), _remote_cfg(scripted_server, retries=2), _CV, sleep=waits.append
         )
     assert len(scripted_server.requests) == 1
     assert waits == []
@@ -623,7 +687,7 @@ def test_remote_schema_retry_does_not_wait(scripted_server):
     scripted_server.script.extend([(200, bad, 0.0), (200, _valid_payload(), 0.0)])
     waits = []
     extract_remote(
-        _doc("Knows CV well"), _remote_cfg(scripted_server, retries=1), sleep=waits.append
+        _doc("Knows CV well"), _remote_cfg(scripted_server, retries=1), _CV, sleep=waits.append
     )
     assert waits == []
 
@@ -631,13 +695,13 @@ def test_remote_schema_retry_does_not_wait(scripted_server):
 def test_remote_unreachable_endpoint():
     cfg = RemoteExtractorConfig(endpoint="http://127.0.0.1:1/extract", timeout=1.0)
     with pytest.raises(TransportError):
-        extract_remote(_doc("Knows CV well"), cfg)
+        extract_remote(_doc("Knows CV well"), cfg, _CV)
 
 
 def test_remote_timeout(scripted_server):
     scripted_server.script.append((200, _valid_payload(), 0.8))
     with pytest.raises(RemoteTimeoutError):
-        extract_remote(_doc("Knows CV well"), _remote_cfg(scripted_server, timeout=0.15))
+        extract_remote(_doc("Knows CV well"), _remote_cfg(scripted_server, timeout=0.15), _CV)
 
 
 def test_remote_env_overrides():
@@ -669,35 +733,41 @@ def _stub_market(ontology, volunteers, tasks, results):
     return build_market(corpus, ontology, extractor=lambda docs, _: results)
 
 
+def _resolved(ontology, doc_id, mentions=(), cues=PreferenceCues()):
+    """A stub extractor's result for ``doc_id``, its raws resolved through ``ontology``."""
+    skills, unresolved = ontology.canonicalize_report(m.raw for m in mentions)
+    return ExtractionResult(doc_id, tuple(mentions), cues, frozenset(skills), tuple(unresolved))
+
+
 _SQL_TASK = _doc("needs sql", doc_id="t9", kind="task")
 _SQL_TASK_RESULT = ExtractionResult(
-    doc_id="t9", mentions=(SkillMention("sql", (6, 9), 0.5),), cues=PreferenceCues()
+    "t9", (SkillMention("sql", (6, 9), 0.5),), PreferenceCues(), frozenset({"SQL"}), ()
 )
 
 
 def test_build_market_canonicalizes_profiles(mini_ontology):
     doc = _doc("CV and cv again")
-    ex = ExtractionResult(
-        doc_id="d1",
-        mentions=(
-            SkillMention("CV", (0, 2), 0.5),
-            SkillMention("cv", (7, 9), 0.5),
-        ),
-        cues=PreferenceCues(stated_interest=0.5),
+    ex = _resolved(
+        mini_ontology,
+        "d1",
+        (SkillMention("CV", (0, 2), 0.5), SkillMention("cv", (7, 9), 0.5)),
+        PreferenceCues(stated_interest=0.5),
     )
     referred = Document(id="d2", kind="volunteer", text="cv", meta={"history_ref": "h7"})
-    blank = ExtractionResult(doc_id="d2", mentions=(), cues=PreferenceCues())
-    market = _stub_market(mini_ontology, [doc, referred], [], [ex, blank])
+    # a result's skills are read as they are, not resolved again from its mentions
+    unmentioned = ExtractionResult("d2", (), PreferenceCues(), frozenset({"SQL"}), ())
+    market = _stub_market(mini_ontology, [doc, referred], [], [ex, unmentioned])
     profile = market.profiles[0]
     assert profile.skills == {"Computer Vision"}
     assert profile.cues.stated_interest == 0.5
+    assert market.profiles[1].skills == {"SQL"}
     # a volunteer's history key is its document's history_ref, else its id
     assert [p.history_ref for p in market.profiles] == ["d1", "h7"]
 
 
 def test_build_market_gives_foreign_text_an_empty_vector(mini_ontology):
     doc = _doc("日本語の テキスト")
-    ex = ExtractionResult(doc_id="d1", mentions=(), cues=PreferenceCues())
+    ex = _resolved(mini_ontology, "d1")
     market = _stub_market(mini_ontology, [doc], [_SQL_TASK], [ex, _SQL_TASK_RESULT])
     assert market.profiles[0].skills == frozenset()
     assert market.volunteer_vectors.offsets.tolist() == [0, 0]
@@ -706,19 +776,17 @@ def test_build_market_gives_foreign_text_an_empty_vector(mini_ontology):
 
 def test_build_market_rejects_mismatched_ids(mini_ontology):
     doc = _doc("anything")
-    ex = ExtractionResult(doc_id="other", mentions=(), cues=PreferenceCues())
+    ex = _resolved(mini_ontology, "other")
     with pytest.raises(ValueError, match="extraction 'other' does not match document 'd1'"):
         _stub_market(mini_ontology, [doc], [_SQL_TASK], [ex, _SQL_TASK_RESULT])
-    ex = ExtractionResult(doc_id="d1", mentions=(), cues=PreferenceCues())
+    ex = _resolved(mini_ontology, "d1")
     with pytest.raises(ValueError, match="extraction 'd1' does not match document 't9'"):
         _stub_market(mini_ontology, [doc], [_SQL_TASK], [ex, ex])
 
 
 def test_build_market_canonicalizes_tasks_as_profiles(mini_ontology):
     volunteer = _doc("sql", doc_id="v1")
-    ex = ExtractionResult(
-        doc_id="v1", mentions=(SkillMention("sql", (0, 3), 0.5),), cues=PreferenceCues()
-    )
+    ex = _resolved(mini_ontology, "v1", (SkillMention("sql", (0, 3), 0.5),))
     market = _stub_market(mini_ontology, [volunteer], [_SQL_TASK], [ex, _SQL_TASK_RESULT])
     assert market.taskspecs[0].required_skills == {"SQL"} == market.profiles[0].skills
 
@@ -765,28 +833,24 @@ def test_build_market_calls_a_batch_extractor(mini_ontology):
 
 def _stats_fixture():
     onto = Ontology([SkillEntry("A", ("a",)), SkillEntry("B", ("b",)), SkillEntry("C", ("c",))])
-    r1 = ExtractionResult(
-        doc_id="d1",
-        mentions=(SkillMention("a", (0, 1), 0.5), SkillMention("b", (2, 3), 0.5)),
-        cues=PreferenceCues(),
-    )
-    r2 = ExtractionResult(
-        doc_id="d2",
-        mentions=(SkillMention("b", (0, 1), 0.5), SkillMention("c", (2, 3), 0.5)),
-        cues=PreferenceCues(),
-    )
-    return onto, [r1, r2]
+
+    def mentions(*raws):
+        return [SkillMention(raw, (0, 1), 0.5) for raw in raws]
+
+    return [
+        _resolved(onto, "d1", mentions("a", "b", "A")),
+        _resolved(onto, "d2", mentions("b", "c", "zz")),
+    ]
 
 
 def test_extraction_stats_arithmetic():
-    onto, results = _stats_fixture()
-    stats = extraction_stats(results, onto)
+    # unresolved raws and repeated skills add nothing
+    stats = extraction_stats(_stats_fixture())
     assert (stats.total_skills, stats.unique_vocabulary, stats.avg_per_doc) == (4, 3, 2)
 
 
 def test_extraction_stats_empty():
-    onto, _ = _stats_fixture()
-    stats = extraction_stats([], onto)
+    stats = extraction_stats([])
     assert (stats.total_skills, stats.unique_vocabulary, stats.avg_per_doc) == (0, 0, 0)
 
 
@@ -915,10 +979,12 @@ def test_extract_corpus_matches_reference_across_chunks(
 
 def _reference_market(corpus, ontology):
     """The market of ``extract_corpus``'s results, each document's raw skills resolved
-    by ``canonicalize_set``, with the default vectorizer settings."""
+    by ``canonicalize_report``, with the default vectorizer settings."""
     docs = corpus.documents()
     results = extract_corpus(docs, ontology)
-    skills = [frozenset(ontology.canonicalize_set(m.raw for m in r.mentions)) for r in results]
+    skills = [
+        frozenset(ontology.canonicalize_report(m.raw for m in r.mentions)[0]) for r in results
+    ]
     terms = count_terms((doc.text for doc in docs), VectorizerSettings())
     vectors = term_vectors(fit_vectorizer(terms, VectorizerSettings()), terms)
     n_volunteers = len(corpus.volunteers)
@@ -1093,5 +1159,6 @@ def test_punctuation_run_after_a_single_word_alias(mini_ontology):
     ],
 )
 def test_alias_offsets_found_only_where_needed(mini_ontology, text, expected):
-    assert find_alias_mentions(text, mini_ontology) == expected
+    matches = _alias_matches(*_buffer([text]), mini_ontology)
+    assert [(start, end, canonical) for _, start, end, canonical in matches] == expected
     assert ref.find_alias_mentions(text, mini_ontology) == expected

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import re
 
 import pytest
 from hypothesis import example, given, settings
@@ -139,11 +140,13 @@ def test_transitions():
 _U64_END = 1 << 64  # the first epoch the record encoding cannot hold
 
 
-@pytest.mark.parametrize("epoch", [-1, _U64_END])
+# a float, a string or a bool once reached the u64 encoding, which raised
+# struct.error or appended True as epoch 1
+@pytest.mark.parametrize("epoch", [-1, _U64_END, 1.5, "1", True])
 def test_an_epoch_outside_u64_is_refused_and_appends_nothing(epoch):
     ledger, _ = _ledger_with_assignment()
     before = list(ledger.records)
-    with pytest.raises(EpochRangeError, match=f"epoch {epoch} is outside"):
+    with pytest.raises(EpochRangeError, match=f"epoch {re.escape(repr(epoch))} is not an integer"):
         ledger.post_task("t4", epoch=epoch)
     with pytest.raises(EpochRangeError):
         ledger.transition("t3", "Cancelled", epoch=epoch)
@@ -155,7 +158,7 @@ def test_an_epoch_outside_u64_is_refused_and_appends_nothing(epoch):
     )
     with pytest.raises(EpochRangeError):
         ledger.commit_assignment(bad)
-    assert ledger.records == before
+    assert ledger.records == before and ledger.head() == before[-1].hash
     assert [ledger.state_index[t].value for t in ("t3", "t4", "t5")] == ["Posted"] * 3
     assert verify(ledger).ok
 

@@ -147,9 +147,9 @@ _RESPONSES = json_values | _records(
 @example(response={"skills": [{"raw": "java", "evidence": [0, 4], "proficiency": 10**400}],
                    "cues": _CUES_IN_RANGE})
 @example(response={"skills": [], "cues": {**_CUES_IN_RANGE, "availability": 10**400}})
-def test_validate_extraction_accepts_or_raises_engine_error(response):
+def test_validate_extraction_accepts_or_raises_engine_error(builtin_ontology, response):
     doc = Document("d1", "volunteer", "java and sql")
     try:
-        validate_extraction(response, doc)
+        validate_extraction(response, doc, builtin_ontology)
     except EngineError:
         pass

@@ -80,14 +80,14 @@ def test_root_of_walks_to_top(mini_ontology):
     assert mini_ontology.root_of("YOLO") == "Machine Learning"
 
 
-def test_canonicalize_set_dedupes(mini_ontology):
-    assert mini_ontology.canonicalize_set(["CV", "cv", "Computer Vision"]) == {
+def test_canonicalize_report_dedupes(mini_ontology):
+    assert mini_ontology.canonicalize_report(["CV", "cv", "Computer Vision"])[0] == {
         "Computer Vision"
     }
 
 
-def test_canonicalize_set_empty(mini_ontology):
-    assert mini_ontology.canonicalize_set([]) == set()
+def test_canonicalize_report_empty(mini_ontology):
+    assert mini_ontology.canonicalize_report([]) == (set(), [])
 
 
 def test_canonicalize_report_counts_unresolved(mini_ontology):
@@ -108,8 +108,8 @@ _PERMUTATION_ONTOLOGY = Ontology(
 
 
 @given(st.permutations(["cv", "ml", "sql", "cv", "yolov8", "nonsense", "ml"]))
-def test_canonicalize_set_order_and_duplication_invariant(raws):
-    assert _PERMUTATION_ONTOLOGY.canonicalize_set(raws) == {
+def test_canonicalize_report_order_and_duplication_invariant(raws):
+    assert _PERMUTATION_ONTOLOGY.canonicalize_report(raws)[0] == {
         "Machine Learning",
         "Computer Vision",
         "YOLO",
