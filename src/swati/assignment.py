@@ -61,8 +61,10 @@ class UtilityParams:
         # a range test rejects NaN and the infinities too
         if not 0.0 <= self.skill_weight <= 1.0 or not 0.0 <= self.content_weight <= 1.0:
             raise ConfigError("utility weights must be finite numbers in [0, 1]")
-        if abs(self.skill_weight + self.content_weight - 1.0) > 1e-12:
-            raise ConfigError("skill_weight + content_weight must equal 1")
+        # Rounding is monotone, so with every component in [0, 1] no utility of
+        # either form exceeds the rounded sum: the tolerance lies below 1 only.
+        if not 1.0 - 1e-12 <= self.skill_weight + self.content_weight <= 1.0:
+            raise ConfigError("skill_weight + content_weight must be 1, or up to 1e-12 below")
 
 
 def _is_count(value) -> bool:

@@ -275,7 +275,7 @@ _PRIMARY_DOMAIN_BIAS = 0.85
 
 
 def _check_templates(ontology: Ontology) -> None:
-    from .extraction import _alias_matches, _buffer  # extraction imports this module
+    from .extraction import extract_corpus  # extraction imports this module
 
     pools = [
         _VOLUNTEER_INTROS,
@@ -290,15 +290,13 @@ def _check_templates(ontology: Ontology) -> None:
         [lead.format("") for lead in _SKILL_LEADS + _REQUIREMENT_LEADS],
     ]
     sentences = [sentence for pool in pools for sentence in pool]
-    # one scan of all sentences, each matched on its own
-    found = _alias_matches(*_buffer(sentences), ontology)
-    if found:
-        d, start, end, _ = found[0]
-        sentence = sentences[d]
-        raise ConfigError(
-            f"ontology alias {normalize_skill(sentence[start:end])!r} collides with "
-            f"generator template {sentence!r}; generated skill sets would not be exact"
-        )
+    docs = [Document(str(d), TASK, sentence) for d, sentence in enumerate(sentences)]
+    for sentence, result in zip(sentences, extract_corpus(docs, ontology)):
+        if result.mentions:
+            raise ConfigError(
+                f"ontology alias {normalize_skill(result.mentions[0].raw)!r} collides with "
+                f"generator template {sentence!r}; generated skill sets would not be exact"
+            )
 
 
 def _sample_entries(rng: random.Random, by_root, outside_root, roots, count):

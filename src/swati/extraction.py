@@ -41,7 +41,7 @@ import numpy as np
 
 from .corpus import Document
 from .errors import ConfigError, RemoteTimeoutError, SchemaViolationError, TransportError
-from .ontology import _STRIP_CHARS, Ontology, normalize_skill
+from .ontology import STRIP_CHARS, Ontology, normalize_skill
 from .similarity import SparseRows, VectorizerSettings, count_terms, fit_vectorizer, term_vectors
 
 SCHEMA_VERSION = "v1"
@@ -138,13 +138,13 @@ _NEXT_PAIRS = _start_pairs(_TERMS, offset=1)
 _WORD_BYTES = bytes(re.match(r"\w", chr(code)) is not None for code in range(256))
 _FIRST_BYTES = _START_PAIRS.any(axis=1).tobytes()
 # _space_kinds of each ASCII character, as a bytes.translate table: str.split
-# splits at every whitespace character, and str.strip(_STRIP_CHARS) removes
+# splits at every whitespace character, and str.strip(STRIP_CHARS) removes
 # only those of string.whitespace (kind 1), not '\x1c' to '\x1f' (kind 2)
 _SPACE_BYTES = bytes(
     0 if not chr(code).isspace() else 1 if chr(code) in string.whitespace else 2
     for code in range(128)
 ) + bytes(128)
-# whitespace that str.strip(_STRIP_CHARS), and so normalize_skill, leaves in place
+# whitespace that str.strip(STRIP_CHARS), and so normalize_skill, leaves in place
 _UNSTRIPPED_SPACE_RE = re.compile(r"[^\S" + re.escape(string.whitespace) + "]")
 # Most characters of the documents scanned as one buffer. The alias and phrase
 # scans join and scan a corpus one chunk of whole documents at a time, so
@@ -228,7 +228,7 @@ def _span_distance(a: tuple[int, int], b: tuple[int, int]) -> int:
 
 def _space_kinds(text: str) -> np.ndarray:
     """Per character of ``text``: 0 if ``str.split`` does not split there, else 1 if
-    ``str.strip(_STRIP_CHARS)`` removes it and 2 if not."""
+    ``str.strip(STRIP_CHARS)`` removes it and 2 if not."""
     if text.isascii():
         return np.frombuffer(text.encode("ascii").translate(_SPACE_BYTES), dtype=np.uint8)
     # string.whitespace is ASCII; any other whitespace is kind 2
@@ -272,7 +272,7 @@ def _alias_matches(
     """
     tokens = buffer.split()
     words = tokens if buffer.isascii() else buffer.lower().split()
-    keys = list(map(str.strip, words, repeat(_STRIP_CHARS)))
+    keys = list(map(str.strip, words, repeat(STRIP_CHARS)))
     index, first_keys = ontology.alias_index, ontology.alias_first_keys
     # the tokens a match can start at; any other token's spans have its own
     # key or a key whose first word starts no alias
@@ -317,7 +317,7 @@ def _alias_matches(
             if length == 1:
                 key = keys[i]
             elif join:
-                key = " ".join(words[i : last + 1]).strip(_STRIP_CHARS)
+                key = " ".join(words[i : last + 1]).strip(STRIP_CHARS)
             else:
                 key = normalize_skill(buffer[starts[i] : starts[last] + len(tokens[last])])
             canonical = index.get(key)
@@ -334,9 +334,9 @@ def _alias_matches(
     for (d, _, last, canonical), start, end in zip(found, firsts, lasts):
         # trim the span of surrounding punctuation; its key, an alias, is not empty
         end += len(tokens[last])
-        while buffer[start] in _STRIP_CHARS:
+        while buffer[start] in STRIP_CHARS:
             start += 1
-        while buffer[end - 1] in _STRIP_CHARS:
+        while buffer[end - 1] in STRIP_CHARS:
             end -= 1
         matches.append((d, start - bases[d], end - bases[d], canonical))
     return matches

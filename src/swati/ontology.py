@@ -19,14 +19,14 @@ from typing import Iterable, Optional
 
 from .errors import AliasConflictError, CycleError, ParseError, UnknownSkillError, read_jsonl
 
-_STRIP_CHARS = string.punctuation + string.whitespace
+STRIP_CHARS = string.punctuation + string.whitespace
 
 BUILTIN_ONTOLOGY = "builtin:cs"
 
 
 def normalize_skill(raw: str) -> str:
     """Trim, lowercase, collapse internal whitespace, strip surrounding punctuation."""
-    s = raw.strip(_STRIP_CHARS).lower()
+    s = raw.strip(STRIP_CHARS).lower()
     return " ".join(s.split())
 
 
@@ -80,7 +80,7 @@ class Ontology:
         self.alias_first_keys: dict[str, int] = {}
         for key in self.alias_index:
             if " " in key:
-                first = key.split(" ", 1)[0].rstrip(_STRIP_CHARS)
+                first = key.split(" ", 1)[0].rstrip(STRIP_CHARS)
                 words = key.count(" ") + 1
                 self.alias_first_keys[first] = max(words, self.alias_first_keys.get(first, 0))
         # an alias scan can start a match only at a token whose stripped key is
@@ -100,9 +100,6 @@ class Ontology:
 
     def __len__(self) -> int:
         return len(self.entries)
-
-    def __contains__(self, canonical: str) -> bool:
-        return canonical in self._parents
 
     def resolve(self, raw: str) -> Optional[str]:
         """Map a raw skill string to its canonical form, or None if unknown."""

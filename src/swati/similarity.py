@@ -62,6 +62,10 @@ class VectorizerSettings:
             raise ConfigError(f"min_token_len must be an integer, got {self.min_token_len!r}")
         if not isinstance(self.use_stopwords, bool):
             raise ConfigError(f"use_stopwords must be true or false, got {self.use_stopwords!r}")
+        try:
+            _term_re(self.min_token_len)  # build the cached tokenizer pattern now
+        except OverflowError:
+            raise ConfigError(f"min_token_len {self.min_token_len} is too large") from None
 
 
 @functools.cache
@@ -252,7 +256,7 @@ def term_vectors(model: VectorizerModel, terms: TermCounts) -> SparseRows:
     return SparseRows(indices, weights, offsets)
 
 
-def _runs(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+def runs(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """``arange(starts[k], starts[k] + lengths[k])`` for every k, concatenated."""
     ends = np.cumsum(lengths)
     total = int(ends[-1]) if ends.size else 0
@@ -286,7 +290,7 @@ def posting_pairs(
     """
     starts = ptr[keys]
     fan = ptr[keys + 1] - starts
-    return np.repeat(rows, fan), cols[_runs(starts, fan)]
+    return np.repeat(rows, fan), cols[runs(starts, fan)]
 
 
 def jaccard_matrix(

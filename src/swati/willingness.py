@@ -13,6 +13,7 @@ maps to roughly [0.12, 0.88]; a plain logistic on [0, 1] would compress into
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -20,7 +21,7 @@ import numpy as np
 
 from .errors import ConfigError, DimensionError, ParseError, read_jsonl
 from .extraction import Profile, TaskSpec
-from .similarity import _runs, posting_pairs, row_blocks, skill_postings
+from .similarity import posting_pairs, row_blocks, runs, skill_postings
 
 # Cue vector layout: (domain_affinity, prior_exposure, stated_interest,
 # volunteering_history, availability). Affinity is halved when the volunteer
@@ -30,6 +31,8 @@ _NO_OVERLAP_AFFINITY_FACTOR = 0.5
 # Most history records scored at once by ``tendency_matrix``: bounds the
 # records x tasks relevance matrix of one block of volunteers.
 _WALK_BLOCK = 128
+# math.exp overflows above this input, near 709.78.
+_MAX_EXP_INPUT = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True, eq=False)
@@ -38,8 +41,7 @@ class HistoryColumns:
 
     Row r offered a task needing the skills named by
     ``skills[k] for k in skill_ids[offsets[r]:offsets[r + 1]]`` (repeats
-    kept as read) and was accepted if ``accepted[r]``. Equal contents compare
-    equal and hash alike, so a ``History`` stays hashable.
+    kept as read) and was accepted if ``accepted[r]``.
     """
 
     skills: tuple[str, ...]
@@ -47,23 +49,11 @@ class HistoryColumns:
     offsets: np.ndarray
     accepted: np.ndarray
 
-    def __eq__(self, other):
-        if not isinstance(other, HistoryColumns):
-            return NotImplemented
-        return self.skills == other.skills and all(
-            np.array_equal(getattr(self, name), getattr(other, name))
-            for name in ("skill_ids", "offsets", "accepted")
-        )
-
-    def __hash__(self):
-        return hash((self.skills, self.skill_ids.size, self.accepted.size))
-
 
 @dataclass(frozen=True)
 class History:
     """A volunteer's past task offers: the consecutive rows ``records`` of ``columns``."""
 
-    volunteer_id: str
     records: range
     columns: HistoryColumns
 
@@ -93,6 +83,10 @@ class WillingnessParams:
             raise ConfigError("cue_weights must sum to 1")
         if self.sigmoid_gain <= 0:
             raise ConfigError("sigmoid_gain must be positive")
+        # the mix lies in [0, 1], so the largest input of raw_willingness's
+        # math.exp is the logistic at mix 0: exactly this product, rounded alike
+        if self.sigmoid_gain * self.sigmoid_center > _MAX_EXP_INPUT:
+            raise ConfigError(f"sigmoid_gain * sigmoid_center must be at most {_MAX_EXP_INPUT}")
 
 
 def smooth(previous: np.ndarray, w_hat: np.ndarray, params: WillingnessParams) -> np.ndarray:
@@ -154,11 +148,11 @@ def tendency_matrix(
     separate loads are scored load by load.
     """
     out = np.full((len(profiles), len(taskspecs)), 0.5)
-    loads: dict[int, tuple[list[int], list[History]]] = {}
+    loads: dict[HistoryColumns, tuple[list[int], list[History]]] = {}
     for i, profile in enumerate(profiles):
         history = histories.get(profile.history_ref or profile.id) if histories else None
         if history is not None and history.records:
-            rows, walks = loads.setdefault(id(history.columns), ([], []))
+            rows, walks = loads.setdefault(history.columns, ([], []))
             rows.append(i)
             walks.append(history)
     for rows, walks in loads.values():
@@ -173,14 +167,14 @@ def _score_load(
     columns = walks[0].columns
     lengths = np.array([len(h.records) for h in walks])
     offsets = np.concatenate(([0], np.cumsum(lengths)))
-    records = _runs(np.array([h.records.start for h in walks]), lengths)
+    records = runs(np.array([h.records.start for h in walks]), lengths)
     accepted = columns.accepted[records]
     overall = np.add.reduceat(accepted, offsets[:-1], dtype=np.int64) / lengths
     ids, ptr, cols = skill_postings([task.required_skills for task in taskspecs])
     posting_rows = np.array([ids.get(name, len(ids)) for name in columns.skills], dtype=np.intp)
     # the gathered records' skill entries, in record order, as posting rows
     entry_lengths = columns.offsets[records + 1] - columns.offsets[records]
-    skills = posting_rows[columns.skill_ids[_runs(columns.offsets[records], entry_lengths)]]
+    skills = posting_rows[columns.skill_ids[runs(columns.offsets[records], entry_lengths)]]
     entry_records = np.repeat(np.arange(len(records)), entry_lengths)
     start = 0
     while start < len(rows):
@@ -305,14 +299,12 @@ def _group_records(numbered: Iterable[tuple[int, object]]) -> dict[str, History]
     if np.any(owner[1:] < owner[:-1]):
         order = np.argsort(owner, kind="stable")
         lengths = np.diff(offsets)[order]
-        ids = ids[_runs(offsets[:-1][order], lengths)]
+        ids = ids[runs(offsets[:-1][order], lengths)]
         offsets[1:] = np.cumsum(lengths)
         accepted = accepted[order]
     bounds = [0, *np.cumsum(np.bincount(owner)).tolist()]
     columns = HistoryColumns(tuple(names), ids, offsets, accepted)
-    return {
-        vid: History(vid, range(bounds[g], bounds[g + 1]), columns) for vid, g in groups.items()
-    }
+    return {vid: History(range(bounds[g], bounds[g + 1]), columns) for vid, g in groups.items()}
 
 
 def histories_from_records(records: Iterable[dict]) -> dict[str, History]:

@@ -25,7 +25,7 @@ from swati.extraction import (
     SkillMention,
     _span_distance,
 )
-from swati.ontology import _STRIP_CHARS, normalize_skill
+from swati.ontology import STRIP_CHARS, normalize_skill
 from swati.similarity import SparseRows, TermCounts, VectorizerSettings, tokenize
 
 
@@ -76,9 +76,9 @@ def greedy(matrix, sort_scores, caps, epoch):
 
 
 def _trim_span(text, start, end):
-    while start < end and text[start] in _STRIP_CHARS:
+    while start < end and text[start] in STRIP_CHARS:
         start += 1
-    while end > start and text[end - 1] in _STRIP_CHARS:
+    while end > start and text[end - 1] in STRIP_CHARS:
         end -= 1
     return start, end
 

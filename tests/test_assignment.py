@@ -1,11 +1,12 @@
 import functools
+import itertools
 import random
 from dataclasses import replace
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from swati import similarity
@@ -120,6 +121,29 @@ def test_utility_params_validation():
         UtilityParams(skill_weight=0.6, content_weight=0.6)
     with pytest.raises(ConfigError):
         UtilityParams(skill_weight=-0.1, content_weight=1.1)
+    # a sum may fall short of 1 by the tolerance, but never exceed it
+    with pytest.raises(ConfigError):
+        UtilityParams(skill_weight=0.5000000000005, content_weight=0.5)
+    UtilityParams(skill_weight=0.4999999999995, content_weight=0.5)
+
+
+# weights summing to 1 give or take a few tolerances
+_NEAR_ONE_WEIGHTS = st.tuples(st.floats(0, 1), st.floats(-3e-12, 3e-12)).map(
+    lambda pair: (pair[0], min(1.0, max(0.0, 1.0 - pair[0] + pair[1])))
+)
+_UNIT = st.floats(0, 1)
+
+
+@example((0.5000000000005, 0.5), UtilityForm.PRODUCT, (0.5, 0.5, 0.5))
+@given(_NEAR_ONE_WEIGHTS, st.sampled_from(UtilityForm), st.tuples(_UNIT, _UNIT, _UNIT))
+def test_accepted_utility_params_keep_utilities_in_unit_interval(weights, form, components):
+    """At every 0/1 corner of (skill, content, willingness) and at drawn values."""
+    try:
+        params = UtilityParams(*weights, form=form)
+    except ConfigError:
+        reject()
+    for s, c, w in [components, *itertools.product((0.0, 1.0), repeat=3)]:
+        assert 0.0 <= _utility(s, c, w, params) <= 1.0
 
 
 def test_capacity_map_defaults_and_validation():

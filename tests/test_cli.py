@@ -318,6 +318,12 @@ CONFIG_VALUE_ERRORS = {
     "remote_api_key_number": {
         "extractor": {"remote": {"endpoint": "http://localhost:9", "api_key": 5}}
     },
+    # each of these once ended `swati match` in a traceback (see MATCH_TRACEBACKS)
+    "willingness_logistic_overflow": {"willingness": {"sigmoid_gain": 2000}},
+    "tokenizer_repeat_overflow": {"vectorizer": {"min_token_len": 100000000000}},
+    "utility_weights_above_one": {
+        "utility": {"skill_weight": 0.5000000000005, "content_weight": 0.5}
+    },
 }
 
 # the remote section is named like every other config section
@@ -360,6 +366,63 @@ def test_config_value_errors_are_machine_readable(tmp_path, capsys, case):
     assert err["error"] == "ConfigError"
     if case in REMOTE_SECTION_DETAILS:
         assert err["detail"] == REMOTE_SECTION_DETAILS[case]
+
+
+_HELLO = [{"id": "v1", "kind": "volunteer", "text": "hello there"},
+          {"id": "t1", "kind": "task", "text": "python work"}]
+_KEEN = "python sql passionate excited curious eager love keen"
+_TWINS = [{"id": "v1", "kind": "volunteer", "text": _KEEN},
+          {"id": "t1", "kind": "task", "text": _KEEN}]
+_DECLINED = [{"volunteer_id": "v1", "task_skills": ["Python"], "accepted": False}]
+_SHARP = {"sigmoid_gain": 200, "sigmoid_center": 0.0, "history_weight": 0.0}
+
+# (corpus, history, other config) on which a CONFIG_VALUE_ERRORS case ended
+# `swati match` in a traceback: math.exp overflowed in the logistic, the
+# tokenizer pattern could not be compiled, and a utility came out above 1
+MATCH_TRACEBACKS = {
+    "willingness_logistic_overflow": (_HELLO, _DECLINED, {}),
+    "tokenizer_repeat_overflow": (_HELLO, None, {}),
+    "utility_weights_above_one": (_TWINS, None, {"willingness": _SHARP}),
+}
+# the same markets at the largest values each rule accepts
+MATCH_BOUNDARIES = {
+    "willingness_logistic_overflow": (_HELLO, _DECLINED, {"willingness": {"sigmoid_gain": 1400}}),
+    "utility_weights_above_one": (
+        _TWINS, None,
+        {"utility": {"skill_weight": 0.5, "content_weight": 0.5}, "willingness": _SHARP},
+    ),
+}
+
+
+def _match_inputs(tmp_path, corpus, history, config):
+    """The ``swati match`` arguments for these inputs, written under ``tmp_path``."""
+    corpus_path = tmp_path / "corpus.jsonl"
+    corpus_path.write_text("".join(json.dumps(doc) + "\n" for doc in corpus))
+    if history is not None:
+        history_path = tmp_path / "history.jsonl"
+        history_path.write_text("".join(json.dumps(row) + "\n" for row in history))
+        config = {**config, "history_path": str(history_path)}
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config))
+    return ["match", "--config", str(config_path), "--corpus", str(corpus_path),
+            "--out", str(tmp_path / "match")]
+
+
+@pytest.mark.parametrize("case", sorted(MATCH_TRACEBACKS))
+def test_match_rejects_config_values_that_once_raised(tmp_path, capsys, case):
+    corpus, history, config = MATCH_TRACEBACKS[case]
+    config = {**config, **CONFIG_VALUE_ERRORS[case]}
+    assert main(_match_inputs(tmp_path, corpus, history, config)) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert json.loads(err)["error"] == "ConfigError"
+    assert not (tmp_path / "match").exists()
+
+
+@pytest.mark.parametrize("case", sorted(MATCH_BOUNDARIES))
+def test_match_runs_at_the_largest_accepted_values(tmp_path, case):
+    assert main(_match_inputs(tmp_path, *MATCH_BOUNDARIES[case])) == 0
+    assert (tmp_path / "match" / "manifest.json").exists()
 
 
 MALFORMED_SECTIONS = {

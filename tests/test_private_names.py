@@ -1,10 +1,13 @@
-"""Every private name the ``swati`` package defines is referenced somewhere in it.
+"""Every private name the ``swati`` package defines is referenced somewhere in it,
+and only inside its own module.
 
 A private name starts with one underscore and is not a dunder. The definitions
 checked are a module's top-level functions, classes and assigned constants,
 and the methods of its classes. A reference is any load of the name, an
 attribute of that name, or an import of it by another module; the definition
-itself does not count, so a helper that lost its last caller fails here.
+itself does not count, so a helper that lost its last caller fails here. No
+module imports a private name from another module of the package: a name two
+modules share is public.
 """
 
 import ast
@@ -86,4 +89,39 @@ def test_detects_a_private_name_referenced_only_at_its_definition():
     }
     assert _unreferenced(sources) == [
         "a.py:2 _UNUSED", "a.py:3 _right", "a.py:6 _dead", "a.py:13 _stale",
+    ]
+
+
+def _private_imports(sources):
+    """``module:line name`` of each private name imported from a module of the package."""
+    return [
+        f"{module}:{node.lineno} {alias.name}"
+        for module, text in sources.items()
+        for node in ast.walk(ast.parse(text))
+        if isinstance(node, ast.ImportFrom)
+        and (node.level > 0 or (node.module or "").split(".")[0] == "swati")
+        for alias in node.names
+        if _is_private(alias.name)
+    ]
+
+
+def test_no_module_imports_a_private_name_of_another():
+    sources = {path.name: path.read_text("utf-8") for path in sorted(PACKAGE.glob("*.py"))}
+    imported = _private_imports(sources)
+    assert not imported, f"private names imported across modules: {', '.join(imported)}"
+
+
+def test_detects_a_private_name_imported_from_another_module():
+    sources = {
+        "a.py": "from ._b import public\nfrom json import _default_decoder\n",
+        # a deferred import inside a function counts too
+        "c.py": (
+            "def check():\n"
+            "    from .extraction import _alias_matches, extract_corpus\n"
+            "    from swati.ontology import _STRIP_CHARS\n"
+        ),
+        "d.py": "from . import _private\nfrom .e import __version__\n",
+    }
+    assert _private_imports(sources) == [
+        "c.py:2 _alias_matches", "c.py:3 _STRIP_CHARS", "d.py:1 _private",
     ]

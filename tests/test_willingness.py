@@ -1,11 +1,12 @@
 import json
 import math
 import random
+import sys
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from swati import willingness
@@ -13,7 +14,6 @@ from swati.errors import ConfigError, DimensionError, ParseError
 from swati.extraction import PreferenceCues, Profile, TaskSpec
 from swati.willingness import (
     History,
-    HistoryColumns,
     WillingnessParams,
     cue_score_matrix,
     histories_from_records,
@@ -121,7 +121,7 @@ def test_history_tendency_prior():
     # a history that exists but holds no rows of its load
     columns = histories_from_records([_row("v1", "A", True)])["v1"].columns
     for at in (0, 1):
-        empty = {"v1": History("v1", range(at, at), columns)}
+        empty = {"v1": History(range(at, at), columns)}
         assert tendency_matrix([profile], [task], empty)[0, 0] == 0.5
 
 
@@ -173,7 +173,7 @@ def test_tendency_matrix_equals_per_pair_reference(data):
         # h4 exists but holds no rows, at any position of one load's columns
         columns = next(iter(histories.values())).columns
         at = data.draw(st.integers(0, columns.accepted.size), label="empty at")
-        histories["h4"] = History("h4", range(at, at), columns)
+        histories["h4"] = History(range(at, at), columns)
     # a volunteer without history, one sharing another's history, one under its own id
     refs = data.draw(
         st.lists(st.sampled_from(["h0", "h1", "h2", "h3", "h4", "none"]), min_size=1, max_size=6)
@@ -282,9 +282,28 @@ def test_smoothing_zero_is_identity(prev, w_hat):
     assert _smooth(prev, w_hat, params) == w_hat
 
 
-@given(st.floats(0, 1), st.floats(0, 1))
-def test_raw_willingness_closure(g, f):
-    assert 0.0 <= raw_willingness(g, f, WillingnessParams()) <= 1.0
+@st.composite
+def _accepted_params(draw):
+    """``WillingnessParams`` that validate, over any positive gain and finite center."""
+    try:
+        return WillingnessParams(
+            history_weight=draw(st.floats(0, 1)),
+            sigmoid_gain=draw(st.floats(0, 1e308, exclude_min=True)),
+            sigmoid_center=draw(st.floats(-1e308, 1e308)),
+        )
+    except ConfigError:
+        reject()
+
+
+# the largest gain at center 0.5, and one whose product is exactly the bound
+@example(0.0, 0.0, WillingnessParams(sigmoid_gain=1400.0))
+@example(0.0, 0.0, WillingnessParams(sigmoid_gain=2 * math.log(sys.float_info.max)))
+@given(st.floats(0, 1), st.floats(0, 1), _accepted_params())
+def test_raw_willingness_closure(g, f, params):
+    # a far negative center can take the logistic's input to +inf, which gives 1
+    with np.errstate(over="ignore"):
+        for p in (WillingnessParams(), params):
+            assert 0.0 <= raw_willingness(g, f, p) <= 1.0
 
 
 @given(st.floats(0, 1), st.floats(0, 1), st.floats(0, 1), st.floats(0, 1), st.floats(0, 1))
@@ -316,6 +335,10 @@ def test_monotone_in_history_and_cues():
         {"cue_weights": (0.5, 0.5, 0.5, 0.5, 0.5)},
         {"cue_weights": (-0.2, 0.3, 0.3, 0.3, 0.3)},
         {"sigmoid_gain": 0.0},
+        # math.exp of the logistic at mix 0 would overflow
+        {"sigmoid_gain": 2000.0},
+        {"sigmoid_gain": 1e308},
+        {"sigmoid_gain": 200.0, "sigmoid_center": 3.6},
     ],
 )
 def test_params_validation(kwargs):
@@ -330,6 +353,17 @@ def test_pair_willingness_composes():
     )
     # g = 0.5 prior, f = 1.0 -> mix 0.75 -> sigma(1)
     assert value[0, 0] == pytest.approx(1.0 / (1.0 + math.exp(-1.0)), abs=1e-12)
+
+
+def _contents(histories):
+    """Each volunteer's record range and records, in the mapping's order, with the
+    skill names of its load and each record's skill ids, repeats kept as read."""
+    return [
+        (vid, h.records, ref.loaded_records(h), h.columns.skills,
+         [h.columns.skill_ids[h.columns.offsets[r] : h.columns.offsets[r + 1]].tolist()
+          for r in h.records])
+        for vid, h in histories.items()
+    ]
 
 
 def _write_rows(path, rows):
@@ -354,7 +388,7 @@ def test_load_history_groups_interleaved_volunteers_in_file_order(tmp_path):
         _row("v1", ["C", "A"], True),
     ]
     histories = load_history(_write_rows(tmp_path / "h.jsonl", rows))
-    assert histories == histories_from_records(rows)
+    assert _contents(histories) == _contents(histories_from_records(rows))
     assert list(histories) == ["v2", "v1", "v3"]
     columns = histories["v1"].columns
     assert all(h.columns is columns for h in histories.values())
@@ -362,20 +396,8 @@ def test_load_history_groups_interleaved_volunteers_in_file_order(tmp_path):
     assert [h.records for h in histories.values()] == [range(0, 2), range(2, 4), range(4, 5)]
     loaded = {vid: ref.loaded_records(h) for vid, h in histories.items()}
     assert loaded == ref.history_records(rows)
-    assert histories != histories_from_records(rows[:-1] + [_row("v1", ["C", "A"], False)])
-
-
-def test_history_columns_compare_contents():
-    def columns(accepted):
-        return HistoryColumns(("A",), np.array([0]), np.array([0, 1]), np.array([accepted]))
-
-    assert columns(True) == columns(True)
-    assert hash(columns(True)) == hash(columns(True))
-    assert columns(True) != columns(False)
-    assert columns(True) != "columns"
-    assert hash(History("v1", range(0, 1), columns(True))) == hash(
-        History("v1", range(0, 1), columns(True))
-    )
+    flipped = histories_from_records(rows[:-1] + [_row("v1", ["C", "A"], False)])
+    assert _contents(histories) != _contents(flipped)
 
 
 def test_load_history_rejects_bad_rows(tmp_path):
@@ -387,7 +409,8 @@ def test_load_history_rejects_bad_rows(tmp_path):
 
 def test_histories_from_records_matches_file_loader(tmp_path):
     rows = [_row("v1", "A", True), _row("v2", "B", False), _row("v1", "BA", False)]
-    assert histories_from_records(rows) == load_history(_write_rows(tmp_path / "h.jsonl", rows))
+    loaded = load_history(_write_rows(tmp_path / "h.jsonl", rows))
+    assert _contents(histories_from_records(rows)) == _contents(loaded)
     assert load_history(_write_rows(tmp_path / "empty.jsonl", [])) == {}
 
 
