@@ -26,7 +26,7 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError
+from .errors import ConfigError, DimensionError, integer, number
 from .extraction import Market
 from .similarity import cosine_matrix, jaccard_matrix, row_blocks
 from .willingness import History, WillingnessParams, smooth, willingness_matrix
@@ -57,18 +57,16 @@ class UtilityParams:
     form: UtilityForm = UtilityForm.PRODUCT
 
     def __post_init__(self):
-        object.__setattr__(self, "form", UtilityForm(self.form))  # a config gives the value
-        # a range test rejects NaN and the infinities too
-        if not 0.0 <= self.skill_weight <= 1.0 or not 0.0 <= self.content_weight <= 1.0:
-            raise ConfigError("utility weights must be finite numbers in [0, 1]")
+        try:
+            object.__setattr__(self, "form", UtilityForm(self.form))  # a config gives the value
+        except ValueError:
+            raise ConfigError(f"utility.form must be product or split, got {self.form!r}") from None
+        number(self.skill_weight, "utility.skill_weight", 0.0, 1.0)
+        number(self.content_weight, "utility.content_weight", 0.0, 1.0)
         # Rounding is monotone, so with every component in [0, 1] no utility of
         # either form exceeds the rounded sum: the tolerance lies below 1 only.
         if not 1.0 - 1e-12 <= self.skill_weight + self.content_weight <= 1.0:
             raise ConfigError("skill_weight + content_weight must be 1, or up to 1e-12 below")
-
-
-def _is_count(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
 
 
 class CapacityMap:
@@ -76,11 +74,9 @@ class CapacityMap:
 
     def __init__(self, capacities: Optional[Mapping[str, int]] = None, default: int = 1):
         capacities = dict(capacities or {})
-        if not _is_count(default):
-            raise ConfigError(f"default capacity must be an integer >= 1, got {default!r}")
+        integer(default, "capacities.default", 1)
         for vid, cap in capacities.items():
-            if not _is_count(cap):
-                raise ConfigError(f"capacity for {vid!r} must be an integer >= 1, got {cap!r}")
+            integer(cap, f"capacity for {vid!r}", 1)
         self._caps = capacities
         self.default = default
 

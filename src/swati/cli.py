@@ -18,14 +18,13 @@ import json
 import os
 import string
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from typing import Optional, Sequence
 
 from . import __version__
 from .assignment import METHODS, match_market
 from .config import EngineConfig, input_digest, load_config
 from .corpus import (
-    SyntheticConfig,
     corpus_stats,
     generate_synthetic,
     generate_synthetic_history,
@@ -64,15 +63,6 @@ def _ensure_out(path: str) -> str:
     return path
 
 
-def _synthetic_config(cfg: EngineConfig, args) -> SyntheticConfig:
-    overrides = {
-        key: getattr(args, key)
-        for key in ("seed", "n_volunteers", "n_tasks")
-        if getattr(args, key) is not None
-    }
-    return SyntheticConfig(**{**cfg.synthetic, **overrides}, vocabulary_ref=cfg.ontology_path)
-
-
 def _extractor(cfg: EngineConfig):
     """The configured extractor, ``extractor(docs, ontology)``, or None for the rule-based scan."""
     if cfg.extractor_kind == "remote":
@@ -83,7 +73,12 @@ def _extractor(cfg: EngineConfig):
 def cmd_gen(args) -> int:
     cfg = load_config(args.config)
     ontology = cfg.load_ontology()
-    syn_cfg = _synthetic_config(cfg, args)
+    overrides = {
+        key: getattr(args, key)
+        for key in ("seed", "n_volunteers", "n_tasks")
+        if getattr(args, key) is not None
+    }
+    syn_cfg = replace(cfg.synthetic, **overrides)  # SyntheticConfig checks the overrides too
     corpus = generate_synthetic(syn_cfg, ontology)
     out = _ensure_out(args.out)
     corpus_path = os.path.join(out, "corpus.jsonl")

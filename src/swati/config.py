@@ -17,7 +17,7 @@ from typing import Optional
 
 from .assignment import CapacityMap, UtilityParams, sha256
 from .corpus import SyntheticConfig
-from .errors import ConfigError, ParseError, parse_json
+from .errors import ConfigError, ParseError, integer, parse_json
 from .extraction import RemoteExtractorConfig
 from .ontology import BUILTIN_ONTOLOGY, Ontology, load_ontology
 from .similarity import VectorizerSettings
@@ -55,7 +55,7 @@ class EngineConfig:
     extractor_kind: str
     remote: Optional[RemoteExtractorConfig]
     history_path: Optional[str]
-    synthetic: dict
+    synthetic: SyntheticConfig
     random_method_seed: Optional[int]
 
     def load_ontology(self) -> Ontology:
@@ -125,34 +125,30 @@ def build_config(raw: Optional[dict] = None) -> EngineConfig:
     _require_file(raw["capacities"]["path"], "capacities")
     _require_file(raw["history_path"], "history")
 
-    try:
-        vectorizer = VectorizerSettings(**raw["vectorizer"])
-        willingness = WillingnessParams(**raw["willingness"])
-        utility = UtilityParams(**raw["utility"])
-        # a section without an endpoint is reported as a null endpoint
-        remote = RemoteExtractorConfig(**{"endpoint": None, **remote}) if remote else None
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
+    vectorizer = VectorizerSettings(**raw["vectorizer"])
+    willingness = WillingnessParams(**raw["willingness"])
+    utility = UtilityParams(**raw["utility"])
+    # a section without an endpoint is reported as a null endpoint
+    remote = RemoteExtractorConfig(**{"endpoint": None, **remote}) if remote else None
 
     caps_raw = raw["capacities"]
     mapping = {}
     if caps_raw["path"]:
         mapping = _read_json(caps_raw["path"], "capacities")
-        if not isinstance(mapping, dict) or not all(
-            isinstance(k, str) and isinstance(v, int) for k, v in mapping.items()
-        ):
+        if not isinstance(mapping, dict):
             raise ConfigError("capacities file must map volunteer ids to integers")
     capacities = CapacityMap(mapping, default=caps_raw["default"])
 
     extractor = raw["extractor"]
     kind = extractor["kind"]
     if kind not in ("rule", "remote"):
-        raise ConfigError(f"unknown extractor kind {kind!r}")
+        raise ConfigError(f"extractor.kind must be 'rule' or 'remote', got {kind!r}")
     if remote is not None:
         remote = RemoteExtractorConfig.from_env(remote, dict(os.environ))
     if kind == "remote" and remote is None:
         raise ConfigError("extractor.kind is 'remote' but extractor.remote is not set")
 
+    seed = raw["seeds"]["random_method"]
     return EngineConfig(
         raw=raw,
         ontology_path=raw["ontology"],
@@ -163,8 +159,8 @@ def build_config(raw: Optional[dict] = None) -> EngineConfig:
         extractor_kind=kind,
         remote=remote,
         history_path=raw["history_path"],
-        synthetic=raw["synthetic"],
-        random_method_seed=raw["seeds"]["random_method"],
+        synthetic=SyntheticConfig(**raw["synthetic"], vocabulary_ref=raw["ontology"]),
+        random_method_seed=None if seed is None else integer(seed, "seeds.random_method"),
     )
 
 

@@ -19,7 +19,9 @@ import random
 import warnings
 from dataclasses import dataclass, field
 
-from .errors import ConfigError, DuplicateIdError, ParseError, read_jsonl, write_jsonl
+from .errors import (
+    ConfigError, DuplicateIdError, ParseError, integer, number, read_jsonl, write_jsonl
+)
 from .ontology import BUILTIN_ONTOLOGY, Ontology, normalize_skill
 
 VOLUNTEER = "volunteer"
@@ -79,10 +81,6 @@ class CorpusStats:
     mean_text_length: float
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 @dataclass(frozen=True)
 class SyntheticConfig:
     """Seed, market size and skill/cue densities of a generated market."""
@@ -96,23 +94,17 @@ class SyntheticConfig:
     vocabulary_ref: str = BUILTIN_ONTOLOGY
 
     def __post_init__(self):
-        if not all(map(_is_int, (self.seed, self.n_volunteers, self.n_tasks))):
-            raise ConfigError("synthetic seed and counts must be integers")
-        if self.n_volunteers <= 0 or self.n_tasks <= 0:
-            raise ConfigError("volunteer and task counts must be positive")
+        integer(self.seed, "synthetic.seed")
+        integer(self.n_volunteers, "synthetic.n_volunteers", 1)
+        integer(self.n_tasks, "synthetic.n_tasks", 1)
         for name in ("skills_per_volunteer", "skills_per_task"):
             rng = getattr(self, name)
-            if not isinstance(rng, (list, tuple)) or len(rng) != 2 or not all(map(_is_int, rng)):
-                raise ConfigError(f"{name} must be two integers [lo, hi], got {rng!r}")
-            lo, hi = rng
-            if lo < 1 or hi < lo:
-                raise ConfigError(f"{name} range {rng} is empty or infeasible")
+            if not isinstance(rng, (list, tuple)) or len(rng) != 2:
+                raise ConfigError(f"synthetic.{name} must be two integers [lo, hi], got {rng!r}")
+            lo = integer(rng[0], f"synthetic.{name}[0]", 1)
+            integer(rng[1], f"synthetic.{name}[1]", lo)
             object.__setattr__(self, name, tuple(rng))  # a config file gives a list
-        density = self.cue_density
-        if isinstance(density, bool) or not isinstance(density, (int, float)):
-            raise ConfigError(f"cue_density must be a number, got {density!r}")
-        if not 0.0 <= density <= 1.0:
-            raise ConfigError("cue_density must lie in [0, 1]")
+        number(self.cue_density, "synthetic.cue_density", 0.0, 1.0)
 
 
 def _parse_document(obj: dict, line: int, strict: bool) -> Document:

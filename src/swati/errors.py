@@ -6,6 +6,7 @@ and JSONL input is parsed here, so each ends in ``ParseError`` the same way.
 """
 
 import json
+import math
 from typing import Iterable, Iterator
 
 
@@ -95,6 +96,23 @@ class DuplicateIdError(ParseError):
 
 class ConfigError(EngineError):
     """Invalid configuration value or infeasible generation request."""
+
+
+def number(value, key: str, lo: float = -math.inf, hi: float = math.inf):
+    """``value`` unchanged if it is a finite number in [lo, hi], else a ``ConfigError``."""
+    try:
+        if not isinstance(value, bool) and math.isfinite(value) and lo <= value <= hi:
+            return value
+    except (TypeError, OverflowError):
+        pass  # not a real number, or an int whose float() overflows
+    raise ConfigError(f"{key} must be a finite number in [{lo}, {hi}], got {value!r}")
+
+
+def integer(value, key: str, lo: float = -math.inf) -> int:
+    """``value`` unchanged if it is an ``int``, not a ``bool``, >= ``lo``, else ``ConfigError``."""
+    if isinstance(value, int) and not isinstance(value, bool) and value >= lo:
+        return value
+    raise ConfigError(f"{key} must be an integer >= {lo}, got {value!r}")
 
 
 class AliasConflictError(EngineError):

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import functools
 import json
-import math
 import re
 import string
 import time
@@ -40,7 +39,9 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 import numpy as np
 
 from .corpus import Document
-from .errors import ConfigError, RemoteTimeoutError, SchemaViolationError, TransportError
+from .errors import (
+    ConfigError, RemoteTimeoutError, SchemaViolationError, TransportError, integer, number
+)
 from .ontology import STRIP_CHARS, Ontology, normalize_skill
 from .similarity import SparseRows, VectorizerSettings, count_terms, fit_vectorizer, term_vectors
 
@@ -632,13 +633,11 @@ class RemoteExtractorConfig:
 
     def __post_init__(self):
         endpoint, api_key = self.endpoint, self.api_key
-        timeout, retries = self.timeout, self.retries
         if type(endpoint) is not str or not endpoint:
             raise ConfigError(f"extractor.remote endpoint must be a URL string, got {endpoint!r}")
-        if type(timeout) not in (int, float) or not 0.0 < timeout < math.inf:
-            raise ConfigError(f"extractor.remote timeout must be a number > 0, got {timeout!r}")
-        if type(retries) is not int or retries < 0:
-            raise ConfigError(f"extractor.remote retries must be an integer >= 0, got {retries!r}")
+        if number(self.timeout, "extractor.remote.timeout") <= 0:
+            raise ConfigError(f"extractor.remote.timeout must be > 0, got {self.timeout!r}")
+        integer(self.retries, "extractor.remote.retries", 0)
         if api_key is not None and type(api_key) is not str:
             raise ConfigError(f"extractor.remote api_key must be a string, got {api_key!r}")
 

@@ -24,7 +24,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, EmptyCorpusError
+from .errors import ConfigError, EmptyCorpusError, integer
 
 
 def _load_stopwords() -> frozenset[str]:
@@ -58,14 +58,15 @@ class VectorizerSettings:
     use_stopwords: bool = True
 
     def __post_init__(self):
-        if not isinstance(self.min_token_len, int) or isinstance(self.min_token_len, bool):
-            raise ConfigError(f"min_token_len must be an integer, got {self.min_token_len!r}")
+        min_len = integer(self.min_token_len, "vectorizer.min_token_len", 1)
         if not isinstance(self.use_stopwords, bool):
-            raise ConfigError(f"use_stopwords must be true or false, got {self.use_stopwords!r}")
+            raise ConfigError(
+                f"vectorizer.use_stopwords must be true or false, got {self.use_stopwords!r}"
+            )
         try:
-            _term_re(self.min_token_len)  # build the cached tokenizer pattern now
+            _term_re(min_len)  # build the cached tokenizer pattern now
         except OverflowError:
-            raise ConfigError(f"min_token_len {self.min_token_len} is too large") from None
+            raise ConfigError(f"vectorizer.min_token_len {min_len} is too large") from None
 
 
 @functools.cache
@@ -75,7 +76,7 @@ def _term_re(min_len: int) -> re.Pattern:
     ``findall`` tries a run only at its first character, and a run shorter
     than ``min_len`` fails there and at each later character of it.
     """
-    return re.compile(f"[a-z0-9]{{{max(min_len, 1)},}}")
+    return re.compile(f"[a-z0-9]{{{min_len},}}")
 
 
 def tokenize(text: str, settings: VectorizerSettings = VectorizerSettings()) -> list[str]:

@@ -19,7 +19,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, ParseError, read_jsonl
+from .errors import ConfigError, DimensionError, ParseError, number, read_jsonl
 from .extraction import Profile, TaskSpec
 from .similarity import posting_pairs, row_blocks, runs, skill_postings
 
@@ -69,20 +69,19 @@ class WillingnessParams:
     sigmoid_center: float = 0.5
 
     def __post_init__(self):
-        object.__setattr__(self, "cue_weights", tuple(self.cue_weights))  # a config gives a list
-        numbers = (self.history_weight, self.smoothing, self.sigmoid_gain, self.sigmoid_center)
-        if not all(map(math.isfinite, (*numbers, *self.cue_weights))):
-            raise ConfigError("willingness parameters must be finite numbers")
-        if not 0.0 <= self.history_weight <= 1.0:
-            raise ConfigError("history_weight must lie in [0, 1]")
-        if not 0.0 <= self.smoothing <= 1.0:
-            raise ConfigError("smoothing must lie in [0, 1]")
-        if len(self.cue_weights) != 5 or any(w < 0 for w in self.cue_weights):
-            raise ConfigError("cue_weights must be 5 non-negative values")
+        number(self.history_weight, "willingness.history_weight", 0.0, 1.0)
+        number(self.smoothing, "willingness.smoothing", 0.0, 1.0)
+        number(self.sigmoid_center, "willingness.sigmoid_center")
+        if number(self.sigmoid_gain, "willingness.sigmoid_gain") <= 0:
+            raise ConfigError(f"willingness.sigmoid_gain must be > 0, got {self.sigmoid_gain!r}")
+        weights = self.cue_weights
+        if not isinstance(weights, (list, tuple)) or len(weights) != 5:
+            raise ConfigError(f"willingness.cue_weights must be 5 numbers, got {weights!r}")
+        object.__setattr__(self, "cue_weights", tuple(weights))  # a config gives a list
+        for k, weight in enumerate(weights):
+            number(weight, f"willingness.cue_weights[{k}]", 0.0)
         if abs(sum(self.cue_weights) - 1.0) > 1e-9:
-            raise ConfigError("cue_weights must sum to 1")
-        if self.sigmoid_gain <= 0:
-            raise ConfigError("sigmoid_gain must be positive")
+            raise ConfigError("willingness.cue_weights must sum to 1")
         # the mix lies in [0, 1], so the largest input of raw_willingness's
         # math.exp is the logistic at mix 0: exactly this product, rounded alike
         if self.sigmoid_gain * self.sigmoid_center > _MAX_EXP_INPUT:
@@ -278,8 +277,10 @@ def _group_records(numbered: Iterable[tuple[int, object]]) -> dict[str, History]
             raise ParseError(
                 "record needs volunteer_id, task_skills, accepted", line_no
             ) from None
-        if not isinstance(vid, str) or not isinstance(accepted, bool):
-            raise ParseError("bad field types", line_no)
+        if not isinstance(vid, str):
+            raise ParseError("volunteer_id must be a string", line_no)
+        if not isinstance(accepted, bool):
+            raise ParseError("accepted must be true or false", line_no)
         if not isinstance(skills, list):
             raise ParseError(_BAD_SKILLS, line_no)
         try:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from swati.ontology import Ontology, SkillEntry, load_builtin_ontology
 from swati.similarity import SparseRows, count_terms, term_vectors
@@ -12,6 +13,15 @@ TEST_MARKET_SHAPE = {
     "skills_per_task": (2, 3),
     "cue_density": 0.7,
 }
+
+# Any JSON value: null, booleans, numbers (NaN and the infinities included),
+# short strings, and small lists and objects of them.
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=12),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=8), children, max_size=4),
+    max_leaves=12,
+)
 
 
 def vectorize(model, text):

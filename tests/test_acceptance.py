@@ -183,6 +183,23 @@ def test_c02_greedy_approximation_beyond_brute_force():
     )
 
 
+def test_c02_greedy_approximation_on_the_c1_markets(market_runs):
+    """C2 on C1's five 342x300 markets against the Hungarian oracle's optimum."""
+    ratios = []
+    for seed in SEEDS:
+        run = market_runs[seed]
+        optimal_total = assignment_oracle.optimal_total(run["matrix"], CapacityMap())
+        greedy_total = run["swati"].total_utility()
+        assert greedy_total <= optimal_total + 1e-9
+        assert greedy_total >= 0.5 * optimal_total - 1e-9
+        ratios.append(greedy_total / optimal_total)
+    _verdict(
+        "C2 greedy 1/2-approximation on the C1 markets",
+        min(ratios) >= 0.5,
+        "greedy/optimum " + ", ".join(f"{ratio:.3f}" for ratio in ratios),
+    )
+
+
 def test_c03_feasibility_fuzz():
     rng = random.Random(777)
     violations = 0

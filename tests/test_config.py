@@ -1,12 +1,20 @@
+import contextlib
+import io
 import json
+import math
 import re
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
 
 from swati.assignment import UtilityForm
+from swati.cli import main
 from swati.config import DEFAULT_CONFIG, build_config, input_digest, load_config
 from swati.errors import ConfigError
+
+from conftest import json_values
 
 
 def test_defaults_load():
@@ -99,3 +107,88 @@ def test_input_digest_builtin_and_file(tmp_path):
     path = tmp_path / "f.txt"
     path.write_text("hello")
     assert input_digest(str(path)) != builtin
+
+
+def _leaves(tree, prefix=""):
+    for key, value in tree.items():
+        if isinstance(value, dict):
+            yield from _leaves(value, f"{prefix}{key}.")
+        else:
+            yield prefix + key
+
+
+_PATHS = {"ontology", "capacities.path", "history_path"}
+_LEAVES = sorted(set(_leaves(DEFAULT_CONFIG)) - _PATHS)
+_BIG = 10**400  # beyond the float range, below json's 4,300-digit limit
+_PROBES = (True, False, "x", [], {}, None, math.nan, math.inf, -math.inf, _BIG)
+# values besides the probes that a leaf must refuse
+_REFUSED = {"vectorizer.min_token_len": (0, -3)}
+# the probes each leaf accepts; every other probe must be refused
+_ACCEPTED = {
+    "vectorizer.use_stopwords": (True, False),
+    "extractor.remote": ({}, None),
+    "seeds.random_method": (None, _BIG),
+    "capacities.default": (_BIG,),
+    "synthetic.seed": (_BIG,),
+    "synthetic.n_volunteers": (_BIG,),
+    "synthetic.n_tasks": (_BIG,),
+}
+
+
+def test_leaf_tables_name_config_leaves():
+    assert set(_ACCEPTED) | set(_REFUSED) < set(_LEAVES)
+
+
+@pytest.fixture(scope="module")
+def match_inputs(tmp_path_factory):
+    """A two-document corpus and a one-record history for ``swati match``."""
+    root = tmp_path_factory.mktemp("leaves")
+    corpus = [{"id": "v1", "kind": "volunteer", "text": "python sql, eager to help"},
+              {"id": "t1", "kind": "task", "text": "python work"}]
+    (root / "corpus.jsonl").write_text("".join(json.dumps(doc) + "\n" for doc in corpus))
+    history = {"volunteer_id": "v1", "task_skills": ["Python"], "accepted": True}
+    (root / "history.jsonl").write_text(json.dumps(history) + "\n")
+    return root
+
+
+def _with_every_probe(test):
+    for value in (*_PROBES, *(v for values in _REFUSED.values() for v in values)):
+        test = example(value=value)(test)
+    return test
+
+
+@pytest.mark.parametrize("leaf", _LEAVES)
+@settings(max_examples=20, deadline=None)
+@_with_every_probe
+@given(value=json_values)
+def test_every_config_leaf_is_checked_at_load(match_inputs, leaf, value):
+    """``swati match`` runs, or refuses the value with the leaf's ``section.key``, writing nothing.
+
+    A probe's or a ``_REFUSED`` value's outcome is known; a drawn value may go either way.
+    """
+    section, _, key = leaf.partition(".")
+    raw = {"history_path": str(match_inputs / "history.jsonl"), section: {key: value}}
+    workdir = Path(tempfile.mkdtemp(dir=match_inputs))
+    (workdir / "config.json").write_text(json.dumps(raw))
+    out = workdir / "match"
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        rc = main(["match", "--config", str(workdir / "config.json"),
+                   "--corpus", str(match_inputs / "corpus.jsonl"), "--out", str(out)])
+    # values are compared as JSON, so that 1 is not taken for true nor 0 for false
+    text = json.dumps(value)
+    known = text in map(json.dumps, (*_PROBES, *_REFUSED.get(leaf, ())))
+    if known:
+        accepted = text in map(json.dumps, _ACCEPTED.get(leaf, ()))
+        assert rc == (0 if accepted else 2), err.getvalue()
+    if rc == 0:
+        assert (out / "manifest.json").exists()
+        return
+    assert rc == 2
+    lines = err.getvalue().splitlines()
+    assert len(lines) == 1, lines
+    error = json.loads(lines[0])
+    assert error["error"] == "ConfigError"
+    # a cross-field rule names its keys without their section
+    assert leaf in error["detail"] if known else key in error["detail"]
+    assert not out.exists()

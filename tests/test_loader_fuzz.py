@@ -18,12 +18,8 @@ from swati.extraction import validate_extraction
 from swati.ledger import load_ledger
 from swati.willingness import load_history
 
-json_values = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=12),
-    lambda children: st.lists(children, max_size=4)
-    | st.dictionaries(st.text(max_size=8), children, max_size=4),
-    max_leaves=12,
-)
+from conftest import json_values
+
 
 
 def _records(fields):

@@ -37,7 +37,7 @@ def test_traced_match_reports_counts(tmp_path):
     assert trace["exit_code"] == 0
     # perfbench/child.py still wraps the deleted build_profile, build_taskspec
     # and run_epoch; it lists the names as missing until the benchmark drops
-    # those spans (ROADMAP item 2)
+    # those spans (ROADMAP item 1)
     assert trace["missing"] == [
         "extraction.build_profile", "extraction.build_taskspec", "assignment.run_epoch"
     ]

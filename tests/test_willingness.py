@@ -425,7 +425,8 @@ def test_load_history_reports_line_numbers(tmp_path):
 
 
 _MISSING = "record needs volunteer_id, task_skills, accepted"
-_TYPES = "bad field types"
+_VOLUNTEER = "volunteer_id must be a string"
+_ACCEPTED = "accepted must be true or false"
 _SKILLS = "task_skills must be a list of strings"
 
 
@@ -435,9 +436,9 @@ _SKILLS = "task_skills must be a list of strings"
         ('{"volunteer_id": "v9", "task_skills": ["A"]}', _MISSING),
         ('["v9", ["A"], true]', _MISSING),
         ('"v9"', _MISSING),
-        ('{"volunteer_id": 9, "task_skills": ["A"], "accepted": true}', _TYPES),
-        ('{"volunteer_id": "v9", "task_skills": ["A"], "accepted": 1}', _TYPES),
-        ('{"volunteer_id": "v9", "task_skills": ["A"], "accepted": null}', _TYPES),
+        ('{"volunteer_id": 9, "task_skills": ["A"], "accepted": true}', _VOLUNTEER),
+        ('{"volunteer_id": "v9", "task_skills": ["A"], "accepted": 1}', _ACCEPTED),
+        ('{"volunteer_id": "v9", "task_skills": ["A"], "accepted": null}', _ACCEPTED),
         ('{"volunteer_id": "v9", "task_skills": "A", "accepted": true}', _SKILLS),
         ('{"volunteer_id": "v9", "task_skills": {"A": 1}, "accepted": true}', _SKILLS),
         *(
