@@ -3,7 +3,7 @@
 Run with:  python demos/01_skill_extraction.py
 """
 
-from swati import Document, extract_rule_based, extraction_stats, load_builtin_ontology
+from swati import Document, extract_corpus, extraction_stats, load_builtin_ontology
 
 ontology = load_builtin_ontology()
 print(f"starter ontology: {len(ontology)} skills, {len(ontology.alias_index)} alias keys")
@@ -24,7 +24,7 @@ profile_text = (
     "Available on weekends and most evenings."
 )
 doc = Document(id="v-demo", kind="volunteer", text=profile_text)
-result = extract_rule_based(doc, ontology)
+result = extract_corpus([doc], ontology)[0]
 
 print("\nmentions (raw, evidence span, proficiency):")
 for mention in result.mentions:

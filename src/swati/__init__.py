@@ -48,7 +48,6 @@ from .extraction import (
     build_market,
     extract_corpus,
     extract_remote,
-    extract_rule_based,
     extraction_stats,
     validate_extraction,
 )

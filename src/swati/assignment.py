@@ -66,7 +66,9 @@ class UtilityParams:
         # Rounding is monotone, so with every component in [0, 1] no utility of
         # either form exceeds the rounded sum: the tolerance lies below 1 only.
         if not 1.0 - 1e-12 <= self.skill_weight + self.content_weight <= 1.0:
-            raise ConfigError("skill_weight + content_weight must be 1, or up to 1e-12 below")
+            raise ConfigError(
+                "utility.skill_weight + utility.content_weight must be 1, or up to 1e-12 below"
+            )
 
 
 class CapacityMap:

@@ -105,9 +105,9 @@ def cmd_extract(args) -> int:
     cfg = load_config(args.config)
     ontology = cfg.load_ontology()
     corpus = load_corpus(args.corpus, strict=args.strict)
-    out = _ensure_out(args.out)
     docs = corpus.documents()
     results = (_extractor(cfg) or extract_corpus)(docs, ontology)
+    out = _ensure_out(args.out)  # after extraction, so that a failed one leaves no directory
     records = [
         dict(asdict(result), kind=doc.kind, skills=sorted(result.skills))
         for doc, result in zip(docs, results)

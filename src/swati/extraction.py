@@ -35,12 +35,14 @@ from dataclasses import dataclass, replace
 from importlib import resources
 from itertools import repeat
 from typing import Callable, Iterable, Iterator, Optional, Sequence
+from urllib.parse import urlsplit
 
 import numpy as np
 
 from .corpus import Document
 from .errors import (
-    ConfigError, RemoteTimeoutError, SchemaViolationError, TransportError, integer, number
+    ConfigError, ParseError, RemoteTimeoutError, SchemaViolationError, TransportError, integer,
+    number, parse_json,
 )
 from .ontology import STRIP_CHARS, Ontology, normalize_skill
 from .similarity import SparseRows, VectorizerSettings, count_terms, fit_vectorizer, term_vectors
@@ -533,11 +535,6 @@ def extract_corpus(docs: Sequence[Document], ontology: Ontology) -> list[Extract
     return [ExtractionResult(doc.id, *parts, ()) for doc, parts in zip(docs, found)]
 
 
-def extract_rule_based(doc: Document, ontology: Ontology) -> ExtractionResult:
-    """``extract_corpus`` of one document."""
-    return extract_corpus([doc], ontology)[0]
-
-
 # --- schema validation ----------------------------------------------------
 
 
@@ -622,6 +619,34 @@ def validate_extraction(
 # --- remote extractor -----------------------------------------------------
 
 
+# a match if every character of the text is visible ASCII, 0x21-0x7E
+_visible_ascii = re.compile("[!-~]*").fullmatch
+
+
+def _http_url(endpoint: str) -> bool:
+    """Whether urllib can be given ``endpoint``: a visible-ASCII http(s) URL with a host.
+
+    Its port must read as a number. It must hold no user information, which
+    urllib would look up as part of the host name. Its host must hold no
+    percent-escape, which urllib would decode, and no label that the
+    socket's IDNA encoding refuses: an empty one, or one of more than 63
+    characters.
+    """
+    if not _visible_ascii(endpoint):
+        return False
+    try:
+        parts = urlsplit(endpoint)
+        parts.port  # raises ValueError for a port that is not a number in [0, 65535]
+        host = parts.hostname or ""
+        host.encode("idna")  # raises UnicodeError, a ValueError, for a bad label
+    except ValueError:
+        return False
+    return (
+        parts.scheme in ("http", "https") and bool(host)
+        and "@" not in parts.netloc and "%" not in host
+    )
+
+
 @dataclass(frozen=True)
 class RemoteExtractorConfig:
     """Endpoint, limits and credentials of the remote extractor."""
@@ -635,11 +660,19 @@ class RemoteExtractorConfig:
         endpoint, api_key = self.endpoint, self.api_key
         if type(endpoint) is not str or not endpoint:
             raise ConfigError(f"extractor.remote endpoint must be a URL string, got {endpoint!r}")
-        if number(self.timeout, "extractor.remote.timeout") <= 0:
+        if not _http_url(endpoint):  # not echoed, as it may hold credentials
+            raise ConfigError(
+                "extractor.remote endpoint must be an http or https URL of visible ASCII,"
+                " with a host and no user information"
+            )
+        # socket.settimeout overflows above about 9.2e9 s; 1e9 s fits a 32-bit time_t
+        if number(self.timeout, "extractor.remote.timeout", hi=1e9) <= 0:
             raise ConfigError(f"extractor.remote.timeout must be > 0, got {self.timeout!r}")
         integer(self.retries, "extractor.remote.retries", 0)
         if api_key is not None and type(api_key) is not str:
             raise ConfigError(f"extractor.remote api_key must be a string, got {api_key!r}")
+        if api_key is not None and not _visible_ascii(api_key):  # a header value; not echoed
+            raise ConfigError("extractor.remote api_key must be visible ASCII (0x21-0x7E)")
 
     @classmethod
     def from_env(cls, base: "RemoteExtractorConfig", env: dict) -> "RemoteExtractorConfig":
@@ -659,16 +692,27 @@ def extract_remote(
 
     Schema-invalid responses and 5xx statuses are retried, ``cfg.retries``
     times in all; a 5xx retry first waits with bounded exponential backoff
-    through ``sleep``. Other statuses, transport failures and timeouts are
-    surfaced immediately. No local state is touched. The valid reply's raws
-    are resolved through ``ontology`` (``validate_extraction``).
+    through ``sleep``. A body that is not UTF-8 JSON is a schema violation.
+    Other statuses, transport failures and timeouts, a stall partway through
+    the body included, are surfaced immediately. No redirect is followed: a
+    3xx is a status like any other. No local state is touched. The valid
+    reply's raws are resolved through ``ontology`` (``validate_extraction``).
     """
-    import requests  # only the remote extractor needs it; it is slow to import
+    # only the remote extractor needs them; urllib.request loads ssl and libcrypto
+    import urllib.request
+    from http.client import HTTPException
+    from urllib.error import HTTPError
 
+    class NoRedirect(urllib.request.HTTPRedirectHandler):
+        def redirect_request(self, *args):
+            return None  # the 3xx then surfaces as an HTTPError
+
+    opener = urllib.request.build_opener(NoRedirect)
     headers = {"Content-Type": "application/json"}
     if cfg.api_key:
         headers["Authorization"] = f"Bearer {cfg.api_key}"
     payload = {"doc_id": doc.id, "text": doc.text, "schema_version": SCHEMA_VERSION}
+    data = json.dumps(payload).encode()
 
     last_error: Optional[Exception] = None
     backoff = _BACKOFF_FIRST_S
@@ -676,22 +720,28 @@ def extract_remote(
         if isinstance(last_error, TransportError):
             sleep(backoff)
             backoff = min(2 * backoff, _BACKOFF_MAX_S)
+        request = urllib.request.Request(cfg.endpoint, data=data, headers=headers, method="POST")
         try:
-            resp = requests.post(
-                cfg.endpoint, json=payload, headers=headers, timeout=cfg.timeout
-            )
-        except requests.Timeout as exc:
-            raise RemoteTimeoutError(f"no response within {cfg.timeout}s") from exc
-        except requests.RequestException as exc:
+            with opener.open(request, timeout=cfg.timeout) as resp:
+                status, raw = resp.status, resp.read()
+        except HTTPError as exc:
+            exc.close()
+            status, raw = exc.code, b""
+        except OSError as exc:
+            reason = getattr(exc, "reason", None)  # a URLError wraps a failure to connect
+            if isinstance(exc, TimeoutError) or isinstance(reason, TimeoutError):
+                raise RemoteTimeoutError(f"no response within {cfg.timeout}s") from exc
             raise TransportError(str(exc)) from exc
-        if 500 <= resp.status_code < 600:
-            last_error = TransportError(f"endpoint returned status {resp.status_code}")
+        except HTTPException as exc:  # IncompleteRead, for one, is not an OSError
+            raise TransportError(str(exc)) from exc
+        if 500 <= status < 600:
+            last_error = TransportError(f"endpoint returned status {status}")
             continue
-        if resp.status_code != 200:
-            raise TransportError(f"endpoint returned status {resp.status_code}")
+        if status != 200:
+            raise TransportError(f"endpoint returned status {status}")
         try:
-            body = resp.json()
-        except (ValueError, RecursionError):  # RecursionError: very deep nesting
+            body = parse_json(raw.decode("utf-8"))
+        except (UnicodeDecodeError, ParseError):
             last_error = SchemaViolationError("", "response is not valid JSON")
             continue
         try:

@@ -85,7 +85,10 @@ class WillingnessParams:
         # the mix lies in [0, 1], so the largest input of raw_willingness's
         # math.exp is the logistic at mix 0: exactly this product, rounded alike
         if self.sigmoid_gain * self.sigmoid_center > _MAX_EXP_INPUT:
-            raise ConfigError(f"sigmoid_gain * sigmoid_center must be at most {_MAX_EXP_INPUT}")
+            raise ConfigError(
+                "willingness.sigmoid_gain * willingness.sigmoid_center must be at most "
+                f"{_MAX_EXP_INPUT}"
+            )
 
 
 def smooth(previous: np.ndarray, w_hat: np.ndarray, params: WillingnessParams) -> np.ndarray:

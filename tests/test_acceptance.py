@@ -31,7 +31,7 @@ from swati.assignment import (
 )
 from swati.cli import main as cli_main
 from swati.corpus import SyntheticConfig, generate_synthetic, generate_synthetic_history
-from swati.extraction import build_market, extract_rule_based, extraction_stats
+from swati.extraction import build_market, extract_corpus, extraction_stats
 from swati.ledger import Ledger, verify
 from swati.metrics import bench_scaling, quality, utility_cdf
 from swati.similarity import (
@@ -449,7 +449,7 @@ def test_c11_extraction_round_trip(builtin_ontology):
         results = []
         recall_ok = True
         for doc in corpus.documents():
-            result = extract_rule_based(doc, builtin_ontology)
+            result = extract_corpus([doc], builtin_ontology)[0]
             found, _ = builtin_ontology.canonicalize_report(m.raw for m in result.mentions)
             planted = set(doc.meta["planted_skills"].split("|"))
             recall_ok &= found == planted

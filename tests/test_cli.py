@@ -284,6 +284,20 @@ def test_bad_config_is_machine_readable_error(tmp_path, capsys):
     assert err["error"] == "ConfigError"
 
 
+REFUSED_ENDPOINTS = {
+    "file": "file:///etc/hostname",
+    "data": "data:,x",
+    "ftp": "ftp://127.0.0.1/x",
+    "no_scheme": "notaurl",
+    "no_host": "http:///x",
+    "open_bracket": "http://[::1/x",
+    "non_ascii_path": "http://127.0.0.1:9/ключ",
+    "non_ascii_host": "http://ключ.example/x",
+    "user_info": "http://user:pw@127.0.0.1:9/x",
+    "percent_host": "http://%41/x",
+    "empty_label": "http://a..b/x",
+}
+
 CONFIG_VALUE_ERRORS = {
     "willingness_center_nan": {"willingness": {"sigmoid_center": math.nan}},
     "cue_weight_nan": {"willingness": {"cue_weights": [math.nan, 0.25, 0.25, 0.25, 0.25]}},
@@ -318,6 +332,21 @@ CONFIG_VALUE_ERRORS = {
     "remote_api_key_number": {
         "extractor": {"remote": {"endpoint": "http://localhost:9", "api_key": 5}}
     },
+    # each of these once reached the HTTP client; urllib would open the file
+    # or the data URL, look the credentials up as a host name, or end in a
+    # traceback
+    **{
+        f"remote_endpoint_{name}": {"extractor": {"remote": {"endpoint": endpoint}}}
+        for name, endpoint in REFUSED_ENDPOINTS.items()
+    },
+    # socket.settimeout overflows above about 9.2e9 s
+    "remote_timeout_overflow": {
+        "extractor": {"remote": {"endpoint": "http://localhost:9", "timeout": 1e10}}
+    },
+    # a header value is latin-1 and one line; the key is never echoed
+    "remote_api_key_not_ascii": {
+        "extractor": {"remote": {"endpoint": "http://localhost:9", "api_key": "ключ"}}
+    },
     # each of these once ended `swati match` in a traceback (see MATCH_TRACEBACKS)
     "willingness_logistic_overflow": {"willingness": {"sigmoid_gain": 2000}},
     "tokenizer_repeat_overflow": {"vectorizer": {"min_token_len": 100000000000}},
@@ -342,6 +371,16 @@ REMOTE_SECTION_DETAILS = {
     "remote_endpoint_empty": "extractor.remote endpoint must be a URL string, got ''",
     "remote_endpoint_null": "extractor.remote endpoint must be a URL string, got None",
     "remote_api_key_number": "extractor.remote api_key must be a string, got 5",
+    **dict.fromkeys(
+        (f"remote_endpoint_{name}" for name in REFUSED_ENDPOINTS),
+        "extractor.remote endpoint must be an http or https URL of visible ASCII,"
+        " with a host and no user information",
+    ),
+    "remote_timeout_overflow": (
+        "extractor.remote.timeout must be a finite number in [-inf, 1000000000.0],"
+        " got 10000000000.0"
+    ),
+    "remote_api_key_not_ascii": "extractor.remote api_key must be visible ASCII (0x21-0x7E)",
 }
 
 
@@ -362,8 +401,11 @@ def test_config_value_errors_are_machine_readable(tmp_path, capsys, case):
     config_path.write_text(json.dumps(raw))
     rc = main(["gen", "--config", str(config_path), "--out", str(tmp_path / "gen"), "--seed", "1"])
     assert rc == 2
-    err = json.loads(capsys.readouterr().err)
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1, lines
+    err = json.loads(lines[0])
     assert err["error"] == "ConfigError"
+    assert not (tmp_path / "gen").exists()
     if case in REMOTE_SECTION_DETAILS:
         assert err["detail"] == REMOTE_SECTION_DETAILS[case]
 
@@ -807,7 +849,7 @@ def test_a_bad_config_still_exits_2_with_one_json_line(tmp_path):
 
 # hashlib maps OpenSSL's libcrypto through ``_hashlib``; pytest has loaded it in
 # this process already, so each check runs in a fresh interpreter
-OPENSSL_MODULES = ("_hashlib", "ssl", "requests")
+OPENSSL_MODULES = ("_hashlib", "ssl", "urllib.request")
 PRINT_LOADED = f"print([m for m in {OPENSSL_MODULES!r} if m in sys.modules])\n"
 
 SCORE_PROBE = (

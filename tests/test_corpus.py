@@ -14,7 +14,7 @@ from swati.corpus import (
     save_corpus,
 )
 from swati.errors import ConfigError, DuplicateIdError, ParseError
-from swati.extraction import extract_rule_based
+from swati.extraction import extract_corpus
 from swati.ontology import Ontology, SkillEntry
 
 from conftest import TEST_MARKET_SHAPE
@@ -132,7 +132,7 @@ def test_generate_plants_exact_skill_counts(builtin_ontology):
     cfg = SyntheticConfig(seed=11, n_volunteers=12, n_tasks=4, **shape)
     corpus = generate_synthetic(cfg, builtin_ontology)
     for doc in corpus.volunteers:
-        result = extract_rule_based(doc, builtin_ontology)
+        result = extract_corpus([doc], builtin_ontology)[0]
         skills, _ = builtin_ontology.canonicalize_report(m.raw for m in result.mentions)
         assert len(skills) == 3
         assert skills == set(doc.meta["planted_skills"].split("|"))

@@ -1,10 +1,14 @@
 import json
+import os
 import re
 import string
+import subprocess
+import sys
 import threading
 import time
 from importlib import resources
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -14,7 +18,7 @@ from hypothesis import strategies as st
 from swati import extraction
 from swati.cli import main
 from swati.corpus import Corpus, Document, SyntheticConfig, generate_synthetic
-from swati.errors import RemoteTimeoutError, SchemaViolationError, TransportError
+from swati.errors import ConfigError, RemoteTimeoutError, SchemaViolationError, TransportError
 from swati.extraction import (
     _LEX,
     _NEXT_PAIRS,
@@ -31,7 +35,6 @@ from swati.extraction import (
     build_market,
     extract_corpus,
     extract_remote,
-    extract_rule_based,
     extraction_stats,
     _alias_matches,
     _buffer,
@@ -72,7 +75,7 @@ def _wire(result: ExtractionResult) -> dict:
 
 def test_expert_proximity_boosts_proficiency(mini_ontology):
     doc = _doc("Expert in computer vision using YOLOv8")
-    result = extract_rule_based(doc, mini_ontology)
+    result = extract_corpus([doc], mini_ontology)[0]
     assert len(result.mentions) == 2
     cv = result.mentions[0]
     assert cv.raw == "computer vision"
@@ -81,10 +84,10 @@ def test_expert_proximity_boosts_proficiency(mini_ontology):
 
 
 def test_years_pattern_boosts_proficiency(mini_ontology):
-    result = extract_rule_based(_doc("5+ years with SQL"), mini_ontology)
+    result = extract_corpus([_doc("5+ years with SQL")], mini_ontology)[0]
     assert result.mentions[0].proficiency == pytest.approx(0.7)
     # below the 3-year threshold the bonus does not apply
-    result = extract_rule_based(_doc("2+ years with SQL"), mini_ontology)
+    result = extract_corpus([_doc("2+ years with SQL")], mini_ontology)[0]
     assert result.mentions[0].proficiency == pytest.approx(0.5)
 
 
@@ -96,67 +99,67 @@ def test_years_pattern_boosts_proficiency(mini_ontology):
 )
 def test_years_pattern_compares_numbers_of_any_length(mini_ontology, number, proficiency):
     # int() refuses strings of more than 4,300 digits
-    result = extract_rule_based(_doc(f"{number}+ years with SQL"), mini_ontology)
+    result = extract_corpus([_doc(f"{number}+ years with SQL")], mini_ontology)[0]
     assert result.mentions[0].proficiency == pytest.approx(proficiency)
 
 
 def test_expertise_outside_window_ignored(mini_ontology):
     filler = "x" * 60
-    result = extract_rule_based(_doc(f"Expert. {filler} sql"), mini_ontology)
+    result = extract_corpus([_doc(f"Expert. {filler} sql")], mini_ontology)[0]
     assert result.mentions[0].proficiency == pytest.approx(0.5)
 
 
 def test_proficiency_capped_at_one(mini_ontology):
-    result = extract_rule_based(_doc("Expert, proficient, 10+ years of SQL"), mini_ontology)
+    result = extract_corpus([_doc("Expert, proficient, 10+ years of SQL")], mini_ontology)[0]
     assert result.mentions[0].proficiency == 1.0
 
 
 def test_empty_text_yields_nothing(mini_ontology):
-    result = extract_rule_based(_doc(""), mini_ontology)
+    result = extract_corpus([_doc("")], mini_ontology)[0]
     assert result.mentions == ()
     assert result.cues == PreferenceCues()
 
 
 def test_repeated_skill_yields_two_mentions(mini_ontology):
-    result = extract_rule_based(
-        _doc("Computer Vision here, computer vision there"), mini_ontology
-    )
+    result = extract_corpus(
+        [_doc("Computer Vision here, computer vision there")], mini_ontology
+    )[0]
     assert len(result.mentions) == 2
 
 
 def test_whole_token_matching_no_substrings(mini_ontology):
-    result = extract_rule_based(_doc("javascript work"), mini_ontology)
+    result = extract_corpus([_doc("javascript work")], mini_ontology)[0]
     assert result.mentions == ()  # 'Java' must not fire inside 'javascript'
 
 
 def test_longest_match_wins():
     onto = Ontology([SkillEntry("Data", ("data",)), SkillEntry("Data Structures", ())])
-    result = extract_rule_based(_doc("knows data structures"), onto)
+    result = extract_corpus([_doc("knows data structures")], onto)[0]
     assert [onto.resolve(m.raw) for m in result.mentions] == ["Data Structures"]
 
 
 def test_punctuation_bounded_aliases(mini_ontology):
-    result = extract_rule_based(_doc("Toolkit: SQL, CV."), mini_ontology)
+    result = extract_corpus([_doc("Toolkit: SQL, CV.")], mini_ontology)[0]
     raws = [m.raw for m in result.mentions]
     assert raws == ["SQL", "CV"]
 
 
 def test_interest_cue_counting(mini_ontology):
-    result = extract_rule_based(_doc("I enjoy this work and am passionate"), mini_ontology)
+    result = extract_corpus([_doc("I enjoy this work and am passionate")], mini_ontology)[0]
     assert result.cues.stated_interest == pytest.approx(0.5)
     many = "passionate interested eager keen curious love"
-    result = extract_rule_based(_doc(many), mini_ontology)
+    result = extract_corpus([_doc(many)], mini_ontology)[0]
     assert result.cues.stated_interest == 1.0
 
 
 def test_domain_affinity_dominant_root(mini_ontology):
-    result = extract_rule_based(_doc("cv and object recognition plus sql"), mini_ontology)
+    result = extract_corpus([_doc("cv and object recognition plus sql")], mini_ontology)[0]
     assert result.cues.domain_affinity == pytest.approx(2 / 3)
 
 
 def test_extraction_deterministic(mini_ontology):
     doc = _doc("Expert in computer vision using YOLOv8, available on weekends")
-    assert extract_rule_based(doc, mini_ontology) == extract_rule_based(doc, mini_ontology)
+    assert extract_corpus([doc], mini_ontology)[0] == extract_corpus([doc], mini_ontology)[0]
 
 
 def test_rule_based_outputs_pass_validator(builtin_ontology):
@@ -165,7 +168,7 @@ def test_rule_based_outputs_pass_validator(builtin_ontology):
         builtin_ontology,
     )
     for doc in corpus.documents():
-        result = extract_rule_based(doc, builtin_ontology)
+        result = extract_corpus([doc], builtin_ontology)[0]
         assert validate_extraction(_wire(result), doc, builtin_ontology) == result
 
 
@@ -488,9 +491,11 @@ class _ScriptedHandler(BaseHTTPRequestHandler):
                 "auth": self.headers.get("Authorization"),
             }
         )
-        status, body, delay = (
-            self.server.script.pop(0) if self.server.script else (200, {}, 0.0)
-        )
+        reply = self.server.script.pop(0) if self.server.script else (200, {}, 0.0)
+        if callable(reply):  # a reply that a (status, body, delay) triple cannot script
+            reply(self)
+            return
+        status, body, delay = reply
         if delay:
             time.sleep(delay)
         payload = body if isinstance(body, bytes) else json.dumps(body).encode()
@@ -579,6 +584,7 @@ def test_remote_extract_names_no_path_for_the_whole_response(
         "error": "SchemaViolationError", "detail": detail
     }
     assert len(scripted_server.requests) == 2
+    assert not (tmp_path / "ex").exists()
 
 
 def _count_resolutions(monkeypatch):
@@ -704,6 +710,103 @@ def test_remote_timeout(scripted_server):
         extract_remote(_doc("Knows CV well"), _remote_cfg(scripted_server, timeout=0.15), _CV)
 
 
+def _redirect(status):
+    """A ``status`` reply whose ``Location`` is the endpoint itself."""
+
+    def reply(handler):
+        handler.send_response(status)
+        handler.send_header("Location", _remote_cfg(handler.server).endpoint)
+        handler.send_header("Content-Length", "0")
+        handler.end_headers()
+
+    return reply
+
+
+@pytest.mark.parametrize("status", [301, 302, 307])
+def test_remote_follows_no_redirect(scripted_server, status):
+    scripted_server.script.extend([_redirect(status), (200, _valid_payload(), 0.0)])
+    waits = []
+    with pytest.raises(TransportError, match=f"^endpoint returned status {status}$"):
+        extract_remote(
+            _doc("Knows CV well"), _remote_cfg(scripted_server, retries=2), _CV, sleep=waits.append
+        )
+    assert len(scripted_server.requests) == 1
+    assert waits == []
+
+
+def test_remote_body_that_is_not_utf8_is_not_valid_json(scripted_server):
+    # decoded leniently, the byte would be U+FFFD and the key "x\ufffd" an unknown field
+    scripted_server.script.extend([(200, b'{"x\xff": 1}', 0.0)] * 2)
+    with pytest.raises(SchemaViolationError, match="^response is not valid JSON$"):
+        extract_remote(_doc("Knows CV well"), _remote_cfg(scripted_server, retries=1), _CV)
+    assert len(scripted_server.requests) == 2
+
+
+def _partial_body(length, stall):
+    """Headers for a ``length``-byte body, its first 10 bytes, then ``stall`` seconds of
+    silence before the connection closes."""
+
+    def reply(handler):
+        handler.send_response(200)
+        handler.send_header("Content-Length", str(length))
+        handler.end_headers()
+        handler.wfile.write(json.dumps(_valid_payload()).encode()[:10])
+        time.sleep(stall)
+
+    return reply
+
+
+def test_remote_stall_partway_through_the_body_is_a_timeout(scripted_server):
+    scripted_server.script.append(_partial_body(100, 0.8))
+    with pytest.raises(RemoteTimeoutError):
+        extract_remote(_doc("Knows CV well"), _remote_cfg(scripted_server, timeout=0.15), _CV)
+    assert len(scripted_server.requests) == 1
+
+
+def test_remote_body_shorter_than_its_length_is_transport_error(scripted_server):
+    scripted_server.script.extend([_partial_body(100, 0.0), (200, _valid_payload(), 0.0)])
+    with pytest.raises(TransportError) as raised:
+        extract_remote(_doc("Knows CV well"), _remote_cfg(scripted_server, retries=2), _CV)
+    assert type(raised.value) is TransportError
+    assert len(scripted_server.requests) == 1
+
+
+# runs ``swati`` with ``requests`` made unimportable, then prints the exit
+# code and the urllib3 modules loaded
+NO_REQUESTS_PROBE = (
+    "import sys\n"
+    "sys.modules['requests'] = None\n"
+    "import swati.cli\n"
+    "code = swati.cli.main(sys.argv[1:])\n"
+    "loaded = [m for m, mod in sys.modules.items() if mod and m.split('.')[0] == 'urllib3']\n"
+    "print(code, loaded)\n"
+)
+
+
+def test_remote_extract_runs_without_requests(scripted_server, tmp_path):
+    scripted_server.script.append((200, _valid_payload(), 0.0))
+    corpus_path = tmp_path / "corpus.jsonl"
+    corpus_path.write_text(json.dumps({"id": "d1", "kind": "volunteer", "text": "Knows CV well"}))
+    config_path = tmp_path / "config.json"
+    remote = {"endpoint": _remote_cfg(scripted_server).endpoint, "api_key": "sekrit"}
+    config_path.write_text(json.dumps({"extractor": {"kind": "remote", "remote": remote}}))
+    env = dict(os.environ)
+    src = str(Path(extraction.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    env.pop("SWATI_REMOTE_API_KEY", None)
+    argv = ["extract", "--config", str(config_path), "--corpus", str(corpus_path),
+            "--out", str(tmp_path / "ex")]
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_REQUESTS_PROBE, *argv],
+        cwd=tmp_path, env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 []"
+    assert scripted_server.requests[0]["auth"] == "Bearer sekrit"
+    record = json.loads((tmp_path / "ex" / "extraction.jsonl").read_text())
+    assert record["skills"] == ["Computer Vision"]
+
+
 def test_remote_env_overrides():
     """Only the credential comes from the environment; limits are config keys."""
     base = RemoteExtractorConfig(endpoint="http://x/e", timeout=5.0, retries=1, api_key="file")
@@ -713,6 +816,38 @@ def test_remote_env_overrides():
     )
     assert (cfg.endpoint, cfg.timeout, cfg.retries, cfg.api_key) == ("http://x/e", 5.0, 1, "k")
     assert RemoteExtractorConfig.from_env(base, {}) == base
+
+
+@pytest.mark.parametrize(
+    "key", ["ключ", "a\r\nb", "two words"], ids=["cyrillic", "crlf", "space"]
+)
+def test_an_api_key_that_is_not_visible_ascii_is_refused_unechoed(key):
+    base = RemoteExtractorConfig(endpoint="http://x/e")
+    for make in (lambda: RemoteExtractorConfig(endpoint="http://x/e", api_key=key),
+                 lambda: RemoteExtractorConfig.from_env(base, {"SWATI_REMOTE_API_KEY": key})):
+        with pytest.raises(ConfigError, match="^extractor.remote api_key ") as raised:
+            make()
+        assert key not in str(raised.value)
+
+
+@pytest.mark.parametrize("command", ["extract", "match"])
+def test_an_api_key_from_the_environment_is_checked(tmp_path, capsys, monkeypatch, command):
+    monkeypatch.setenv("SWATI_REMOTE_API_KEY", "ключ")
+    corpus_path = tmp_path / "corpus.jsonl"
+    corpus_path.write_text(json.dumps({"id": "d1", "kind": "volunteer", "text": "Knows CV"}))
+    config_path = tmp_path / "config.json"
+    remote = {"endpoint": "http://127.0.0.1:1/x"}
+    config_path.write_text(json.dumps({"extractor": {"kind": "remote", "remote": remote}}))
+    argv = [command, "--config", str(config_path), "--corpus", str(corpus_path),
+            "--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    error = json.loads(err)
+    assert error["error"] == "ConfigError"
+    assert error["detail"].startswith("extractor.remote api_key ")
+    assert "ключ" not in error["detail"]
+    assert not (tmp_path / "out").exists()
 
 
 def test_prompt_template_is_packaged():
@@ -813,7 +948,7 @@ def test_build_market_calls_a_batch_extractor(mini_ontology):
 
     def extractor(docs, ontology):
         calls.append([doc.id for doc in docs])
-        return [extract_rule_based(doc, ontology) for doc in docs]
+        return [extract_corpus([doc], ontology)[0] for doc in docs]
 
     market = build_market(corpus, mini_ontology, extractor=extractor)
     assert calls == [[doc.id for doc in corpus.documents()]]
@@ -901,7 +1036,7 @@ def _texts(ontology):
 def test_rule_based_matches_span_by_span_scan(mini_ontology, builtin_ontology, which, data):
     ontology = mini_ontology if which == "mini" else builtin_ontology
     doc = Document("v1", "volunteer", data.draw(_texts(ontology)))
-    assert extract_rule_based(doc, ontology) == ref.extract_rule_based(doc, ontology)
+    assert extract_corpus([doc], ontology)[0] == ref.extract_rule_based(doc, ontology)
 
 
 @pytest.mark.parametrize(
@@ -916,7 +1051,7 @@ def test_rule_based_matches_span_by_span_scan(mini_ontology, builtin_ontology, w
 )
 def test_rule_based_matches_reference_on_overlaps_and_non_ascii(mini_ontology, text):
     doc = Document("v1", "volunteer", text)
-    assert extract_rule_based(doc, mini_ontology) == ref.extract_rule_based(doc, mini_ontology)
+    assert extract_corpus([doc], mini_ontology)[0] == ref.extract_rule_based(doc, mini_ontology)
 
 
 # Phrase and alias halves for the start and the end of a document: a scan
@@ -1141,7 +1276,7 @@ def test_punctuation_run_after_a_single_word_alias(mini_ontology):
     # "java" starts no multi-word alias, yet "java -- --" matches it and
     # consumes the punctuation, so "yolo v8" is matched whole afterwards
     doc = Document("v1", "volunteer", "java -- -- yolo v8 and\tJava,\n(ML)")
-    result = extract_rule_based(doc, mini_ontology)
+    result = extract_corpus([doc], mini_ontology)[0]
     assert [m.raw for m in result.mentions] == ["java", "yolo v8", "Java", "ML"]
     assert result == ref.extract_rule_based(doc, mini_ontology)
 

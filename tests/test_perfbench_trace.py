@@ -35,11 +35,12 @@ def test_traced_match_reports_counts(tmp_path):
     assert proc.returncode == 0, proc.stderr
     trace = json.loads(spans.read_text())
     assert trace["exit_code"] == 0
-    # perfbench/child.py still wraps the deleted build_profile, build_taskspec
-    # and run_epoch; it lists the names as missing until the benchmark drops
-    # those spans (ROADMAP item 1)
+    # perfbench/child.py still wraps the deleted extract_rule_based,
+    # build_profile, build_taskspec and run_epoch; it lists the names as
+    # missing until the benchmark drops those spans (ROADMAP item 1)
     assert trace["missing"] == [
-        "extraction.build_profile", "extraction.build_taskspec", "assignment.run_epoch"
+        "extraction.extract_rule_based", "extraction.build_profile",
+        "extraction.build_taskspec", "assignment.run_epoch",
     ]
     assert trace["counts"]["similarity.vocab_size"] > 0
 
