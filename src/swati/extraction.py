@@ -98,7 +98,6 @@ _PHRASE_SOURCE = (
 # boundaries ('İ'.lower() is two characters, the second not a word character), and
 # IGNORECASE also matches letters such as 'ſ' that lowercasing leaves alone.
 _PHRASE_RE_ASCII = re.compile(_PHRASE_SOURCE)
-_UNMATCHED = (-1, -1)
 
 
 @functools.cache
@@ -257,7 +256,7 @@ def _buffer(texts: Sequence[str]) -> tuple[str, np.ndarray, np.ndarray]:
 
 
 def _alias_matches(
-    buffer: str, bases: np.ndarray, lengths: np.ndarray, ontology: Ontology, spans: bool = True
+    buffer: str, bases: np.ndarray, lengths: np.ndarray, ontology: Ontology
 ) -> list[tuple[int, int, int, str]]:
     r"""Every text's alias matches in a ``_buffer``, as (text, start, end, canonical).
 
@@ -269,9 +268,7 @@ def _alias_matches(
     by one space and stripped, unless the text has whitespace that the strip
     does not remove (then the span's text is normalized). Token offsets come
     from one whitespace mask of the buffer. A match never leaves its text:
-    the ``"\x00"`` token between two texts belongs to neither. Without
-    ``spans``, start and end are left as the indices of a match's first and
-    last token in ``buffer.split()``.
+    the ``"\x00"`` token between two texts belongs to neither.
     """
     tokens = buffer.split()
     words = tokens if buffer.isascii() else buffer.lower().split()
@@ -328,8 +325,6 @@ def _alias_matches(
                 found.append((d, i, last, canonical))
                 resume = last + 1
                 break
-    if not spans:
-        return found
     firsts = starts[[i for _, i, _, _ in found]].tolist()
     lasts = starts[[last for _, _, last, _ in found]].tolist()
     bases = bases.tolist()
@@ -370,21 +365,15 @@ def _phrase_matches(buffer: str) -> list[list[tuple[int, int]]]:
         hits = filter(None, map(_PHRASE_RE_ASCII.match, repeat(buffer), starts.tolist()))
     else:
         hits = _phrase_re_ignorecase().finditer(buffer)
-    # phrase k is group k + 1; spans[0] and ends[0] stand for group 0, the hit
-    spans = [[] for _ in range(len(_PHRASES) + 1)]
+    spans = [[] for _ in _PHRASES]
     ends = [0] * len(spans)  # where each phrase's last match ended
-    everyone = range(1, len(spans))
     for hit in hits:
-        regs = hit.regs
-        # an unmatched group has span (-1, -1); most hits match one phrase,
-        # which is then the last group that matched
-        one = regs.count(_UNMATCHED) == len(_PHRASES) - 1
-        for k in (hit.lastindex,) if one else everyone:
-            start, end = regs[k]
+        # phrase k is group k + 1; an unmatched group's span (-1, -1) starts before any end
+        for k, (start, end) in enumerate(hit.regs[1:]):
             if start >= ends[k]:
                 ends[k] = end
                 spans[k].append((start, end))
-    return spans[1:]
+    return spans
 
 
 def _at_least_min_years(number: str) -> bool:
@@ -485,15 +474,10 @@ def _extract_chunk(
             # "N+ years" counts from min_years; the buffer at most lowercases the text
             if name == "expertise" or _at_least_min_years(texts[d][start:end].partition("+")[0]):
                 by_text.setdefault(d, []).append((start, end))
-    base = _proficiency((0, 1), (), ())  # without a phrase near
     mentions = [[] for _ in texts]
     skills = [set() for _ in texts]
     for d, start, end, canonical in found:
-        proficiency = (
-            _proficiency((start, end), expertise.get(d, ()), years.get(d, ()))
-            if d in expertise or d in years
-            else base
-        )
+        proficiency = _proficiency((start, end), expertise.get(d, ()), years.get(d, ()))
         mentions[d].append(SkillMention(texts[d][start:end], (start, end), proficiency))
         skills[d].add(canonical)
     cues = _cues(skills, phrases, bases, root_of)
@@ -506,12 +490,13 @@ def _market_chunk(
     """Each text's canonical skills and, if ``cues``, its cues, for texts of one ``_chunks`` group.
 
     The canonicals come straight from the alias scan, which resolves each
-    match's key, so no raw string is resolved again, and no match's span or
-    ``SkillMention`` is built. Without ``cues`` no phrase is scanned.
+    match's key, so no raw string is resolved again. Each match's evidence
+    span is found but not read, and no ``SkillMention`` is built. Without
+    ``cues`` no phrase is scanned.
     """
     buffer, bases, lengths = _buffer(texts)
     skills = [set() for _ in texts]
-    for d, _, _, canonical in _alias_matches(buffer, bases, lengths, ontology, spans=False):
+    for d, _, _, canonical in _alias_matches(buffer, bases, lengths, ontology):
         skills[d].add(canonical)
     if not cues:
         return [(frozenset(canonicals), None) for canonicals in skills]
@@ -784,8 +769,8 @@ def build_market(
     Without an ``extractor`` the market is read straight from the rule-based
     scans (``_market_chunk``): a document's canonical skills are the ones its
     alias scan resolved, and only volunteer text is scanned for preference
-    cues, since only profiles carry them. No evidence span or proficiency is
-    computed, as matching reads neither; ``swati extract`` gets them from
+    cues, since only profiles carry them. No mention or proficiency is
+    built, as matching reads neither; ``swati extract`` gets them from
     ``extract_corpus``. The market is the one that ``extract_corpus``'s
     results would give. An ``extractor(docs, ontology)`` (remote client,
     stub) returns one result per document, in order, and each result's

@@ -53,6 +53,7 @@ from swati.willingness import (
 from swati.corpus import Corpus, Document
 
 import assignment_oracle
+import claims_sweep
 from assignment_oracle import assign_optimal_bruteforce, validate_assignment
 from conftest import TEST_MARKET_SHAPE, vectorize
 
@@ -128,6 +129,37 @@ def test_c01_method_ordering_and_margin(market_runs):
     details.append(f"median swati/skill ratio {median_ratio:.3f}")
     details.append(f"max seed time {max(r['elapsed'] for r in market_runs.values()):.1f}s")
     _verdict("C1 ordering + margin", ok, "; ".join(details))
+
+
+def test_c01_expected_accepted_share(market_runs):
+    """Beside C1: the share of the 300 tasks expected to be accepted, Σ willingness ÷ 300."""
+    shares = {name: [] for name in ("swati", "skill", "random")}
+    for seed in SEEDS:
+        run = market_runs[seed]
+        matrix = run["matrix"]
+        for name, values in shares.items():
+            accepted = sum(
+                matrix.willingness[matrix.position(p.volunteer_id, p.task_id)]
+                for p in run[name].pairs
+            )
+            values.append(float(accepted) / 300)
+    ok = all(s > k > r for s, k, r in zip(shares["swati"], shares["skill"], shares["random"]))
+    _verdict(
+        "C1 expected accepted share",
+        ok,
+        "; ".join(
+            f"{name} " + ", ".join(f"{v:.3f}" for v in values) for name, values in shares.items()
+        ),
+    )
+
+
+def test_claims_sweep_default_row_is_c1(market_runs, builtin_ontology):
+    """``tests/claims_sweep.py``'s default setting builds and matches C1's markets."""
+    assert claims_sweep.SEEDS == SEEDS
+    assert claims_sweep.ratios(builtin_ontology, **claims_sweep.SETTINGS["default"]) == [
+        market_runs[seed]["swati"].total_utility() / market_runs[seed]["skill"].total_utility()
+        for seed in SEEDS
+    ]
 
 
 def test_c02_greedy_approximation():

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+from collections import Counter
 from importlib import resources
 from pathlib import Path
 
@@ -179,6 +180,36 @@ def test_match_clamps_a_capacity_beyond_the_task_count(tmp_path, where):
     assert assignments[0] == assignments[1]
     if where == "default":  # six volunteers with room for every task cover all nine
         assert len(assignments[0].splitlines()) == 9
+
+
+@pytest.mark.parametrize("method", ["swati", "skill", "random"])
+def test_match_leaves_tasks_uncovered_when_capacity_is_scarce(tmp_path, method):
+    """Six volunteers of capacity 1 cover six of ten tasks; the other four stay only Posted."""
+    gen = _gen(tmp_path, seed=1, n_volunteers=6, n_tasks=10)
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"capacities": {"default": 1}}))
+    out = tmp_path / "match"
+    seed = ["--seed", "1"] if method == "random" else []
+    rc = main(
+        ["match", "--config", str(config_path), "--corpus", str(gen / "corpus.jsonl"),
+         "--method", method, *seed, "--out", str(out)]
+    )
+    assert rc == 0
+    header, row = (out / "quality.csv").read_text().splitlines()
+    report = dict(zip(header.split(","), row.split(",")))
+    assert (report["method"], report["coverage"], report["pairs"]) == (method, "0.600000", "6")
+    rows = [json.loads(line) for line in (out / "assignment.jsonl").read_text().splitlines()]
+    covered = {r["task_id"] for r in rows}
+    assert len(rows) == len(covered) == 6
+    records = load_ledger(str(out / "ledger.bin")).records
+    assert Counter(record.event for record in records) == {"Posted": 10, "Assigned": 6}
+    events = {}
+    for record in records:
+        events.setdefault(record.task_id, []).append(record.event)
+    uncovered = set(events) - covered
+    assert len(uncovered) == 4
+    assert all(events[task] == ["Posted"] for task in uncovered)
+    assert main(["verify", str(out / "ledger.bin")]) == 0
 
 
 def test_match_random_requires_seed(tmp_path, capsys):
